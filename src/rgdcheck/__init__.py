@@ -46,13 +46,11 @@ from .models import (
     RootGroupCoords,
     SplitSLModel,
     SUModel,
-    affine_root_group_generators,
     build_model,
     coords_add,
     coords_neg,
     generator_coords,
     special_unitary,
-    split_pinning,
     split_sl,
 )
 from .roots import RootSystem, build_root_system, pairing

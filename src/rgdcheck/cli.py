@@ -1,8 +1,8 @@
 """Command line runner: build a model, run the axiom suites, emit a report.
 
 Exit codes: 0 when every suite passes, 1 when some axiom check fails, 2 for
-configuration problems.  Reports are reproducible: a fixed configuration
-yields identical output except for the timestamp and the elapsed timings.
+configuration problems, 3 for internal errors.  Reports are reproducible: a
+fixed configuration yields identical output but for timestamp and timings.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -205,6 +206,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"rgdcheck: configuration error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, never an axiom verdict
+        traceback.print_exc()
+        print(f"rgdcheck: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     text = render_json(report) if cfg.format == "json" else render_markdown(report)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

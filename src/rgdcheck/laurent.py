@@ -192,12 +192,12 @@ class LaurentMatrix:
 
     @staticmethod
     def from_entries(n: int, entries: dict[tuple[int, int], LaurentPoly]) -> "LaurentMatrix":
-        """Identity plus the given off-diagonal (or overriding) entries."""
+        """The identity with each given entry set to the given polynomial."""
         rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         for (i, j), p in entries.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise DimensionMismatch(f"entry ({i},{j}) outside {n}x{n}")
-            rows[i][j] = rows[i][j] + p if i == j else p
+            rows[i][j] = p
         return LaurentMatrix(rows)
 
     @staticmethod

@@ -191,7 +191,8 @@ class GroupModel:
         return g
 
     def relative_pinning(self, coords: RootGroupCoords) -> LaurentMatrix:
-        """The canonical element of U_alpha with the given coordinates."""
+        """The canonical element of U_alpha with the given coordinates; it only
+        builds, as RGD0 and RGD1 check membership on the inputs they draw."""
         a_rel, level = coords.alpha
         lay = self.layout(a_rel)
         nd = 1 if lay.double_root is not None else 0
@@ -202,9 +203,7 @@ class GroupModel:
             )
         e4 = _exp4_of_level(level)
         entries: dict[tuple[int, int], LaurentPoly] = {}
-        if lay.rtype == "elementary":
-            entries[lay.corner] = LaurentPoly({e4: FieldScalar(coords.c[0])})
-        elif lay.rtype == "double":
+        if lay.rtype in ("elementary", "double"):
             entries[lay.corner] = LaurentPoly({e4: FieldScalar(coords.c[0])})
         elif lay.rtype == "pair":
             z = FieldScalar(coords.c[0], coords.c[1], self.disc)
@@ -229,10 +228,7 @@ class GroupModel:
                 entries[lay.corner] = LaurentPoly({2 * e4: corner})
         else:
             raise WrongKind(f"unknown layout {lay.rtype}")
-        g = LaurentMatrix.from_entries(self.n, entries)
-        if not self.contains(g):
-            raise MembershipViolation(f"pinning of {coords} left the group")
-        return g
+        return LaurentMatrix.from_entries(self.n, entries)
 
     def quadratic_correction(self, a_rel: Vector, c: tuple[Q, ...]) -> FieldScalar:
         """The canonical corner scalar p2 determined by the linear part."""
@@ -274,7 +270,8 @@ class GroupModel:
         return RootGroupCoords(alpha, tuple(c), (rational(d0),))
 
     def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
-        """Coordinates of g as an element of U_alpha, or NotInRootGroup."""
+        """Coordinates of g as an element of U_alpha, or NotInRootGroup; g is
+        compared with its rebuilt pinning, and membership in G is not checked."""
         coords = self._read_coords(g, alpha, strict=True)
         if self.relative_pinning(coords) != g:
             raise NotInRootGroup(f"{alpha}: matrix is not in this root group")
@@ -726,13 +723,6 @@ def special_unitary(dim: int, witt: int, disc: int = -1) -> SUModel:
     return SUModel(dim, witt, disc)
 
 
-def affine_root_group_generators(
-    model: GroupModel, alpha: AffineRoot, coeffs
-) -> list[LaurentMatrix]:
-    """One-parameter generators of U_alpha at each basis slot and coefficient."""
-    return [model.relative_pinning(cs) for cs in generator_coords(model, alpha, coeffs)]
-
-
 def generator_coords(
     model: GroupModel, alpha: AffineRoot, coeffs
 ) -> list[RootGroupCoords]:
@@ -749,13 +739,6 @@ def generator_coords(
         for slot in range(nd):
             out.append(RootGroupCoords(alpha, (Q(0),) * nc, (val,)))
     return out
-
-
-def split_pinning(model: GroupModel, a_rel: Vector, lam: LaurentPoly) -> LaurentMatrix:
-    """Elementary pinning of the split model; WrongKind elsewhere."""
-    if not isinstance(model, SplitSLModel):
-        raise WrongKind("split_pinning needs the split special linear model")
-    return model.split_pinning(a_rel, lam)
 
 
 def build_model(kind: str, **kw) -> GroupModel:

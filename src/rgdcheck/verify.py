@@ -156,6 +156,20 @@ def _basis_generators(
     return generator_coords(model, alpha, [Q(1)])
 
 
+def _drawn_pinnings(
+    model: GroupModel, report: AxiomReport, inputs: str, draws
+) -> list[LaurentMatrix] | None:
+    """Pinnings of the coordinates a case draws, each checked once for
+    membership in G; what is built from them stays in G unchecked.  A pinning
+    outside G fails the case and returns None."""
+    pins = [model.relative_pinning(coords) for coords in draws]
+    for coords, g in zip(draws, pins):
+        if not model.contains(g):
+            report.fail(inputs, "pinning lands in G", f"{coords} left the group")
+            return None
+    return pins
+
+
 def _timed(fn):
     def run(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
         start = time.perf_counter()
@@ -171,14 +185,15 @@ def _timed(fn):
 
 @_timed
 def check_rgd0(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
-    """Every affine root group in range has nontrivial elements."""
+    """Every affine root group in range is nontrivial and pinned inside G."""
     report = AxiomReport("RGD0")
     for alpha in in_range_affine_roots(model, cfg):
         for coords in _basis_generators(model, alpha):
-            g = model.relative_pinning(coords)
             report.cases += 1
-            if g.is_identity():
-                report.fail(f"alpha={alpha} coords={coords}", "nonidentity", "identity")
+            inputs = f"alpha={alpha} coords={coords}"
+            pins = _drawn_pinnings(model, report, inputs, [coords])
+            if pins is not None and pins[0].is_identity():
+                report.fail(inputs, "nonidentity", "identity")
     return report
 
 
@@ -196,20 +211,18 @@ def check_rgd1(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
             for s in range(cfg.samples):
                 u = sample_coords(model, alpha, rng, s)
                 v = sample_coords(model, beta, rng, s)
-                gu = model.relative_pinning(u)
-                gv = model.relative_pinning(v)
-                com = (
-                    gu
-                    @ gv
-                    @ model.relative_pinning(coords_neg(u))
-                    @ model.relative_pinning(coords_neg(v))
-                )
                 report.cases += 1
+                inputs = f"alpha={alpha} beta={beta} u={u.c}+{u.d} v={v.c}+{v.d}"
+                draws = [u, v, coords_neg(u), coords_neg(v)]
+                pins = _drawn_pinnings(model, report, inputs, draws)
+                if pins is None:
+                    continue
+                gu, gv, gu_inv, gv_inv = pins
                 try:
-                    model.peel_product(com, interval)
+                    model.peel_product(gu @ gv @ gu_inv @ gv_inv, interval)
                 except (ResidueNotIdentity, NotInRootGroup) as exc:
                     report.fail(
-                        f"alpha={alpha} beta={beta} u={u.c}+{u.d} v={v.c}+{v.d}",
+                        inputs,
                         f"commutator in product over {[str(g) for g in interval]}",
                         str(exc),
                     )

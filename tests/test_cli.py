@@ -53,6 +53,21 @@ def test_configuration_errors_exit_two(capsys):
     assert "configuration error" in err
 
 
+def test_internal_errors_exit_three(monkeypatch, capsys):
+    from rgdcheck import verify
+
+    def broken(model, cfg):
+        raise ZeroDivisionError("suite bug")
+
+    monkeypatch.setitem(verify._SUITE_FNS, "rgd0", broken)
+    code = main(["--group", "sl", "--rank", "1", *FAST, "--suites", "rgd0"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.strip().splitlines()[-1]
+    assert last == "rgdcheck: internal error: ZeroDivisionError: suite bug"
+
+
 def test_markdown_format(capsys):
     code = main(
         [

@@ -104,6 +104,20 @@ def test_matrix_product_against_hand_example():
     assert prod.entry(1, 1) == one
 
 
+def test_from_entries_sets_each_given_entry():
+    t = LaurentPoly.t_power(1)
+    three_fifths = LaurentPoly.const(Q(3, 5))
+    g = LaurentMatrix.from_entries(3, {(0, 0): three_fifths, (1, 2): t})
+    assert g.entry(0, 0) == three_fifths
+    assert g.entry(1, 2) == t
+    assert g.entry(1, 1).is_one() and g.entry(2, 2).is_one()
+    assert g.entry(2, 1).is_zero()
+    # a zero diagonal entry is set, not added to the identity's 1
+    assert LaurentMatrix.from_entries(2, {(1, 1): LaurentPoly.zero()}).entry(1, 1).is_zero()
+    with pytest.raises(DimensionMismatch):
+        LaurentMatrix.from_entries(2, {(2, 0): t})
+
+
 def test_matrix_shape_errors():
     a = LaurentMatrix.identity(2)
     b = LaurentMatrix.identity(3)

@@ -16,7 +16,6 @@ from rgdcheck import (
     RankOneSolveFailed,
     RootGroupCoords,
     UnsupportedType,
-    WrongKind,
     affine_root,
     build_model,
     coords_add,
@@ -24,7 +23,6 @@ from rgdcheck import (
     generator_coords,
     scalar,
     special_unitary,
-    split_pinning,
     split_sl,
 )
 from rgdcheck.roots import vec
@@ -53,15 +51,8 @@ def test_split_pinning_is_elementary():
     # the negative root fills the lower corner
     k = su_pinning(sl2, vec(-1, 1), 0, (7,))
     assert k.entry(1, 0) == LaurentPoly.const(7)
-
-
-def test_split_pinning_free_function_and_wrong_kind():
-    sl2 = split_sl(1)
-    lam = LaurentPoly.term(2, -1)
-    g = split_pinning(sl2, sl2.system.simple[0], lam)
-    assert g.entry(0, 1) == lam
-    with pytest.raises(WrongKind):
-        split_pinning(special_unitary(3, 1), vec(1), LaurentPoly.one())
+    # the polynomial form x_a(lam) agrees with the coordinate form
+    assert sl2.split_pinning(a, LaurentPoly.term(3, -2)) == h
 
 
 def test_split_peel_round_trip():
@@ -404,6 +395,17 @@ def test_centralizer_samples_are_members():
         for g in model.sample_centralizer_elements(rng, 9):
             assert model.contains(g)
             assert model.is_centralizer_element(g)
+
+
+def test_centralizer_samples_with_two_anisotropic_slots():
+    # every third sample mixes in a rotation of the first two middle slots
+    for dim, witt in ((4, 1), (6, 2)):
+        model = special_unitary(dim, witt)
+        samples = model.sample_centralizer_elements(random.Random(59), 3)
+        assert len(samples) == 3
+        assert all(model.is_centralizer_element(g) for g in samples)
+        h0, h1 = model.middles[:2]
+        assert not samples[2].entry(h0, h1).is_zero()
 
 
 def test_is_centralizer_element_rejections():

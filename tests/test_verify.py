@@ -1,11 +1,16 @@
 """Tests for the axiom verification suites."""
 
+from fractions import Fraction as Q
+
 import pytest
 
 from rgdcheck import (
     ALL_SUITES,
     ConfigError,
+    RootGroupCoords,
+    SUModel,
     SuiteConfig,
+    affine_root,
     check_combinatorics,
     check_coroot_shift,
     check_q2_additive,
@@ -16,6 +21,7 @@ from rgdcheck import (
     special_unitary,
     split_sl,
 )
+from rgdcheck.roots import vec
 
 SMALL = SuiteConfig(level_min=-1, level_max=1, samples=3)
 
@@ -160,3 +166,80 @@ def test_failures_are_recorded_with_inputs_expected_actual():
             "actual": "residue left",
         }
     ]
+
+
+# -- where membership in the group is checked -----------------------------------
+
+
+class FlippedPairSU(SUModel):
+    """SU(5,2) whose pair pinnings carry the wrong sign on the secondary
+    entry, so those pinnings leave the group."""
+
+    def layout(self, a_rel):
+        lay = super().layout(a_rel)
+        if lay.rtype == "pair":
+            lay.sec_sign = -lay.sec_sign
+        return lay
+
+
+def count_contains(monkeypatch, model):
+    calls = []
+    inner = model.contains
+
+    def counted(g):
+        calls.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(model, "contains", counted)
+    return calls
+
+
+ZERO_WINDOW = SuiteConfig(level_min=0, level_max=0, samples=1)
+
+
+def test_pinnings_outside_the_group_are_recorded_by_rgd0():
+    model = FlippedPairSU(5, 2)
+    r = check_rgd0(model, ZERO_WINDOW)
+    pair_cases = sum(
+        model.coord_lengths(a)[0]
+        for a in model.system.roots
+        if model.layout(a).rtype == "pair"
+    )
+    assert len(r.failures) == pair_cases > 0
+    assert all(f["expected"] == "pinning lands in G" for f in r.failures)
+    assert r.cases == check_rgd0(special_unitary(5, 2), ZERO_WINDOW).cases
+
+
+def test_pinnings_outside_the_group_are_recorded_by_rgd1():
+    r = check_rgd1(FlippedPairSU(5, 2), ZERO_WINDOW)
+    outside = [f for f in r.failures if f["expected"] == "pinning lands in G"]
+    assert outside
+    assert all("left the group" in f["actual"] for f in outside)
+
+
+def test_pinnings_and_peels_never_check_membership(monkeypatch):
+    su = special_unitary(3, 1)
+    calls = count_contains(monkeypatch, su)
+    alpha = affine_root(vec(1), 0)
+    u = RootGroupCoords(alpha, (Q(1), Q(2)), (Q(3),))
+    g = su.relative_pinning(u)
+    assert su.peel(g, alpha) == u
+    assert su.peel_product(g, [alpha]) == [u]
+    assert su.q2_additive(vec(1), (Q(1), Q(0)), (Q(0), Q(1)), 0) == (Q(1),)
+    # at level 0 no coroot value, with its own check, is involved
+    su.w_element_parts(vec(1), u, 0)
+    assert calls == []
+
+
+def test_rgd0_checks_membership_once_per_case(monkeypatch):
+    model = special_unitary(3, 1)
+    calls = count_contains(monkeypatch, model)
+    r = check_rgd0(model, SMALL)
+    assert r.passed and len(calls) == r.cases
+
+
+def test_rgd1_checks_the_four_pinnings_of_each_case(monkeypatch):
+    model = split_sl(1)
+    calls = count_contains(monkeypatch, model)
+    r = check_rgd1(model, SMALL)
+    assert r.passed and len(calls) == 4 * r.cases
