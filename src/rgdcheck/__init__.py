@@ -54,7 +54,7 @@ from .models import (
     split_sl,
 )
 from .roots import RootSystem, build_root_system, pairing
-from .scalars import FieldScalar, scalar, sqrt_of
+from .scalars import FieldScalar, sqrt_of
 from .verify import (
     ALL_SUITES,
     AxiomReport,

@@ -12,7 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import HalfIntegerLevel, NotPrenilpotent, ReflectionLeftSystem
+from .errors import (
+    HalfIntegerLevel,
+    NotPrenilpotent,
+    ReflectionLeftSystem,
+    RgdcheckError,
+)
 from .roots import (
     RootSystem,
     Vector,
@@ -185,7 +190,10 @@ def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
         v = _interior_point(*pair)
         if v is None:
             return False
-        assert all(half_space_contains(g, v, strict=True) for g in pair)
+        if not all(half_space_contains(g, v, strict=True) for g in pair):
+            raise RgdcheckError(
+                f"computed point is not interior to both {pair[0]} and {pair[1]}"
+            )
     return True
 
 

@@ -18,6 +18,9 @@ Q = Fraction
 
 EXP_SCALE = 4  # stored exponent units per power of t
 
+_SCALAR_ZERO = FieldScalar(0)
+_SCALAR_ONE = FieldScalar(1)
+
 
 def _as_scalar(c) -> FieldScalar:
     return FieldScalar.coerce(c)
@@ -69,11 +72,11 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs.get(0) == FieldScalar(1)
+        return len(self.coeffs) == 1 and self.coeffs.get(0) == _SCALAR_ONE
 
     def coeff(self, e4: int) -> FieldScalar:
         """Coefficient at scaled exponent e4 (zero if absent)."""
-        return self.coeffs.get(e4, FieldScalar(0))
+        return self.coeffs.get(e4, _SCALAR_ZERO)
 
     def is_monomial(self) -> bool:
         return len(self.coeffs) == 1
@@ -109,10 +112,10 @@ class LaurentPoly:
         for e, c in other.coeffs.items():
             cur = out.get(e)
             out[e] = c if cur is None else cur + c
-        return LaurentPoly(out)
+        return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return _poly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -127,21 +130,21 @@ class LaurentPoly:
                 prod = c1 * c2
                 cur = out.get(e)
                 out[e] = prod if cur is None else cur + prod
-        return LaurentPoly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def conj(self) -> "LaurentPoly":
         """Apply the field involution to every coefficient (t is fixed)."""
-        return LaurentPoly({e: c.conj() for e, c in self.coeffs.items()})
+        return _poly({e: c.conj() for e, c in self.coeffs.items()})
 
     def monomial_inverse(self) -> "LaurentPoly":
         e4, c = self.monomial_parts()
-        return LaurentPoly({-e4: c.inverse()})
+        return _poly({-e4: c.inverse()})
 
     def monomial_pow(self, k: int) -> "LaurentPoly":
         e4, c = self.monomial_parts()
-        return LaurentPoly({e4 * k: c**k})
+        return _poly({e4 * k: c**k})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FieldScalar)):
@@ -165,6 +168,14 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+def _poly(coeffs: dict[int, FieldScalar]) -> LaurentPoly:
+    """Trusted constructor: integer keys and FieldScalar values; only drops
+    zero coefficients."""
+    p = object.__new__(LaurentPoly)
+    p.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+    return p
 
 
 ZERO = LaurentPoly.zero()
@@ -231,7 +242,7 @@ class LaurentMatrix:
                             prod = c1 * c2
                             cur = acc.get(e)
                             acc[e] = prod if cur is None else cur + prod
-                row.append(LaurentPoly(acc))
+                row.append(_poly(acc))
             out.append(row)
         return LaurentMatrix(out)
 

@@ -532,7 +532,8 @@ class SplitSLModel(GroupModel):
                 prod *= x
             diag.append(1 / prod)
             g = LaurentMatrix.diagonal([LaurentPoly.const(x) for x in diag])
-            assert self.is_centralizer_element(g)
+            if not self.is_centralizer_element(g):
+                raise MembershipViolation("centralizer sample left the group")
             out.append(g)
         return out
 

@@ -4,11 +4,16 @@ A scalar is base + ext * sqrt(d) with base, ext rational and d a fixed
 squarefree integer.  Plain rationals are scalars with no extension part;
 they mix freely with scalars from any one extension.  The involution tau
 fixes Q and sends sqrt(d) to -sqrt(d).
+
+A scalar is stored as three reduced integers, (a + b * sqrt(d)) / den with
+den > 0 and gcd(a, b, den) == 1, so equal values are equal triples and
+arithmetic never builds a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -30,7 +35,7 @@ def is_squarefree(d: int) -> bool:
 class FieldScalar:
     """base + ext * sqrt(disc); disc None means a plain rational."""
 
-    __slots__ = ("base", "ext", "disc")
+    __slots__ = ("_a", "_b", "_den", "disc")
 
     def __init__(self, base, ext=0, disc: int | None = None):
         base = Q(base)
@@ -42,8 +47,14 @@ class FieldScalar:
                 disc = None
         elif ext != 0:
             raise FieldMismatch("extension part requires a discriminant")
-        self.base = base
-        self.ext = ext
+        # over the lcm of two reduced denominators the triple is already
+        # reduced: a prime of den divides one denominator fully, so not its
+        # numerator
+        bd, ed = base.denominator, ext.denominator
+        den = bd * ed // gcd(bd, ed)
+        self._a = base.numerator * (den // bd)
+        self._b = ext.numerator * (den // ed)
+        self._den = den
         self.disc = disc
 
     # -- field bookkeeping ------------------------------------------------
@@ -52,8 +63,10 @@ class FieldScalar:
     def coerce(value) -> "FieldScalar":
         if isinstance(value, FieldScalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return FieldScalar(value)
+        if isinstance(value, int):
+            return _make(value, 0, 1, None)
+        if isinstance(value, Fraction):
+            return _make(value.numerator, 0, value.denominator, None)
         raise TypeError(f"cannot make a scalar from {value!r}")
 
     def _join(self, other: "FieldScalar") -> int | None:
@@ -64,23 +77,37 @@ class FieldScalar:
         raise FieldMismatch(f"sqrt({self.disc}) vs sqrt({other.disc})")
 
     @property
+    def base(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def ext(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    @property
     def is_rational(self) -> bool:
-        return self.ext == 0
+        return self._b == 0
 
     def is_zero(self) -> bool:
-        return self.base == 0 and self.ext == 0
+        return self._a == 0 and self._b == 0
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = FieldScalar.coerce(other)
+        if not isinstance(other, FieldScalar):
+            other = FieldScalar.coerce(other)
         d = self._join(other)
-        return FieldScalar(self.base + other.base, self.ext + other.ext, d)
+        n1, n2 = self._den, other._den
+        if n1 == n2:
+            return _reduced(self._a + other._a, self._b + other._b, n1, d)
+        return _reduced(
+            self._a * n2 + other._a * n1, self._b * n2 + other._b * n1, n1 * n2, d
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldScalar(-self.base, -self.ext, self.disc)
+        return _make(-self._a, -self._b, self._den, self.disc)
 
     def __sub__(self, other):
         return self + (-FieldScalar.coerce(other))
@@ -89,31 +116,40 @@ class FieldScalar:
         return FieldScalar.coerce(other) - self
 
     def __mul__(self, other):
-        other = FieldScalar.coerce(other)
+        if not isinstance(other, FieldScalar):
+            other = FieldScalar.coerce(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        den = self._den * other._den
+        if not b2:
+            return _reduced(a1 * a2, b1 * a2, den, self.disc)
+        if not b1:
+            return _reduced(a1 * a2, a1 * b2, den, other.disc)
         d = self._join(other)
-        dd = d if d is not None else 0
-        base = self.base * other.base + dd * self.ext * other.ext
-        ext = self.base * other.ext + self.ext * other.base
-        return FieldScalar(base, ext, d)
+        return _reduced(a1 * a2 + d * b1 * b2, a1 * b2 + b1 * a2, den, d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "FieldScalar":
         """The involution tau: sqrt(d) -> -sqrt(d), identity on Q."""
-        return FieldScalar(self.base, -self.ext, self.disc)
+        return _make(self._a, -self._b, self._den, self.disc)
 
     def norm(self) -> Fraction:
         """self * conj(self) as a rational: base^2 - d * ext^2."""
-        dd = self.disc if self.disc is not None else 0
-        return self.base * self.base - dd * self.ext * self.ext
+        a, b = self._a, self._b
+        n = a * a - self.disc * b * b if b else a * a
+        return Fraction(n, self._den * self._den)
 
     def inverse(self) -> "FieldScalar":
-        if self.is_zero():
+        a, b, den = self._a, self._b, self._den
+        if a == 0 and b == 0:
             raise DivisionByZero("scalar inverse of zero")
-        n = self.norm()
+        # 1 / ((a + b sqrt d) / den) = den (a - b sqrt d) / (a^2 - d b^2); the
         # norm vanishes on nonzero elements only if d were a rational square,
         # which the squarefree check excludes
-        return FieldScalar(self.base / n, -self.ext / n, self.disc)
+        n = a * a - self.disc * b * b if b else a * a
+        if n < 0:
+            n, den = -n, -den
+        return _reduced(den * a, -den * b, n, self.disc)
 
     def __truediv__(self, other):
         return self * FieldScalar.coerce(other).inverse()
@@ -124,7 +160,7 @@ class FieldScalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = FieldScalar(1)
+        out = _ONE
         acc = self
         while n:
             if n & 1:
@@ -136,30 +172,60 @@ class FieldScalar:
     # -- comparison and display ---------------------------------------------
 
     def __eq__(self, other):
+        if isinstance(other, FieldScalar):
+            return (
+                self._a == other._a
+                and self._b == other._b
+                and self._den == other._den
+                and self.disc == other.disc
+            )
         if isinstance(other, (int, Fraction)):
-            other = FieldScalar(other)
-        if not isinstance(other, FieldScalar):
-            return NotImplemented
-        if self.ext != 0 and other.ext != 0 and self.disc != other.disc:
-            return False
-        return self.base == other.base and self.ext == other.ext
+            return (
+                self._b == 0
+                and self._a == other.numerator
+                and self._den == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.base, self.ext, self.disc))
+        return hash((self._a, self._b, self._den, self.disc))
 
     def __repr__(self):
         return f"FieldScalar({self})"
 
     def __str__(self):
-        if self.ext == 0:
+        if self._b == 0:
             return str(self.base)
         return f"{self.base}+{self.ext}*sqrt({self.disc})"
+
+
+_new = object.__new__
+
+
+def _make(a: int, b: int, den: int, disc: int | None) -> FieldScalar:
+    """Trusted constructor: (a, b, den) already reduced with den > 0, and
+    disc an operand's already validated discriminant."""
+    s = _new(FieldScalar)
+    s._a = a
+    s._b = b
+    s._den = den
+    s.disc = disc if b else None
+    return s
+
+
+def _reduced(a: int, b: int, den: int, disc: int | None) -> FieldScalar:
+    """Trusted constructor for a triple with den > 0 that may share a factor."""
+    g = gcd(a, b, den)
+    if g != 1:
+        a //= g
+        b //= g
+        den //= g
+    return _make(a, b, den, disc)
+
+
+_ONE = _make(1, 0, 1, None)
 
 
 def sqrt_of(disc: int) -> FieldScalar:
     """The scalar sqrt(disc)."""
     return FieldScalar(0, 1, disc)
-
-
-def scalar(base, ext=0, disc: int | None = None) -> FieldScalar:
-    return FieldScalar(base, ext, disc)

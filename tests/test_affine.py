@@ -9,6 +9,7 @@ from rgdcheck import (
     AffineRoot,
     HalfIntegerLevel,
     NotPrenilpotent,
+    RgdcheckError,
     affine_reflect,
     affine_root,
     build_root_system,
@@ -20,6 +21,7 @@ from rgdcheck import (
     reflect_point,
     simple_affine_roots,
 )
+from rgdcheck import affine
 from rgdcheck.affine import half_space_contains, translation_parts
 from rgdcheck.roots import vec
 
@@ -133,6 +135,15 @@ def test_prenilpotency_matches_geometric_oracle():
                 assert is_prenilpotent(alpha, beta) == prenilpotent_oracle(
                     alpha, beta
                 ), (alpha, beta)
+
+
+def test_prenilpotent_oracle_raises_when_its_point_is_not_interior(monkeypatch):
+    # the self-check survives python -O: it is a raise, not an assert
+    a2 = build_root_system("A", 2)
+    a, b = a2.simple
+    monkeypatch.setattr(affine, "half_space_contains", lambda *args, **kw: False)
+    with pytest.raises(RgdcheckError, match="not interior to both"):
+        prenilpotent_oracle(affine_root(a, 0), affine_root(b, 0))
 
 
 def test_open_interval_same_gradient():

@@ -7,10 +7,10 @@ import pytest
 
 from rgdcheck import (
     DimensionMismatch,
+    FieldScalar,
     LaurentMatrix,
     LaurentPoly,
     NotInvertibleOverRing,
-    scalar,
     sqrt_of,
 )
 from rgdcheck.laurent import EXP_SCALE
@@ -21,16 +21,16 @@ def rand_poly(rng, disc=None, span=2):
     for _ in range(rng.randint(0, 3)):
         e4 = EXP_SCALE * rng.randint(-span, span)
         if disc is None:
-            coeffs[e4] = scalar(Q(rng.randint(-6, 6), rng.randint(1, 3)))
+            coeffs[e4] = FieldScalar(Q(rng.randint(-6, 6), rng.randint(1, 3)))
         else:
-            coeffs[e4] = scalar(rng.randint(-6, 6), rng.randint(-6, 6), disc)
+            coeffs[e4] = FieldScalar(rng.randint(-6, 6), rng.randint(-6, 6), disc)
     return LaurentPoly(coeffs)
 
 
 def test_constructors_and_predicates():
     t = LaurentPoly.t_power(1)
     assert t.is_monomial()
-    assert t.monomial_parts() == (EXP_SCALE, scalar(1))
+    assert t.monomial_parts() == (EXP_SCALE, FieldScalar(1))
     assert LaurentPoly.zero().is_zero()
     assert LaurentPoly.one().is_one()
     assert LaurentPoly.const(5).is_constant()
@@ -47,7 +47,7 @@ def test_term_rejects_exponents_off_the_quarter_lattice():
         LaurentPoly.term(1, Q(1, 3))
     # quarter exponents are the finest stored resolution
     q = LaurentPoly.term(1, Q(1, 4))
-    assert q.coeff(1) == scalar(1)
+    assert q.coeff(1) == FieldScalar(1)
 
 
 def test_ring_axioms_hold_on_random_samples():
@@ -65,15 +65,15 @@ def test_ring_axioms_hold_on_random_samples():
 
 
 def test_conj_fixes_t_and_conjugates_coefficients():
-    p = LaurentPoly({0: scalar(1, 2, -1), EXP_SCALE: scalar(0, 1, -1)})
+    p = LaurentPoly({0: FieldScalar(1, 2, -1), EXP_SCALE: FieldScalar(0, 1, -1)})
     pc = p.conj()
-    assert pc.coeff(0) == scalar(1, -2, -1)
-    assert pc.coeff(EXP_SCALE) == scalar(0, -1, -1)
+    assert pc.coeff(0) == FieldScalar(1, -2, -1)
+    assert pc.coeff(EXP_SCALE) == FieldScalar(0, -1, -1)
     assert pc.conj() == p
 
 
 def test_monomial_inverse_and_powers():
-    m = LaurentPoly.term(scalar(2, 1, -1), -1)
+    m = LaurentPoly.term(FieldScalar(2, 1, -1), -1)
     assert m * m.monomial_inverse() == LaurentPoly.one()
     assert m.monomial_pow(3) == m * m * m
     assert m.monomial_pow(-2) == m.monomial_inverse() * m.monomial_inverse()
@@ -87,7 +87,7 @@ def test_string_format():
     p = LaurentPoly.term(1, -1) + LaurentPoly.const(2)
     assert str(p) == "1*t^-1 + 2"
     assert str(LaurentPoly.zero()) == "0"
-    assert str(LaurentPoly.term(scalar(0, 1, -1), Q(1, 2))) == "(0+1*sqrt(-1))*t^1/2"
+    assert str(LaurentPoly.term(FieldScalar(0, 1, -1), Q(1, 2))) == "(0+1*sqrt(-1))*t^1/2"
 
 
 def test_matrix_product_against_hand_example():
@@ -196,7 +196,7 @@ def test_constant_part_and_transposes():
     assert cp.entry(0, 1) == i
     assert m.transpose().entry(1, 0) == i
     ct = m.conj_transpose()
-    assert ct.entry(1, 0) == LaurentPoly.const(scalar(0, -1, -1))
+    assert ct.entry(1, 0) == LaurentPoly.const(FieldScalar(0, -1, -1))
     assert ct.entry(0, 0) == one + t
 
 
@@ -206,3 +206,64 @@ def test_matrix_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a.is_identity()
+
+
+# -- sympy as an independent oracle over Q(sqrt(d))[t^(+-1/4)] ---------------
+
+
+def _rand_quarter_matrix(rng, n, disc):
+    """Sparse n x n matrix: entries with quarter exponents in [-6/4, 6/4]
+    and small coefficients, so products cancel now and then."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            coeffs = {}
+            for _ in range(rng.choice((0, 0, 1, 2, 3))):
+                ext = 0 if disc is None else rng.randint(-2, 2)
+                coeffs[rng.randint(-6, 6)] = FieldScalar(
+                    Q(rng.randint(-3, 3), rng.randint(1, 3)), ext, disc
+                )
+            row.append(LaurentPoly(coeffs))
+        rows.append(row)
+    return LaurentMatrix(rows)
+
+
+def _to_sympy(sympy, p, s):
+    """p as a sympy expression in s = t^(1/4)."""
+    out = sympy.Integer(0)
+    for e4, c in p.coeffs.items():
+        coeff = sympy.Rational(c.base.numerator, c.base.denominator)
+        if c.disc is not None:
+            coeff += sympy.Rational(c.ext.numerator, c.ext.denominator) * sympy.sqrt(c.disc)
+        out += coeff * s**e4
+    return out
+
+
+def _sympy_matrix(sympy, m, s):
+    return sympy.Matrix(
+        [[_to_sympy(sympy, m.entry(i, j), s) for j in range(m.n)] for i in range(m.n)]
+    )
+
+
+def _stores_no_zeros(m):
+    return all(not c.is_zero() for row in m.rows for p in row for c in p.coeffs.values())
+
+
+@pytest.mark.parametrize("disc", [None, -1, -2, -3, -7])
+def test_products_and_determinants_match_sympy(disc):
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    rng = random.Random(1000 + (disc or 0))
+    for n in (2, 3, 3, 4):
+        a = _rand_quarter_matrix(rng, n, disc)
+        b = _rand_quarter_matrix(rng, n, disc)
+        sa, sb = _sympy_matrix(sympy, a, s), _sympy_matrix(sympy, b, s)
+        prod = a @ b
+        assert _stores_no_zeros(prod)
+        diff = (_sympy_matrix(sympy, prod, s) - sa * sb).applyfunc(sympy.expand)
+        assert diff == sympy.zeros(n, n), (n, disc)
+        det = a.det()
+        assert all(not c.is_zero() for c in det.coeffs.values())
+        oracle = sa.det(method="berkowitz")
+        assert sympy.expand(_to_sympy(sympy, det, s) - oracle) == 0, (n, disc)

@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from rgdcheck import (
+    FieldScalar,
     IndexOutOfRange,
     LaurentMatrix,
     LaurentPoly,
@@ -21,13 +22,12 @@ from rgdcheck import (
     coords_add,
     coords_neg,
     generator_coords,
-    scalar,
     special_unitary,
     split_sl,
 )
 from rgdcheck.roots import vec
 
-I = scalar(0, 1, -1)
+I = FieldScalar(0, 1, -1)
 
 
 def su_pinning(model, a_rel, level, c, d=()):
@@ -101,7 +101,7 @@ def test_coroot_rejects_bad_arguments():
     with pytest.raises(NotMonomial):
         sl2.coroot(a, LaurentPoly.one() + LaurentPoly.t_power(1))
     with pytest.raises(NotMonomial):
-        sl2.coroot(a, LaurentPoly.const(scalar(0, 1, -1)))
+        sl2.coroot(a, LaurentPoly.const(FieldScalar(0, 1, -1)))
 
 
 def test_su_coroot_normalization():
@@ -216,12 +216,12 @@ def test_su_double_corner_exponent_is_doubled():
 def test_su_pair_pinning_conjugates_secondary():
     su = special_unitary(5, 2)
     g = su_pinning(su, vec(1, -1), 0, (2, 3))
-    z = scalar(2, 3, -1)
+    z = FieldScalar(2, 3, -1)
     assert g.entry(0, 1) == LaurentPoly.const(z)
     assert g.entry(3, 4) == LaurentPoly.const(-z.conj())
     assert su.contains(g)
     h = su_pinning(su, vec(1, 1), 0, (1, 1))
-    w = scalar(1, 1, -1)
+    w = FieldScalar(1, 1, -1)
     assert h.entry(0, 3) == LaurentPoly.const(w)
     assert h.entry(1, 4) == LaurentPoly.const(w.conj())
 
@@ -408,6 +408,14 @@ def test_centralizer_samples_with_two_anisotropic_slots():
         assert not samples[2].entry(h0, h1).is_zero()
 
 
+def test_split_centralizer_sampler_raises_on_a_non_member(monkeypatch):
+    # the check survives python -O: it is a raise, not an assert
+    sl3 = split_sl(2)
+    monkeypatch.setattr(type(sl3), "is_centralizer_element", lambda self, g: False)
+    with pytest.raises(MembershipViolation, match="centralizer sample left the group"):
+        sl3.sample_centralizer_elements(random.Random(61), 1)
+
+
 def test_is_centralizer_element_rejections():
     sl2 = split_sl(1)
     # unipotent elements move between weight blocks
@@ -420,7 +428,7 @@ def test_is_centralizer_element_rejections():
     su = special_unitary(3, 1)
     # diag(lam, tau(lam)/lam, tau(lam)^-1) has determinant one, preserves the
     # form, and acts on each weight slot by a constant
-    lam = scalar(1, -2, -1)
+    lam = FieldScalar(1, -2, -1)
     mid = lam.conj() / lam
     rot = LaurentMatrix.diagonal(
         [
