@@ -44,9 +44,12 @@ def main():
     print()
 
     u = RootGroupCoords(alpha, (Q(1), Q(0)), (Q(0),))
-    w = su.w_element(eps, u, 0)
+    w, w_inv, _, _, _ = su.w_element_parts(eps, u, 0)
     show("Weyl representative m(u) = v1 x(u) v2", w)
-    g = w @ x @ w.inverse()
+    print("m(u) times its inverse v2^-1 x(u)^-1 v1^-1, built from negated")
+    print("coordinates, is the identity:", (w @ w_inv).is_identity())
+    print()
+    g = w @ x @ w_inv
     peeled = su.peel(g, affine_root(vec(-1), 0))
     print("conjugating x by m(u) lands in the opposite group with coords",
           tuple(str(x) for x in peeled.c))

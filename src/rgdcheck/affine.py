@@ -15,7 +15,6 @@ from typing import NamedTuple
 from .errors import (
     HalfIntegerLevel,
     NotPrenilpotent,
-    ReflectionLeftSystem,
     RgdcheckError,
 )
 from .roots import (
@@ -196,9 +195,3 @@ def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
             )
     return True
 
-
-def translation_parts(system: RootSystem, alpha: AffineRoot) -> tuple[AffineRoot, Q]:
-    """Split alpha_(a, l) as the linear root alpha_(a, 0) plus the level l."""
-    if not system.contains(alpha.root):
-        raise ReflectionLeftSystem(f"{alpha.root} is not a root")
-    return AffineRoot(alpha.root, Q(0)), alpha.level

@@ -246,16 +246,6 @@ class LaurentMatrix:
             out.append(row)
         return LaurentMatrix(out)
 
-    def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n}x{self.n} + {other.n}x{other.n}")
-        return LaurentMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ]
-        )
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -307,65 +297,18 @@ class LaurentMatrix:
             best = nxt
         return best.get((1 << n) - 1, ZERO)
 
-    def _minor(self, drop_i: int, drop_j: int) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [
-                [self.rows[i][j] for j in range(self.n) if j != drop_j]
-                for i in range(self.n)
-                if i != drop_i
-            ]
-        )
-
     def inverse(self) -> "LaurentMatrix":
-        """Inverse over the ring; requires the determinant to be a unit monomial.
+        """Inverse of a diagonal matrix whose diagonal entries are unit monomials.
 
-        Diagonal and unipotent matrices take fast paths (entrywise inversion,
-        terminating Neumann series); everything else goes through the adjugate.
+        Nothing else is inverted here: every other matrix rgdcheck inverts is a
+        product of known factors and is inverted factor by factor where it is
+        built.  Any other input raises NotInvertibleOverRing.
         """
         n = self.n
-        off_diag_zero = all(
-            self.rows[i][j].is_zero() for i in range(n) for j in range(n) if i != j
-        )
-        if off_diag_zero:
-            return LaurentMatrix.diagonal(
-                [self.rows[i][i].monomial_inverse() for i in range(n)]
-            )
-        if all(self.rows[i][i].is_one() for i in range(n)):
-            nil = LaurentMatrix(
-                [
-                    [ZERO if i == j else self.rows[i][j] for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-            acc = LaurentMatrix.identity(n)
-            power = LaurentMatrix.identity(n)
-            for k in range(1, n):
-                power = power @ nil
-                if all(e.is_zero() for row in power.rows for e in row):
-                    break
-                acc = acc + (power if k % 2 == 0 else power.scalar_mul(-1))
-            if self @ acc == LaurentMatrix.identity(n):
-                return acc
-        d = self.det()
-        if not d.is_monomial():
-            raise NotInvertibleOverRing(f"determinant {d} is not a unit monomial")
-        dinv = d.monomial_inverse()
-        if n == 1:
-            return LaurentMatrix([[dinv]])
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                cof = self._minor(j, i).det()
-                if (i + j) & 1:
-                    cof = -cof
-                row.append(cof * dinv)
-            out.append(row)
-        return LaurentMatrix(out)
-
-    def scalar_mul(self, c) -> "LaurentMatrix":
-        p = c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-        return LaurentMatrix([[e * p for e in row] for row in self.rows])
+        rows = self.rows
+        if any(rows[i][j].coeffs for i in range(n) for j in range(n) if i != j):
+            raise NotInvertibleOverRing("only diagonal matrices are inverted")
+        return LaurentMatrix.diagonal([rows[i][i].monomial_inverse() for i in range(n)])
 
     def constant_part(self) -> "LaurentMatrix":
         """Entrywise coefficient of t^0."""

@@ -44,7 +44,6 @@ from .roots import (
     reflect_vector,
     scale,
     sub,
-    vec,
 )
 from .scalars import FieldScalar, sqrt_of
 
@@ -140,10 +139,11 @@ class GroupModel:
     n: int
     disc: int | None
     system: RootSystem
+    _layouts: dict[Vector, RootLayout]
 
     # -- per-model hooks -------------------------------------------------------
 
-    def layout(self, a_rel: Vector) -> RootLayout:
+    def _build_layout(self, a_rel: Vector) -> RootLayout:
         raise NotImplementedError
 
     def slot_weight(self, slot: int) -> Vector:
@@ -156,10 +156,23 @@ class GroupModel:
     def descriptor(self) -> dict:
         raise NotImplementedError
 
-    def sample_centralizer_elements(self, rng, count: int) -> list[LaurentMatrix]:
+    def sample_centralizer_elements(
+        self, rng, count: int
+    ) -> list[tuple[LaurentMatrix, LaurentMatrix]]:
+        """Sampled (h, h^-1) pairs of torus centralizer elements."""
         raise NotImplementedError
 
     # -- shared operations -------------------------------------------------------
+
+    def _build_layouts(self) -> None:
+        """Lay out every relative root group once, when the model is built."""
+        self._layouts = {a: self._build_layout(a) for a in self.system.roots}
+
+    def layout(self, a_rel: Vector) -> RootLayout:
+        lay = self._layouts.get(tuple(a_rel))
+        if lay is None:
+            raise ReflectionLeftSystem(f"{a_rel} is not a relative root")
+        return lay
 
     def coord_lengths(self, a_rel: Vector) -> tuple[int, int]:
         lay = self.layout(a_rel)
@@ -283,9 +296,10 @@ class GroupModel:
         """Coordinates of g as an ordered product over the given affine roots.
 
         Entry reads alone are wrong for orders that put a sum root before its
-        summands, so this refines a coordinate vector until the rebuilt
-        product matches g exactly; each pass moves the discrepancy strictly
-        deeper into the unipotent filtration.
+        summands, so this refines a coordinate vector until the product matches
+        g exactly.  Each pass strips g by the inverse of the product so far,
+        delta = x(-c_k) ... x(-c_1) g, and reads the correction off delta; each
+        pass moves the discrepancy strictly deeper into the unipotent filtration.
         """
         coords = []
         for alpha in order:
@@ -293,12 +307,11 @@ class GroupModel:
             coords.append(coords_zero(alpha, nc, nd))
         cap = 3 * len(order) + 6
         for _ in range(cap):
-            prod = LaurentMatrix.identity(self.n)
+            delta = g
             for cs in coords:
-                prod = prod @ self.relative_pinning(cs)
-            if prod == g:
+                delta = self.relative_pinning(coords_neg(cs)) @ delta
+            if delta.is_identity():
                 return coords
-            delta = prod.inverse() @ g
             coords = [
                 coords_add(cs, self._read_coords(delta, cs.alpha, strict=False))
                 for cs in coords
@@ -321,7 +334,7 @@ class GroupModel:
         cv = RootGroupCoords(alpha, tuple(v), (Q(0),) * nd)
         cw = RootGroupCoords(alpha, tuple(w), (Q(0),) * nd)
         csum = coords_add(cv, cw)
-        g = self.relative_pinning(csum).inverse() @ (
+        g = self.relative_pinning(coords_neg(csum)) @ (
             self.relative_pinning(cv) @ self.relative_pinning(cw)
         )
         if lay.double_root is None:
@@ -336,16 +349,14 @@ class GroupModel:
 
     # -- rank one Weyl representatives ---------------------------------------------
 
-    def w_element(self, a_rel: Vector, u: RootGroupCoords, level) -> LaurentMatrix:
-        """The Weyl representative m(u) attached to a nontrivial u in U_alpha."""
-        return self.w_element_parts(a_rel, u, level)[0]
-
     def w_element_parts(
         self, a_rel: Vector, u: RootGroupCoords, level
-    ) -> tuple[LaurentMatrix, LaurentMatrix, LaurentMatrix, LaurentMatrix]:
-        """m(u) together with its factors: returns (w, v1, v2, x) where
-        x = pinning(u), v1 and v2 lie in U_(-alpha), and w = v1 x v2
-        induces the affine reflection in the wall of alpha."""
+    ) -> tuple[LaurentMatrix, ...]:
+        """The Weyl representative m(u) of a nontrivial u in U_alpha, with its
+        inverse and factors: returns (w, w_inv, v1, v2, x) where x = pinning(u),
+        v1 and v2 lie in U_(-alpha), w = v1 x v2 induces the affine reflection
+        in the wall of alpha, and w_inv = v2^-1 x^-1 v1^-1 is built from the
+        negated coordinates of the three factors."""
         level = Q(level)
         alpha = affine_root(a_rel, level)
         if u.alpha != alpha:
@@ -353,20 +364,24 @@ class GroupModel:
         if u.is_zero():
             raise RankOneSolveFailed("w_element needs a nontrivial element")
         u0 = RootGroupCoords(affine_root(a_rel, 0), u.c, u.d)
-        v1_0, v2_0 = self._rank_one_witnesses(u0)
-        w0 = v1_0 @ self.relative_pinning(u0) @ v2_0
+        c1, c2 = self._rank_one_witnesses(u0)
+        pin = self.relative_pinning
+        x0, v1_0, v2_0 = pin(u0), pin(c1), pin(c2)
+        w0 = v1_0 @ x0 @ v2_0
         self._check_reflection_shape(a_rel, w0)
+        w0_inv = pin(coords_neg(c2)) @ pin(coords_neg(u0)) @ pin(coords_neg(c1))
         if level == 0:
-            return w0, v1_0, v2_0, self.relative_pinning(u0)
+            return w0, w0_inv, v1_0, v2_0, x0
         kappa = self.coroot(a_rel, LaurentPoly.t_power(-level / 2))
         kinv = kappa.inverse()
         conj = lambda m: kappa @ m @ kinv
-        return conj(w0), conj(v1_0), conj(v2_0), self.relative_pinning(u)
+        return conj(w0), conj(w0_inv), conj(v1_0), conj(v2_0), pin(u)
 
     def _rank_one_witnesses(
         self, u0: RootGroupCoords
-    ) -> tuple[LaurentMatrix, LaurentMatrix]:
-        """Level-zero v1, v2 in U_(-a) with v1 u v2 inducing the reflection."""
+    ) -> tuple[RootGroupCoords, RootGroupCoords]:
+        """Coordinates of level-zero v1, v2 in U_(-a) with v1 u v2 inducing the
+        reflection."""
         a_rel = u0.alpha.root
         lay = self.layout(a_rel)
         neg = affine_root(tuple(-x for x in a_rel), 0)
@@ -374,14 +389,14 @@ class GroupModel:
             cval = u0.c[0]
             if cval == 0:
                 raise RankOneSolveFailed("zero coordinate on a one-parameter group")
-            v = self.relative_pinning(RootGroupCoords(neg, (Q(-1) / cval,)))
+            v = RootGroupCoords(neg, (Q(-1) / cval,))
             return v, v
         if lay.rtype == "pair":
             z = FieldScalar(u0.c[0], u0.c[1], self.disc)
             if z.is_zero():
                 raise RankOneSolveFailed("zero coordinate on a pair root group")
             par = -z.inverse()
-            v = self.relative_pinning(RootGroupCoords(neg, (par.base, par.ext)))
+            v = RootGroupCoords(neg, (par.base, par.ext))
             return v, v
         # single relative root
         zs = [
@@ -406,9 +421,10 @@ class GroupModel:
         else:
             y1 = [-w * cinvt for w in ws]
             y2 = [w * cinvn for w in ws]
-        v1 = self._single_coords_from_parts(neg, y1, cinvt)
-        v2 = self._single_coords_from_parts(neg, y2, cinvt)
-        return self.relative_pinning(v1), self.relative_pinning(v2)
+        return (
+            self._single_coords_from_parts(neg, y1, cinvt),
+            self._single_coords_from_parts(neg, y2, cinvt),
+        )
 
     def _is_positive_single(self, a_rel: Vector) -> bool:
         return sum(a_rel) > 0
@@ -467,26 +483,20 @@ class SplitSLModel(GroupModel):
         self.system = build_root_system("A", rank)
         self.gram = None
         self.witt = None
+        self._build_layouts()
 
     def slot_weight(self, slot: int) -> Vector:
         w = [Q(0)] * self.n
         w[slot] = Q(1)
         return tuple(w)
 
-    def layout(self, a_rel: Vector) -> RootLayout:
-        if not self.system.contains(a_rel):
-            raise ReflectionLeftSystem(f"{a_rel} is not a relative root")
+    def _build_layout(self, a_rel: Vector) -> RootLayout:
         i = a_rel.index(Q(1))
         j = a_rel.index(Q(-1))
         return RootLayout("elementary", 1, (i, j))
 
     def contains(self, g: LaurentMatrix) -> bool:
         return g.n == self.n and g.det().is_one()
-
-    def split_pinning(self, a_rel: Vector, lam: LaurentPoly) -> LaurentMatrix:
-        """x_a(lam) = identity + lam at the elementary entry of the root a."""
-        lay = self.layout(a_rel)
-        return LaurentMatrix.from_entries(self.n, {lay.corner: lam})
 
     def project_root(self, absolute: Vector) -> Vector | None:
         _ = self._absolute_pair(absolute)
@@ -519,7 +529,9 @@ class SplitSLModel(GroupModel):
             "module_dims": dict(sorted(dims.items())),
         }
 
-    def sample_centralizer_elements(self, rng, count: int) -> list[LaurentMatrix]:
+    def sample_centralizer_elements(
+        self, rng, count: int
+    ) -> list[tuple[LaurentMatrix, LaurentMatrix]]:
         out = []
         for _ in range(count):
             diag = []
@@ -534,7 +546,7 @@ class SplitSLModel(GroupModel):
             g = LaurentMatrix.diagonal([LaurentPoly.const(x) for x in diag])
             if not self.is_centralizer_element(g):
                 raise MembershipViolation("centralizer sample left the group")
-            out.append(g)
+            out.append((g, g.inverse()))
         return out
 
 
@@ -569,6 +581,7 @@ class SUModel(GroupModel):
             gram[(h, h)] = LaurentPoly.const(self.s)
         rows = [[gram.get((p, q), ZERO) for q in range(dim)] for p in range(dim)]
         self.gram = LaurentMatrix(rows)
+        self._build_layouts()
 
     def _mirror(self, x: int) -> int:
         return self.n - 1 - x
@@ -581,9 +594,7 @@ class SUModel(GroupModel):
             w[self._mirror(slot)] = Q(-1)
         return tuple(w)
 
-    def layout(self, a_rel: Vector) -> RootLayout:
-        if not self.system.contains(a_rel):
-            raise ReflectionLeftSystem(f"{a_rel} is not a relative root")
+    def _build_layout(self, a_rel: Vector) -> RootLayout:
         nz = [(idx, x) for idx, x in enumerate(a_rel) if x != 0]
         mir = self._mirror
         if len(nz) == 1:
@@ -665,7 +676,9 @@ class SUModel(GroupModel):
             "module_dims": dict(sorted(dims.items())),
         }
 
-    def sample_centralizer_elements(self, rng, count: int) -> list[LaurentMatrix]:
+    def sample_centralizer_elements(
+        self, rng, count: int
+    ) -> list[tuple[LaurentMatrix, LaurentMatrix]]:
         out = []
         for idx in range(count):
             entries: list[FieldScalar] = [FieldScalar(0)] * self.n
@@ -696,6 +709,7 @@ class SUModel(GroupModel):
                 det = det * mu
             entries[self.middles[-1]] = det.inverse()
             g = LaurentMatrix.diagonal([LaurentPoly.const(x) for x in entries])
+            ginv = g.inverse()
             if len(self.middles) >= 2 and idx % 3 == 2:
                 # mix in a rational rotation of the first two middle slots,
                 # which is unitary for the scalar middle form
@@ -709,10 +723,12 @@ class SUModel(GroupModel):
                         (h1, h1): LaurentPoly.const(Q(3, 5)),
                     },
                 )
+                # the rotation is orthogonal: its inverse is its transpose
                 g = g @ rot
+                ginv = rot.transpose() @ ginv
             if not self.is_centralizer_element(g):
                 raise MembershipViolation("centralizer sample left the group")
-            out.append(g)
+            out.append((g, ginv))
         return out
 
 

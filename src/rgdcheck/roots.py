@@ -197,14 +197,6 @@ class RootSystem:
             raise ReflectionLeftSystem(f"s_{a}({b}) = {c} left the system")
         return c
 
-    def proportional_set(self, a: Vector) -> tuple[Vector, ...]:
-        """All roots proportional to a (including a itself)."""
-        if not self.contains(a):
-            raise ReflectionLeftSystem(f"{a} is not a root")
-        return tuple(
-            b for b in self.roots if proportionality(a, b) is not None
-        )
-
     def is_multipliable(self, a: Vector) -> bool:
         return self.contains(scale(2, a))
 
@@ -215,57 +207,3 @@ class RootSystem:
 def build_root_system(kind: str, rank: int) -> RootSystem:
     return RootSystem(kind, rank)
 
-
-def solve_linear(columns: list[Vector], target: Vector) -> tuple[Q, ...] | None:
-    """Exact solve of sum_j x_j * columns[j] = target; None if inconsistent.
-
-    Columns must be linearly independent for the answer to be unique; the
-    callers here only pass independent sets (simple roots, a pair of
-    independent roots).
-    """
-    m = len(target)
-    k = len(columns)
-    aug = [[columns[j][i] for j in range(k)] + [target[i]] for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if piv is None:
-            return None  # dependent columns, caller contract violated
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    # consistency: zero rows must have zero rhs
-    for r in range(row, m):
-        if aug[r][k] != 0:
-            return None
-    xs = [Q(0)] * k
-    for r, col in enumerate(pivots):
-        xs[col] = aug[r][k]
-    # verify (guards the independence assumption)
-    acc = tuple(Q(0) for _ in range(m))
-    for j in range(k):
-        acc = add(acc, scale(xs[j], columns[j]))
-    if acc != tuple(target):
-        return None
-    return tuple(xs)
-
-
-def simple_coordinates(system: RootSystem, a: Vector) -> tuple[Q, ...]:
-    """Coordinates of a root in the simple-root basis (its height vector)."""
-    xs = solve_linear(list(system.simple), tuple(a))
-    if xs is None:
-        raise ReflectionLeftSystem(f"{a} is not in the span of the simple roots")
-    return xs
-
-
-def height(system: RootSystem, a: Vector) -> Q:
-    return sum(simple_coordinates(system, a), Q(0))

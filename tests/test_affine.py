@@ -22,7 +22,7 @@ from rgdcheck import (
     simple_affine_roots,
 )
 from rgdcheck import affine
-from rgdcheck.affine import half_space_contains, translation_parts
+from rgdcheck.affine import half_space_contains
 from rgdcheck.roots import vec
 
 
@@ -245,14 +245,6 @@ def test_simple_affine_roots_shape():
         affine_root(vec(1), 0),
         affine_root(vec(-2), 1),
     ]
-
-
-def test_translation_parts():
-    bc1 = build_root_system("BC", 1)
-    alpha = affine_root(vec(2), -3)
-    linear, level = translation_parts(bc1, alpha)
-    assert linear == affine_root(vec(2), 0)
-    assert level == Q(-3)
 
 
 def test_str_format():

