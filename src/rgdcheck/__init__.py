@@ -55,20 +55,6 @@ from .models import (
 )
 from .roots import RootSystem, build_root_system, pairing
 from .scalars import FieldScalar, sqrt_of
-from .verify import (
-    ALL_SUITES,
-    AxiomReport,
-    SuiteConfig,
-    check_coroot_shift,
-    check_combinatorics,
-    check_q2_additive,
-    check_rgd0,
-    check_rgd1,
-    check_rgd2,
-    check_rgd3,
-    check_rgd4,
-    check_rgd5,
-    run_suites,
-)
+from .verify import ALL_SUITES, AxiomReport, SuiteConfig, run_suites
 
 __version__ = "0.1.0"

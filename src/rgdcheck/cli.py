@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from .errors import ConfigError, UnsupportedType
@@ -21,34 +21,27 @@ from .verify import ALL_SUITES, SuiteConfig, run_suites
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A command line run: which model to build, which suites to run on it
+    and how to write the report.  The model constructors check the model's
+    parameters (`_make_model` turns their `UnsupportedType` into a
+    `ConfigError`) and `SuiteConfig` checks the suite settings."""
+
     group: str
     rank: int | None = None
     dim: int | None = None
     witt: int | None = None
     disc: int = -1
-    level_min: int = -2
-    level_max: int = 2
-    samples: int = 8
-    seed: int = 0
-    suites: tuple[str, ...] = ALL_SUITES
+    suite: SuiteConfig = field(default_factory=SuiteConfig)
     format: str = "json"
     out: str | None = None
 
     def __post_init__(self):
         if self.group not in ("sl", "su"):
             raise ConfigError(f"group must be sl or su, got {self.group!r}")
-        if self.group == "sl":
-            if self.rank is None or self.rank < 1:
-                raise ConfigError("sl needs --rank >= 1")
-        else:
-            if self.dim is None or self.witt is None:
-                raise ConfigError("su needs --dim and --witt")
-            if self.witt < 1:
-                raise ConfigError("su needs --witt >= 1")
-            if self.dim < 2 * self.witt + 1:
-                raise ConfigError(
-                    f"su needs --dim >= 2*witt+1 = {2 * self.witt + 1}"
-                )
+        if self.group == "sl" and self.rank is None:
+            raise ConfigError("sl needs --rank")
+        if self.group == "su" and (self.dim is None or self.witt is None):
+            raise ConfigError("su needs --dim and --witt")
         if self.format not in ("json", "md"):
             raise ConfigError(f"format must be json or md, got {self.format!r}")
 
@@ -63,14 +56,8 @@ def _make_model(cfg: RunConfig) -> GroupModel:
 
 
 def build_report(model: GroupModel, cfg: RunConfig) -> dict:
-    suite_cfg = SuiteConfig(
-        level_min=cfg.level_min,
-        level_max=cfg.level_max,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        suites=cfg.suites,
-    )
-    reports = run_suites(model, suite_cfg)
+    suite = cfg.suite
+    reports = run_suites(model, suite)
     return {
         "model": model.descriptor(),
         "config": {
@@ -79,11 +66,11 @@ def build_report(model: GroupModel, cfg: RunConfig) -> dict:
             "dim": cfg.dim,
             "witt": cfg.witt,
             "disc": cfg.disc,
-            "level_min": cfg.level_min,
-            "level_max": cfg.level_max,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "suites": list(cfg.suites),
+            "level_min": suite.level_min,
+            "level_max": suite.level_max,
+            "samples": suite.samples,
+            "seed": suite.seed,
+            "suites": list(suite.suites),
         },
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "suites": [r.to_dict() for r in reports],
@@ -159,10 +146,11 @@ def _parse_args(argv) -> RunConfig:
         default=-1,
         help="squarefree negative discriminant of the quadratic extension",
     )
-    parser.add_argument("--level-min", type=int, default=-2)
-    parser.add_argument("--level-max", type=int, default=2)
-    parser.add_argument("--samples", type=int, default=8)
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = SuiteConfig()
+    parser.add_argument("--level-min", type=int, default=defaults.level_min)
+    parser.add_argument("--level-max", type=int, default=defaults.level_max)
+    parser.add_argument("--samples", type=int, default=defaults.samples)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
     parser.add_argument(
         "--suites",
         default="all",
@@ -172,7 +160,7 @@ def _parse_args(argv) -> RunConfig:
     parser.add_argument("--out", help="write the report to this path")
     ns = parser.parse_args(argv)
     if ns.suites == "all":
-        suites = ALL_SUITES
+        suites = defaults.suites
     else:
         suites = tuple(s.strip() for s in ns.suites.split(",") if s.strip())
     return RunConfig(
@@ -181,11 +169,7 @@ def _parse_args(argv) -> RunConfig:
         dim=ns.dim,
         witt=ns.witt,
         disc=ns.disc,
-        level_min=ns.level_min,
-        level_max=ns.level_max,
-        samples=ns.samples,
-        seed=ns.seed,
-        suites=suites,
+        suite=SuiteConfig(ns.level_min, ns.level_max, ns.samples, ns.seed, suites),
         format=ns.format,
         out=ns.out,
     )

@@ -45,7 +45,7 @@ from .roots import (
     scale,
     sub,
 )
-from .scalars import FieldScalar, sqrt_of
+from .scalars import FieldScalar, is_squarefree, sqrt_of
 
 Q = Fraction
 
@@ -63,10 +63,6 @@ class RootGroupCoords(NamedTuple):
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.c) and all(x == 0 for x in self.d)
-
-
-def coords_zero(alpha: AffineRoot, nc: int, nd: int) -> RootGroupCoords:
-    return RootGroupCoords(alpha, (Q(0),) * nc, (Q(0),) * nd)
 
 
 def coords_neg(x: RootGroupCoords) -> RootGroupCoords:
@@ -297,16 +293,16 @@ class GroupModel:
 
         Entry reads alone are wrong for orders that put a sum root before its
         summands, so this refines a coordinate vector until the product matches
-        g exactly.  Each pass strips g by the inverse of the product so far,
-        delta = x(-c_k) ... x(-c_1) g, and reads the correction off delta; each
-        pass moves the discrepancy strictly deeper into the unipotent filtration.
+        g exactly.  The first pass reads the coordinates off g itself (all zero
+        when g is the identity); each later pass strips g by the inverse of the
+        product so far, delta = x(-c_k) ... x(-c_1) g, and reads the correction
+        off delta.  Each pass moves the discrepancy strictly deeper into the
+        unipotent filtration; there are at most 3 * len(order) + 6 passes.
         """
-        coords = []
-        for alpha in order:
-            nc, nd = self.coord_lengths(alpha.root)
-            coords.append(coords_zero(alpha, nc, nd))
-        cap = 3 * len(order) + 6
-        for _ in range(cap):
+        coords = [self._read_coords(g, alpha, strict=False) for alpha in order]
+        if g.is_identity():
+            return coords
+        for _ in range(3 * len(order) + 5):
             delta = g
             for cs in coords:
                 delta = self.relative_pinning(coords_neg(cs)) @ delta
@@ -564,8 +560,8 @@ class SUModel(GroupModel):
             raise UnsupportedType(f"witt index {witt} < 1")
         if dim < 2 * witt + 1:
             raise UnsupportedType(f"dim {dim} < 2*witt+1 = {2 * witt + 1}")
-        if disc >= 0:
-            raise UnsupportedType(f"disc {disc} must be negative")
+        if disc >= 0 or not is_squarefree(disc):
+            raise UnsupportedType(f"disc {disc} must be negative and squarefree")
         self.kind = "su"
         self.n = dim
         self.witt = witt

@@ -1,9 +1,14 @@
 """Axiom suites: mechanical checks of the root group data axioms.
 
 Each suite runs a deterministic, seeded batch of exact checks against one
-concrete group model and returns an AxiomReport.  A failure record carries
+concrete group model and fills one AxiomReport.  A failure record carries
 the offending inputs plus expected and actual values as strings, so reports
 are reproducible byte for byte under a fixed configuration.
+
+A suite is one entry of `SUITES`: its tag, its axiom name and a case body
+`body(model, cfg, report)`.  The body runs its own loops and sampling and
+opens each case with `with report.case(inputs, expected) as case:`, which
+counts it; `run_suites` creates, times and returns the reports.
 """
 
 from __future__ import annotations
@@ -44,49 +49,10 @@ from .roots import pairing
 
 Q = Fraction
 
-ALL_SUITES = (
-    "rgd0",
-    "rgd1",
-    "rgd2",
-    "rgd3",
-    "rgd4",
-    "rgd5",
-    "coroot-shift",
-    "q2-additive",
-    "combinatorics",
-)
-
-_AXIOM_NAMES = {
-    "rgd0": "RGD0",
-    "rgd1": "RGD1",
-    "rgd2": "RGD2",
-    "rgd3": "RGD3",
-    "rgd4": "RGD4",
-    "rgd5": "RGD5",
-    "coroot-shift": "CorootShift",
-    "q2-additive": "Q2Additive",
-    "combinatorics": "Combinatorics",
-}
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    level_min: int = -2
-    level_max: int = 2
-    samples: int = 8
-    seed: int = 0
-    suites: tuple[str, ...] = ALL_SUITES
-
-    def __post_init__(self):
-        if not (self.level_min <= 0 <= self.level_max):
-            raise ConfigError(
-                f"level range [{self.level_min}, {self.level_max}] must contain 0"
-            )
-        if self.samples < 1:
-            raise ConfigError(f"samples {self.samples} < 1")
-        unknown = [s for s in self.suites if s not in ALL_SUITES]
-        if unknown:
-            raise ConfigError(f"unknown suites {unknown}; known: {list(ALL_SUITES)}")
+# The errors by which a check says that an axiom failed on its inputs.  A case
+# records one of these as its failure; any other exception is a bug and
+# propagates.
+VERDICT_ERRORS = (NotInRootGroup, ResidueNotIdentity, PeelFailure, RankOneSolveFailed)
 
 
 @dataclass
@@ -105,6 +71,11 @@ class AxiomReport:
             {"inputs": inputs, "expected": expected, "actual": actual}
         )
 
+    def case(self, inputs, expected) -> Case:
+        """Count one case and return it, to be run as a `with` block; see Case."""
+        self.cases += 1
+        return Case(self, inputs, expected)
+
     def to_dict(self) -> dict:
         return {
             "axiom": self.axiom,
@@ -113,6 +84,43 @@ class AxiomReport:
             "pass": self.passed,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
+
+
+class Case:
+    """One case of a suite, open while its `with` block runs.
+
+    A verdict error raised in the block becomes the case's failure record,
+    with `expected` as the expectation and `str(error)` as the actual value,
+    and the block is left; any other exception propagates.  `inputs` is a
+    callable that builds the inputs text, and `expected` a text or a callable
+    that builds it: they are called only when the case fails, so a passing
+    case formats nothing.  A body may set `expected` as the case moves on to
+    its next check.
+    """
+
+    __slots__ = ("report", "inputs", "expected")
+
+    def __init__(self, report: AxiomReport, inputs, expected):
+        self.report = report
+        self.inputs = inputs
+        self.expected = expected
+
+    def fail(self, actual: str, expected=None) -> None:
+        """Record a failure of this case; `expected` defaults to the case's."""
+        if expected is None:
+            expected = self.expected
+        if callable(expected):
+            expected = expected()
+        self.report.fail(self.inputs(), expected, actual)
+
+    def __enter__(self) -> Case:
+        return self
+
+    def __exit__(self, etype, exc, tb) -> bool:
+        if etype is None or not issubclass(etype, VERDICT_ERRORS):
+            return False
+        self.fail(str(exc))
+        return True
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -157,7 +165,7 @@ def _basis_generators(
 
 
 def _drawn_pinnings(
-    model: GroupModel, report: AxiomReport, inputs: str, draws
+    model: GroupModel, case: Case, draws
 ) -> list[LaurentMatrix] | None:
     """Pinnings of the coordinates a case draws, each checked once for
     membership in G; what is built from them stays in G unchecked.  A pinning
@@ -165,42 +173,28 @@ def _drawn_pinnings(
     pins = [model.relative_pinning(coords) for coords in draws]
     for coords, g in zip(draws, pins):
         if not model.contains(g):
-            report.fail(inputs, "pinning lands in G", f"{coords} left the group")
+            case.fail(f"{coords} left the group", "pinning lands in G")
             return None
     return pins
-
-
-def _timed(fn):
-    def run(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
-        start = time.perf_counter()
-        report = fn(model, cfg)
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        return report
-
-    return run
 
 
 # -- the suites ------------------------------------------------------------------
 
 
-@_timed
-def check_rgd0(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _rgd0(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Every affine root group in range is nontrivial and pinned inside G."""
-    report = AxiomReport("RGD0")
     for alpha in in_range_affine_roots(model, cfg):
         for coords in _basis_generators(model, alpha):
-            report.cases += 1
-            inputs = f"alpha={alpha} coords={coords}"
-            pins = _drawn_pinnings(model, report, inputs, [coords])
-            if pins is not None and pins[0].is_identity():
-                report.fail(inputs, "nonidentity", "identity")
-    return report
+            with report.case(
+                lambda: f"alpha={alpha} coords={coords}", "nonidentity"
+            ) as case:
+                pins = _drawn_pinnings(model, case, [coords])
+                if pins is not None and pins[0].is_identity():
+                    case.fail("identity")
 
 
-@_timed
-def check_rgd1(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _rgd1(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Commutators of prenilpotent pairs peel over the open interval."""
-    report = AxiomReport("RGD1")
     rng = random.Random(cfg.seed + 1)
     groups = in_range_affine_roots(model, cfg)
     for i, alpha in enumerate(groups):
@@ -211,33 +205,24 @@ def check_rgd1(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
             for s in range(cfg.samples):
                 u = sample_coords(model, alpha, rng, s)
                 v = sample_coords(model, beta, rng, s)
-                report.cases += 1
-                inputs = f"alpha={alpha} beta={beta} u={u.c}+{u.d} v={v.c}+{v.d}"
-                draws = [u, v, coords_neg(u), coords_neg(v)]
-                pins = _drawn_pinnings(model, report, inputs, draws)
-                if pins is None:
-                    continue
-                gu, gv, gu_inv, gv_inv = pins
-                try:
-                    model.peel_product(gu @ gv @ gu_inv @ gv_inv, interval)
-                except (ResidueNotIdentity, NotInRootGroup) as exc:
-                    report.fail(
-                        inputs,
-                        f"commutator in product over {[str(g) for g in interval]}",
-                        str(exc),
-                    )
-    return report
+                with report.case(
+                    lambda: f"alpha={alpha} beta={beta} u={u.c}+{u.d} v={v.c}+{v.d}",
+                    lambda: f"commutator in product over {[str(g) for g in interval]}",
+                ) as case:
+                    draws = [u, v, coords_neg(u), coords_neg(v)]
+                    pins = _drawn_pinnings(model, case, draws)
+                    if pins is not None:
+                        gu, gv, gu_inv, gv_inv = pins
+                        model.peel_product(gu @ gv @ gu_inv @ gv_inv, interval)
 
 
-@_timed
-def check_rgd2(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Weyl representatives m(u) for the simple affine roots.
 
     For sampled u in U_alpha the representative must factor through
     U_(-alpha) x U_(-alpha), conjugate every in-range root group onto the
     reflected one, and differ between samples by a torus centralizer element.
     """
-    report = AxiomReport("RGD2")
     rng = random.Random(cfg.seed + 2)
     groups = in_range_affine_roots(model, cfg)
     n_samples = max(cfg.samples, 4)
@@ -245,57 +230,45 @@ def check_rgd2(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
         reps = []
         for s in range(n_samples):
             u = sample_coords(model, alpha, rng, s)
-            try:
+            w = None
+            with report.case(
+                lambda: f"alpha={alpha} u={u.c}+{u.d}", "representative"
+            ) as case:
                 w, w_inv, v1, v2, x = model.w_element_parts(alpha.root, u, alpha.level)
-            except RankOneSolveFailed as exc:
-                report.cases += 1
-                report.fail(f"alpha={alpha} u={u.c}+{u.d}", "representative", str(exc))
-                continue
-            reps.append((w, w_inv))
-            # membership: w = v1 x v2 with v1, v2 in U_(-alpha)
-            report.cases += 1
-            try:
+                reps.append((w, w_inv))
+                # membership: w = v1 x v2 with v1, v2 in U_(-alpha)
+                case.expected = "v1, v2 in U_(-alpha)"
                 p1 = model.peel(v1, -alpha)
                 p2 = model.peel(v2, -alpha)
                 rebuilt = (
                     model.relative_pinning(p1) @ x @ model.relative_pinning(p2)
                 )
                 if rebuilt != w:
-                    report.fail(
-                        f"alpha={alpha} u={u.c}+{u.d}",
-                        "w = v1 x v2",
-                        "factorization mismatch",
-                    )
-            except NotInRootGroup as exc:
-                report.fail(
-                    f"alpha={alpha} u={u.c}+{u.d}", "v1, v2 in U_(-alpha)", str(exc)
-                )
+                    case.fail("factorization mismatch", "w = v1 x v2")
+            if w is None:
+                continue
             # conjugation: w U_beta w^-1 = U_(reflected beta)
             for beta in groups:
                 target = affine_reflect(model.system, alpha, beta)
                 for coords in _basis_generators(model, beta):
                     g = model.relative_pinning(coords)
-                    report.cases += 1
-                    try:
-                        model.peel(w @ g @ w_inv, target)
-                    except NotInRootGroup as exc:
-                        report.fail(
+                    with report.case(
+                        lambda: (
                             f"alpha={alpha} u={u.c}+{u.d} beta={beta} "
-                            f"gen={coords.c}+{coords.d}",
-                            f"conjugate in U_{target}",
-                            str(exc),
-                        )
+                            f"gen={coords.c}+{coords.d}"
+                        ),
+                        lambda: f"conjugate in U_{target}",
+                    ):
+                        model.peel(w @ g @ w_inv, target)
         # different samples differ by a torus centralizer element
         for k in range(1, len(reps)):
-            report.cases += 1
-            quot = reps[k - 1][0] @ reps[k][1]
-            if not model.is_centralizer_element(quot):
-                report.fail(
-                    f"alpha={alpha} samples {k - 1},{k}",
-                    "m(u) m(u')^-1 centralizes the split torus",
-                    "not a torus centralizer element",
-                )
-    return report
+            with report.case(
+                lambda: f"alpha={alpha} samples {k - 1},{k}",
+                "m(u) m(u')^-1 centralizes the split torus",
+            ) as case:
+                quot = reps[k - 1][0] @ reps[k][1]
+                if not model.is_centralizer_element(quot):
+                    case.fail("not a torus centralizer element")
 
 
 def rgd3_case(model: GroupModel, alpha: AffineRoot) -> str:
@@ -344,46 +317,39 @@ def positive_side_profile(g: LaurentMatrix) -> bool:
     return _triangular_profile(g.constant_part(), True, lambda e: e == 0)
 
 
-@_timed
-def check_rgd3(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _rgd3(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Negative simple root groups escape the positive side.
 
     First classifies every in-range root group into its triangular profile,
     then exhibits, for each simple affine root, a generator of the opposite
     group violating the shared profile of the positive side.
     """
-    report = AxiomReport("RGD3")
     for alpha in in_range_affine_roots(model, cfg):
-        case = rgd3_case(model, alpha)
-        test = _PROFILE_TESTS[case]
+        profile = rgd3_case(model, alpha)
+        test = _PROFILE_TESTS[profile]
         for coords in _basis_generators(model, alpha):
             g = model.relative_pinning(coords)
-            report.cases += 1
-            if not test(g):
-                report.fail(
-                    f"alpha={alpha} gen={coords.c}+{coords.d}",
-                    f"profile {case}",
-                    "profile violated",
-                )
+            with report.case(
+                lambda: f"alpha={alpha} gen={coords.c}+{coords.d}",
+                lambda: f"profile {profile}",
+            ) as case:
+                if not test(g):
+                    case.fail("profile violated")
     for alpha in simple_affine_roots(model.system):
         for coords in _basis_generators(model, -alpha):
             g = model.relative_pinning(coords)
-            report.cases += 1
-            if g.is_identity() or positive_side_profile(g):
-                report.fail(
-                    f"-alpha={-alpha} gen={coords.c}+{coords.d}",
-                    "witness escapes the positive-side profile",
-                    "witness fits the positive side",
-                )
-    return report
+            with report.case(
+                lambda: f"-alpha={-alpha} gen={coords.c}+{coords.d}",
+                "witness escapes the positive-side profile",
+            ) as case:
+                if g.is_identity() or positive_side_profile(g):
+                    case.fail("witness fits the positive side")
 
 
-@_timed
-def check_rgd4(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _rgd4(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Structural generation check: sampled words in root group elements and
     torus centralizer elements stay inside the model group.  Generation of
     the full group is not decidable at this scale and is not attempted."""
-    report = AxiomReport("RGD4")
     rng = random.Random(cfg.seed + 4)
     groups = in_range_affine_roots(model, cfg)
     torus = model.sample_centralizer_elements(rng, max(2, cfg.samples // 2))
@@ -395,16 +361,13 @@ def check_rgd4(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
                 sample_coords(model, alpha, rng, 3 + s)
             )
         word = word @ torus[s % len(torus)][0]
-        report.cases += 1
-        if not model.contains(word):
-            report.fail(f"sample {s}", "word stays in the group", "membership fails")
-    return report
+        with report.case(lambda: f"sample {s}", "word stays in the group") as case:
+            if not model.contains(word):
+                case.fail("membership fails")
 
 
-@_timed
-def check_rgd5(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _rgd5(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Torus centralizer elements normalize every affine root group."""
-    report = AxiomReport("RGD5")
     rng = random.Random(cfg.seed + 5)
     torus = model.sample_centralizer_elements(rng, max(8, cfg.samples))
     groups = in_range_affine_roots(model, cfg)
@@ -412,24 +375,17 @@ def check_rgd5(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
         for alpha in groups:
             for coords in _basis_generators(model, alpha):
                 g = model.relative_pinning(coords)
-                report.cases += 1
-                try:
+                with report.case(
+                    lambda: f"alpha={alpha} gen={coords.c}+{coords.d}",
+                    "conjugate stays in the same root group",
+                ):
                     model.peel(h @ g @ hinv, alpha)
-                except NotInRootGroup as exc:
-                    report.fail(
-                        f"alpha={alpha} gen={coords.c}+{coords.d}",
-                        "conjugate stays in the same root group",
-                        str(exc),
-                    )
-    return report
 
 
-@_timed
-def check_coroot_shift(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Conjugating U_(b, n) by the coroot of a at t^(-l/2) shifts the level
     by l * <b, a^vee> / 2 and preserves coordinates; conjugating back returns
     the original element."""
-    report = AxiomReport("CorootShift")
     system = model.system
     for a_rel in system.roots:
         for l in range(cfg.level_min, cfg.level_max + 1):
@@ -445,8 +401,13 @@ def check_coroot_shift(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
                     for coords in _basis_generators(model, alpha):
                         g = model.relative_pinning(coords)
                         conj = kappa @ g @ kinv
-                        report.cases += 1
-                        try:
+                        with report.case(
+                            lambda: (
+                                f"a={a_rel} l={l} b={b_rel} n={n} "
+                                f"gen={coords.c}+{coords.d}"
+                            ),
+                            lambda: f"conjugate in U_{target}",
+                        ):
                             got = model.peel(conj, target)
                             if got.c != coords.c or got.d != coords.d:
                                 report.fail(
@@ -460,25 +421,15 @@ def check_coroot_shift(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
                                     "round trip returns the original",
                                     "round trip mismatch",
                                 )
-                        except NotInRootGroup as exc:
-                            report.fail(
-                                f"a={a_rel} l={l} b={b_rel} n={n} "
-                                f"gen={coords.c}+{coords.d}",
-                                f"conjugate in U_{target}",
-                                str(exc),
-                            )
-    return report
 
 
-@_timed
-def check_q2_additive(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _q2_additive(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Additivity defect of the pinnings.
 
     On non-multipliable roots the pinning is strictly additive.  On
     multipliable roots the defect is the doubled-root coordinate q2, which
     must be biadditive-skew: q2(v, w) = -q2(w, v), and scale quadratically:
     q2(r v, r w) = r^2 q2(v, w)."""
-    report = AxiomReport("Q2Additive")
     rng = random.Random(cfg.seed + 6)
     n_pairs = max(cfg.samples, 16)
     for a_rel in model.system.roots:
@@ -488,17 +439,12 @@ def check_q2_additive(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
             v = tuple(_rand_q(rng) for _ in range(nc))
             w = tuple(_rand_q(rng) for _ in range(nc))
             level = rng.randint(cfg.level_min, cfg.level_max)
-            report.cases += 1
-            try:
+            with report.case(lambda: f"a={a_rel} v={v} w={w}", "additive law") as case:
                 q2vw = model.q2_additive(a_rel, v, w, level)
                 if multipliable:
                     q2wv = model.q2_additive(a_rel, w, v, level)
                     if tuple(-x for x in q2vw) != q2wv:
-                        report.fail(
-                            f"a={a_rel} v={v} w={w}",
-                            "q2(v, w) = -q2(w, v)",
-                            f"{q2vw} vs {q2wv}",
-                        )
+                        case.fail(f"{q2vw} vs {q2wv}", "q2(v, w) = -q2(w, v)")
                     r = Q(3, 2)
                     scaled = model.q2_additive(
                         a_rel,
@@ -512,13 +458,9 @@ def check_q2_additive(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
                             "q2(r v, r w) = r^2 q2(v, w)",
                             f"{scaled}",
                         )
-            except PeelFailure as exc:
-                report.fail(f"a={a_rel} v={v} w={w}", "additive law", str(exc))
-    return report
 
 
-@_timed
-def check_combinatorics(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
+def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Affine root combinatorics cross-checked against half-space geometry.
 
     Covers the reflection involution, point-set equivariance of reflections,
@@ -526,7 +468,6 @@ def check_combinatorics(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
     the interior-point oracle, and the half-space containments of open
     intervals.
     """
-    report = AxiomReport("Combinatorics")
     system = model.system
     rng = random.Random(cfg.seed + 7)
     groups = in_range_affine_roots(model, cfg)
@@ -535,9 +476,9 @@ def check_combinatorics(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
 
     # positivity against the chamber oracle
     for alpha in groups:
-        report.cases += 1
-        if is_positive(system, alpha) != chamber_oracle(system, alpha):
-            report.fail(f"alpha={alpha}", "sign matches chamber oracle", "mismatch")
+        with report.case(lambda: f"alpha={alpha}", "sign matches chamber oracle") as case:
+            if is_positive(system, alpha) != chamber_oracle(system, alpha):
+                case.fail("mismatch")
 
     points = [
         tuple(Q(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(dim))
@@ -546,78 +487,118 @@ def check_combinatorics(model: GroupModel, cfg: SuiteConfig) -> AxiomReport:
     for alpha in groups:
         refl = [reflect_point(alpha, v) for v in points]
         # reflection is an involution on points
-        report.cases += 1
-        if any(reflect_point(alpha, rv) != v for v, rv in zip(points, refl)):
-            report.fail(f"alpha={alpha}", "point involution", "mismatch")
+        with report.case(lambda: f"alpha={alpha}", "point involution") as case:
+            if any(reflect_point(alpha, rv) != v for v, rv in zip(points, refl)):
+                case.fail("mismatch")
         for beta in groups:
             rbeta = affine_reflect(system, alpha, beta)
-            report.cases += 1
-            if affine_reflect(system, alpha, rbeta) != beta:
-                report.fail(
-                    f"alpha={alpha} beta={beta}", "root involution", f"{rbeta}"
-                )
-                continue
-            # half-space equivariance: v in beta iff s(v) in s(beta)
-            for v, rv in zip(points, refl):
-                if half_space_contains(beta, v) != half_space_contains(rbeta, rv):
-                    report.fail(
-                        f"alpha={alpha} beta={beta} v={v}",
-                        "membership equivariance",
-                        "mismatch",
-                    )
-                    break
+            with report.case(
+                lambda: f"alpha={alpha} beta={beta}", "root involution"
+            ) as case:
+                if affine_reflect(system, alpha, rbeta) != beta:
+                    case.fail(f"{rbeta}")
+                    continue
+                # half-space equivariance: v in beta iff s(v) in s(beta)
+                for v, rv in zip(points, refl):
+                    if half_space_contains(beta, v) != half_space_contains(rbeta, rv):
+                        report.fail(
+                            f"alpha={alpha} beta={beta} v={v}",
+                            "membership equivariance",
+                            "mismatch",
+                        )
+                        break
 
     for i, alpha in enumerate(groups):
         for beta in groups[i:]:
-            report.cases += 1
-            algebraic = is_prenilpotent(alpha, beta)
-            geometric = prenilpotent_oracle(alpha, beta)
-            if algebraic != geometric:
-                report.fail(
-                    f"alpha={alpha} beta={beta}",
-                    f"prenilpotent oracle {algebraic}",
-                    f"{geometric}",
-                )
-                continue
+            with report.case(
+                lambda: f"alpha={alpha} beta={beta}",
+                "prenilpotency matches the oracle",
+            ) as case:
+                algebraic = is_prenilpotent(alpha, beta)
+                geometric = prenilpotent_oracle(alpha, beta)
+                if algebraic != geometric:
+                    case.fail(f"{geometric}", f"prenilpotent oracle {algebraic}")
+                    continue
             if not algebraic or alpha == beta:
                 continue
             interval = open_interval(system, alpha, beta)
             if not interval:
                 continue
-            report.cases += 1
-            for v in points:
-                inside = half_space_contains(alpha, v) and half_space_contains(beta, v)
-                outside = half_space_contains(-alpha, v) and half_space_contains(
-                    -beta, v
-                )
-                for gamma in interval:
-                    if inside and not half_space_contains(gamma, v):
-                        report.fail(
-                            f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
-                            "interval member contains the intersection",
-                            "point escapes",
-                        )
-                    if outside and not half_space_contains(-gamma, v):
-                        report.fail(
-                            f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
-                            "negated member contains the negated intersection",
-                            "point escapes",
-                        )
-    return report
+            with report.case(
+                lambda: f"alpha={alpha} beta={beta}",
+                "interval members contain the intersection",
+            ):
+                for v in points:
+                    inside = half_space_contains(alpha, v) and half_space_contains(
+                        beta, v
+                    )
+                    outside = half_space_contains(-alpha, v) and half_space_contains(
+                        -beta, v
+                    )
+                    for gamma in interval:
+                        if inside and not half_space_contains(gamma, v):
+                            report.fail(
+                                f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
+                                "interval member contains the intersection",
+                                "point escapes",
+                            )
+                        if outside and not half_space_contains(-gamma, v):
+                            report.fail(
+                                f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
+                                "negated member contains the negated intersection",
+                                "point escapes",
+                            )
 
 
-_SUITE_FNS = {
-    "rgd0": check_rgd0,
-    "rgd1": check_rgd1,
-    "rgd2": check_rgd2,
-    "rgd3": check_rgd3,
-    "rgd4": check_rgd4,
-    "rgd5": check_rgd5,
-    "coroot-shift": check_coroot_shift,
-    "q2-additive": check_q2_additive,
-    "combinatorics": check_combinatorics,
+# -- the suite table, its configuration and runner ---------------------------------
+
+# tag -> (axiom name, case body), in the order the suites run
+SUITES = {
+    "rgd0": ("RGD0", _rgd0),
+    "rgd1": ("RGD1", _rgd1),
+    "rgd2": ("RGD2", _rgd2),
+    "rgd3": ("RGD3", _rgd3),
+    "rgd4": ("RGD4", _rgd4),
+    "rgd5": ("RGD5", _rgd5),
+    "coroot-shift": ("CorootShift", _coroot_shift),
+    "q2-additive": ("Q2Additive", _q2_additive),
+    "combinatorics": ("Combinatorics", _combinatorics),
 }
+
+ALL_SUITES = tuple(SUITES)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    level_min: int = -2
+    level_max: int = 2
+    samples: int = 8
+    seed: int = 0
+    suites: tuple[str, ...] = ALL_SUITES
+
+    def __post_init__(self):
+        if not (self.level_min <= 0 <= self.level_max):
+            raise ConfigError(
+                f"level range [{self.level_min}, {self.level_max}] must contain 0"
+            )
+        if self.samples < 1:
+            raise ConfigError(f"samples {self.samples} < 1")
+        if not self.suites:
+            raise ConfigError(f"no suite selected; known: {list(ALL_SUITES)}")
+        unknown = [s for s in self.suites if s not in SUITES]
+        if unknown:
+            raise ConfigError(f"unknown suites {unknown}; known: {list(ALL_SUITES)}")
 
 
 def run_suites(model: GroupModel, cfg: SuiteConfig) -> list[AxiomReport]:
-    return [_SUITE_FNS[tag](model, cfg) for tag in ALL_SUITES if tag in cfg.suites]
+    """One report per selected suite, in table order."""
+    reports = []
+    for tag, (axiom, body) in SUITES.items():
+        if tag not in cfg.suites:
+            continue
+        report = AxiomReport(axiom)
+        start = time.perf_counter()
+        body(model, cfg, report)
+        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        reports.append(report)
+    return reports

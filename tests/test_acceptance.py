@@ -8,19 +8,14 @@ and fails if any check inside misses or the stated time budget is exceeded.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction as Q
 
 from rgdcheck import (
     RootGroupCoords,
     SuiteConfig,
     affine_root,
-    check_combinatorics,
-    check_coroot_shift,
-    check_q2_additive,
-    check_rgd1,
-    check_rgd2,
-    check_rgd3,
-    check_rgd5,
+    run_suites,
     special_unitary,
     split_sl,
 )
@@ -32,6 +27,12 @@ SL2 = split_sl(1)
 SL3 = split_sl(2)
 SU31 = special_unitary(3, 1)
 SU52 = special_unitary(5, 2)
+
+
+def run_one(tag, model, cfg):
+    """The report of one suite, run through `run_suites`."""
+    (report,) = run_suites(model, replace(cfg, suites=(tag,)))
+    return report
 
 
 def conclude(num, label, failures, elapsed, budget):
@@ -50,7 +51,7 @@ def test_criterion_1_affine_combinatorics():
     cfg = SuiteConfig(level_min=-3, level_max=3, samples=20, suites=("combinatorics",))
     failures = []
     for model in (SL2, SL3, SU31, SU52):
-        r = check_combinatorics(model, cfg)
+        r = run_one("combinatorics", model, cfg)
         if not r.passed:
             failures.extend(r.failures)
     conclude(1, "affine combinatorics A1 A2 BC1 BC2", failures, time.perf_counter() - start, 10.0)
@@ -61,7 +62,7 @@ def test_criterion_2_coroot_shift_law():
     cfg = SuiteConfig(level_min=-2, level_max=2, samples=8)
     failures = []
     for model in (SL2, SL3, SU31):
-        r = check_coroot_shift(model, cfg)
+        r = run_one("coroot-shift", model, cfg)
         if not r.passed:
             failures.extend(r.failures)
     conclude(2, "coroot shift law", failures, time.perf_counter() - start, 30.0)
@@ -72,7 +73,7 @@ def test_criterion_3_rgd1_commutators():
     cfg = SuiteConfig(level_min=-2, level_max=2, samples=8)
     failures = []
     for model in (SL3, SU31):
-        r = check_rgd1(model, cfg)
+        r = run_one("rgd1", model, cfg)
         if not r.passed:
             failures.extend(r.failures)
     conclude(3, "RGD1 commutator containment", failures, time.perf_counter() - start, 120.0)
@@ -83,7 +84,7 @@ def test_criterion_4_rgd2_weyl_conjugation():
     cfg = SuiteConfig(level_min=-2, level_max=2, samples=8)
     failures = []
     for model in (SL2, SU31):
-        r = check_rgd2(model, cfg)
+        r = run_one("rgd2", model, cfg)
         if not r.passed:
             failures.extend(r.failures)
     conclude(4, "RGD2 Weyl representatives", failures, time.perf_counter() - start, 60.0)
@@ -94,7 +95,7 @@ def test_criterion_5_rgd3_triangular_profiles():
     cfg = SuiteConfig(level_min=-2, level_max=2, samples=8)
     failures = []
     for model in (SL2, SL3, SU31, SU52):
-        r = check_rgd3(model, cfg)
+        r = run_one("rgd3", model, cfg)
         if not r.passed:
             failures.extend(r.failures)
     # classification is exclusive: each generator fits its own profile and
@@ -117,7 +118,7 @@ def test_criterion_6_rgd5_centralizer_normalizes():
     cfg = SuiteConfig(level_min=-2, level_max=2, samples=8)
     failures = []
     for model in (SL2, SL3, SU31, SU52):
-        r = check_rgd5(model, cfg)
+        r = run_one("rgd5", model, cfg)
         if not r.passed:
             failures.extend(r.failures)
     conclude(6, "RGD5 centralizer normalization", failures, time.perf_counter() - start, 30.0)
@@ -158,7 +159,7 @@ def test_criterion_7_unitary_pinning_coherence():
                     failures.append(
                         {"inputs": f"a={a} l={level} m={mlevel}", "expected": "commute", "actual": "differ"}
                     )
-    r = check_q2_additive(SU31, SuiteConfig(level_min=-2, level_max=2, samples=16))
+    r = run_one("q2-additive", SU31, SuiteConfig(level_min=-2, level_max=2, samples=16))
     if not r.passed:
         failures.extend(r.failures)
     conclude(7, "SU(3,1) pinning coherence", failures, time.perf_counter() - start, 30.0)
@@ -208,10 +209,9 @@ def test_criterion_9_report_determinism():
         group="su",
         dim=3,
         witt=1,
-        level_min=-1,
-        level_max=1,
-        samples=2,
-        suites=("rgd0", "rgd3", "q2-additive"),
+        suite=SuiteConfig(
+            level_min=-1, level_max=1, samples=2, suites=("rgd0", "rgd3", "q2-additive")
+        ),
     )
     from rgdcheck.models import build_model
 

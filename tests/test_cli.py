@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rgdcheck import ConfigError
+from rgdcheck import ConfigError, SuiteConfig
 from rgdcheck.cli import (
     RunConfig,
     build_report,
@@ -49,6 +49,9 @@ def test_configuration_errors_exit_two(capsys):
     assert main(["--group", "su", "--dim", "5"]) == 2  # missing witt
     assert main(["--group", "sl", "--rank", "1", "--suites", "rgd9"]) == 2
     assert main(["--group", "sl", "--rank", "1", "--level-min", "1"]) == 2
+    assert main(["--group", "sl", "--rank", "1", "--suites", ","]) == 2  # no suite
+    # a discriminant that is not squarefree is an input error, not a crash
+    assert main(["--group", "su", "--dim", "3", "--witt", "1", "--disc", "-4"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
 
@@ -56,10 +59,10 @@ def test_configuration_errors_exit_two(capsys):
 def test_internal_errors_exit_three(monkeypatch, capsys):
     from rgdcheck import verify
 
-    def broken(model, cfg):
+    def broken(model, cfg, report):
         raise ZeroDivisionError("suite bug")
 
-    monkeypatch.setitem(verify._SUITE_FNS, "rgd0", broken)
+    monkeypatch.setitem(verify.SUITES, "rgd0", ("RGD0", broken))
     code = main(["--group", "sl", "--rank", "1", *FAST, "--suites", "rgd0"])
     assert code == 3
     captured = capsys.readouterr()
@@ -116,9 +119,14 @@ def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(group="sl")
     with pytest.raises(ConfigError):
-        RunConfig(group="su", dim=4, witt=2)
+        RunConfig(group="su", dim=4)
     with pytest.raises(ConfigError):
         RunConfig(group="sl", rank=1, format="yaml")
+    # the model constructors check the model's parameters when the run builds it
+    with pytest.raises(ConfigError):
+        run(RunConfig(group="su", dim=4, witt=2))
+    with pytest.raises(ConfigError):
+        run(RunConfig(group="sl", rank=0))
 
 
 def test_determinism_view_strips_volatile_fields():
@@ -126,10 +134,9 @@ def test_determinism_view_strips_volatile_fields():
         group="su",
         dim=3,
         witt=1,
-        level_min=-1,
-        level_max=1,
-        samples=2,
-        suites=("rgd0", "combinatorics"),
+        suite=SuiteConfig(
+            level_min=-1, level_max=1, samples=2, suites=("rgd0", "combinatorics")
+        ),
     )
     model = build_model("su", dim=3, witt=1)
     va = report_determinism_view(build_report(model, cfg))
@@ -143,7 +150,9 @@ def test_determinism_view_strips_volatile_fields():
 
 def test_run_returns_code_and_report():
     cfg = RunConfig(
-        group="sl", rank=1, level_min=-1, level_max=1, samples=2, suites=("rgd0",)
+        group="sl",
+        rank=1,
+        suite=SuiteConfig(level_min=-1, level_max=1, samples=2, suites=("rgd0",)),
     )
     code, report = run(cfg)
     assert code == 0

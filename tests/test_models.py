@@ -117,6 +117,32 @@ def test_su_coroot_normalization():
     assert double.entry(2, 2) == LaurentPoly.const(Q(1, 3))
 
 
+def test_peel_product_reads_its_first_pass_off_g(monkeypatch):
+    su = special_unitary(3, 1)
+    alpha = affine_root(vec(1), 1)
+    u = RootGroupCoords(alpha, (Q(1), Q(2)), (Q(3),))
+    g = su.relative_pinning(u)
+    built = []
+    inner = su.relative_pinning
+
+    def counted(coords):
+        built.append(coords)
+        return inner(coords)
+
+    monkeypatch.setattr(su, "relative_pinning", counted)
+    # the first pass reads u off g, the second strips g by x(-u)
+    assert su.peel_product(g, [alpha]) == [u]
+    assert built == [coords_neg(u)]
+    # the identity peels to zero coordinates without building a pinning
+    built.clear()
+    order = [alpha, affine_root(vec(-2), 0)]
+    got = su.peel_product(LaurentMatrix.identity(3), order)
+    assert [cs.alpha for cs in got] == order
+    assert all(cs.is_zero() for cs in got)
+    assert [(len(cs.c), len(cs.d)) for cs in got] == [(2, 1), (1, 0)]
+    assert built == []
+
+
 def test_peel_product_orders_out_of_filtration():
     # g = E13(b) E12(a) E23(c); reading entries alone misassigns the sum root
     sl3 = split_sl(2)
@@ -405,6 +431,8 @@ def test_su_constructor_validation():
         special_unitary(3, 0)
     with pytest.raises(UnsupportedType):
         special_unitary(3, 1, disc=5)
+    with pytest.raises(UnsupportedType):
+        special_unitary(3, 1, disc=-4)  # not squarefree
 
 
 def test_build_model_registry():

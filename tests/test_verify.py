@@ -1,5 +1,6 @@
 """Tests for the axiom verification suites."""
 
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -7,23 +8,29 @@ import pytest
 from rgdcheck import (
     ALL_SUITES,
     ConfigError,
+    MembershipViolation,
+    NotInRootGroup,
+    PeelFailure,
+    RankOneSolveFailed,
+    ResidueNotIdentity,
     RootGroupCoords,
     SUModel,
     SuiteConfig,
     affine_root,
-    check_combinatorics,
-    check_coroot_shift,
-    check_q2_additive,
-    check_rgd0,
-    check_rgd1,
-    check_rgd3,
     run_suites,
     special_unitary,
     split_sl,
 )
+from rgdcheck import verify
 from rgdcheck.roots import vec
 
 SMALL = SuiteConfig(level_min=-1, level_max=1, samples=3)
+
+
+def run_one(tag, model, cfg):
+    """The report of one suite, run through `run_suites`."""
+    (report,) = run_suites(model, replace(cfg, suites=(tag,)))
+    return report
 
 
 def test_all_suites_pass_on_the_split_rank_one_model():
@@ -70,8 +77,8 @@ def test_suite_results_are_deterministic():
 def test_seed_changes_sampled_inputs_but_not_verdicts():
     cfg_a = SuiteConfig(level_min=-1, level_max=1, samples=4, seed=1)
     cfg_b = SuiteConfig(level_min=-1, level_max=1, samples=4, seed=2)
-    ra = check_rgd1(split_sl(2), cfg_a)
-    rb = check_rgd1(split_sl(2), cfg_b)
+    ra = run_one("rgd1", split_sl(2), cfg_a)
+    rb = run_one("rgd1", split_sl(2), cfg_b)
     assert ra.passed and rb.passed
     assert ra.cases == rb.cases
 
@@ -85,6 +92,8 @@ def test_config_validation():
         SuiteConfig(samples=0)
     with pytest.raises(ConfigError):
         SuiteConfig(suites=("rgd0", "rgd9"))
+    with pytest.raises(ConfigError):
+        SuiteConfig(suites=())  # an empty selection would pass vacuously
     assert set(ALL_SUITES) == {
         "rgd0",
         "rgd1",
@@ -99,22 +108,28 @@ def test_config_validation():
 
 
 def test_rgd0_counts_every_generator_slot():
-    r = check_rgd0(special_unitary(3, 1), SMALL)
+    r = run_one("rgd0", special_unitary(3, 1), SMALL)
     # BC1 has 4 roots over 3 levels; singles carry 3 slots, doubles 1
     assert r.cases == 3 * (2 * 3 + 2 * 1)
     assert r.passed
 
 
 def test_rgd1_covers_prenilpotent_pairs_only():
-    r = check_rgd1(split_sl(1), SuiteConfig(level_min=-1, level_max=1, samples=2))
+    r = run_one("rgd1", split_sl(1), SuiteConfig(level_min=-1, level_max=1, samples=2))
     assert r.passed
     # A1 pairs with distinct roots are never prenilpotent, so every case
     # comes from equal-gradient pairs at distinct levels
     assert r.cases > 0
 
 
+def test_rgd1_passes_on_su41_at_the_default_window():
+    r = run_one("rgd1", special_unitary(4, 1), SuiteConfig())
+    assert r.passed, r.failures[:2]
+    assert r.cases == 720
+
+
 def test_rgd3_records_profile_of_every_group():
-    r = check_rgd3(special_unitary(3, 1), SMALL)
+    r = run_one("rgd3", special_unitary(3, 1), SMALL)
     assert r.passed
     # classification: 2 single roots x 3 levels x 3 generators plus
     # 2 double roots x 3 levels x 1 generator = 24 cases; witnesses: the
@@ -124,26 +139,26 @@ def test_rgd3_records_profile_of_every_group():
 
 def test_coroot_shift_reports_case_volume():
     cfg = SuiteConfig(level_min=-1, level_max=1, samples=2)
-    r = check_coroot_shift(split_sl(1), cfg)
+    r = run_one("coroot-shift", split_sl(1), cfg)
     assert r.passed
     # 2 roots x 2 nonzero shifts x (2 roots x 3 levels) plus round trips
     assert r.cases > 0
 
 
 def test_q2_additive_rank_one():
-    r = check_q2_additive(special_unitary(3, 1), SMALL)
+    r = run_one("q2-additive", special_unitary(3, 1), SMALL)
     assert r.passed
-    r2 = check_q2_additive(split_sl(2), SMALL)
+    r2 = run_one("q2-additive", split_sl(2), SMALL)
     assert r2.passed  # strict additivity on every root of a split model
 
 
 def test_combinatorics_matches_oracles():
-    r = check_combinatorics(special_unitary(3, 1), SMALL)
+    r = run_one("combinatorics", special_unitary(3, 1), SMALL)
     assert r.passed
 
 
 def test_report_dict_shape():
-    r = check_rgd3(split_sl(1), SMALL)
+    r = run_one("rgd3", split_sl(1), SMALL)
     d = r.to_dict()
     assert set(d) == {"axiom", "cases", "failures", "pass", "elapsed_ms"}
     assert d["pass"] is True
@@ -199,7 +214,7 @@ ZERO_WINDOW = SuiteConfig(level_min=0, level_max=0, samples=1)
 
 def test_pinnings_outside_the_group_are_recorded_by_rgd0():
     model = FlippedPairSU(5, 2)
-    r = check_rgd0(model, ZERO_WINDOW)
+    r = run_one("rgd0", model, ZERO_WINDOW)
     pair_cases = sum(
         model.coord_lengths(a)[0]
         for a in model.system.roots
@@ -207,11 +222,11 @@ def test_pinnings_outside_the_group_are_recorded_by_rgd0():
     )
     assert len(r.failures) == pair_cases > 0
     assert all(f["expected"] == "pinning lands in G" for f in r.failures)
-    assert r.cases == check_rgd0(special_unitary(5, 2), ZERO_WINDOW).cases
+    assert r.cases == run_one("rgd0", special_unitary(5, 2), ZERO_WINDOW).cases
 
 
 def test_pinnings_outside_the_group_are_recorded_by_rgd1():
-    r = check_rgd1(FlippedPairSU(5, 2), ZERO_WINDOW)
+    r = run_one("rgd1", FlippedPairSU(5, 2), ZERO_WINDOW)
     outside = [f for f in r.failures if f["expected"] == "pinning lands in G"]
     assert outside
     assert all("left the group" in f["actual"] for f in outside)
@@ -234,12 +249,56 @@ def test_pinnings_and_peels_never_check_membership(monkeypatch):
 def test_rgd0_checks_membership_once_per_case(monkeypatch):
     model = special_unitary(3, 1)
     calls = count_contains(monkeypatch, model)
-    r = check_rgd0(model, SMALL)
+    r = run_one("rgd0", model, SMALL)
     assert r.passed and len(calls) == r.cases
 
 
 def test_rgd1_checks_the_four_pinnings_of_each_case(monkeypatch):
     model = split_sl(1)
     calls = count_contains(monkeypatch, model)
-    r = check_rgd1(model, SMALL)
+    r = run_one("rgd1", model, SMALL)
     assert r.passed and len(calls) == 4 * r.cases
+
+
+# -- the suite skeleton -------------------------------------------------------------
+
+
+def install_body(monkeypatch, body):
+    """Run `body` as the case body of the rgd0 suite."""
+    monkeypatch.setitem(verify.SUITES, "rgd0", ("RGD0", body))
+
+
+@pytest.mark.parametrize(
+    "error", [NotInRootGroup, ResidueNotIdentity, PeelFailure, RankOneSolveFailed]
+)
+def test_a_verdict_error_in_a_case_becomes_one_failure(monkeypatch, error):
+    built = []
+
+    def inputs(k):
+        built.append(k)
+        return f"k={k}"
+
+    def body(model, cfg, report):
+        for k in range(3):
+            with report.case(lambda: inputs(k), lambda: f"no error at {k}"):
+                if k == 1:
+                    raise error("residue left")
+
+    install_body(monkeypatch, body)
+    (r,) = run_suites(split_sl(1), replace(SMALL, suites=("rgd0",)))
+    assert r.axiom == "RGD0" and r.cases == 3
+    assert r.failures == [
+        {"inputs": "k=1", "expected": "no error at 1", "actual": "residue left"}
+    ]
+    # passing cases build no failure text
+    assert built == [1]
+
+
+def test_other_errors_propagate_out_of_run_suites(monkeypatch):
+    def body(model, cfg, report):
+        with report.case(lambda: "k=0", "group closed under products"):
+            raise MembershipViolation("product left the group")
+
+    install_body(monkeypatch, body)
+    with pytest.raises(MembershipViolation):
+        run_suites(split_sl(1), replace(SMALL, suites=("rgd0",)))
