@@ -21,13 +21,14 @@ from .roots import (
     RootSystem,
     Vector,
     add,
+    coroot,
     dot,
-    is_zero,
     neg,
     pairing,
     proportionality,
     scale,
     sub,
+    vec,
 )
 
 Q = Fraction
@@ -46,10 +47,11 @@ class AffineRoot(NamedTuple):
 
 
 def affine_root(a: Vector, level) -> AffineRoot:
+    """alpha_(a, level); raises ValueError on a gradient that is not integral."""
     level = Q(level)
     if (2 * level).denominator != 1:
         raise HalfIntegerLevel(f"level {level} is not a half-integer")
-    return AffineRoot(tuple(Q(x) for x in a), level)
+    return AffineRoot(vec(*a), level)
 
 
 def half_space_contains(alpha: AffineRoot, v: Vector, strict: bool = False) -> bool:
@@ -61,8 +63,7 @@ def half_space_contains(alpha: AffineRoot, v: Vector, strict: bool = False) -> b
 def reflect_point(alpha: AffineRoot, v: Vector) -> Vector:
     """Reflection of an ambient point in the wall of alpha."""
     a, l = alpha.root, alpha.level
-    coroot = scale(Q(2) / dot(a, a), a)
-    return sub(v, scale(dot(a, v) + l, coroot))
+    return sub(v, scale(dot(a, v) + l, coroot(a)))
 
 
 def affine_reflect(system: RootSystem, alpha: AffineRoot, beta: AffineRoot) -> AffineRoot:
@@ -89,41 +90,53 @@ def is_prenilpotent(alpha: AffineRoot, beta: AffineRoot) -> bool:
     """True unless some positive multiples satisfy k*a = -n*b.
 
     Positive multiples of the gradients collide exactly when the gradients
-    are proportional with a negative ratio.
+    are proportional with a negative ratio: when (a, b) < 0 and the
+    Cauchy-Schwarz inequality (a, b)^2 <= (a, a)(b, b) is an equality.
     """
-    r = proportionality(alpha.root, beta.root)
-    return r is None or r > 0
+    a, b = alpha.root, beta.root
+    ab = dot(a, b)
+    return ab >= 0 or ab * ab != dot(a, a) * dot(b, b)
 
 
 def open_interval(
     system: RootSystem, alpha: AffineRoot, beta: AffineRoot
 ) -> list[AffineRoot]:
-    """The affine roots alpha_(p*a + q*b, p*l + q*m) with integers p, q > 0.
+    """The affine root groups alpha_(p*a + q*b, p*l + q*m), integers p, q > 0.
 
     This is the index set of the commutator law for the pair (alpha, beta):
-    [U_alpha, U_beta] lands in the product of these groups.  The endpoints
-    themselves never appear since p, q >= 1.  Requires a prenilpotent pair.
+    [U_alpha, U_beta] lands in the product of these groups, in the order of
+    p + q, then p.  The endpoints never appear since p, q >= 1.  Members are
+    root groups, not root vectors: U_(2c, 2L) lies inside U_(c, L)
+    (Bruhat-Tits, Publ. IHES 41, 1972), so (2c, 2L) is left out when (c, L)
+    is a member; a doubled root at an odd level, which no U_(c, L) covers, is
+    kept.  Both define the same half-apartment, 2c.x + 2L >= 0 iff
+    c.x + L >= 0.  Requires a prenilpotent pair.
     """
     if not is_prenilpotent(alpha, beta):
         raise NotPrenilpotent(f"{alpha} and {beta} share opposed gradient rays")
-    a, l = alpha.root, alpha.level
-    b, m = beta.root, beta.level
-    found = []
-    seen = set()
-    bound = 6
-    for total in range(2, 2 * bound + 1):
-        for p in range(1, total):
-            q = total - p
-            if q < 1 or q > bound or p > bound:
-                continue
-            c = add(scale(p, a), scale(q, b))
-            if is_zero(c) or not system.contains(c):
-                continue
-            gamma = AffineRoot(c, p * l + q * m)
-            if gamma not in seen:
-                seen.add(gamma)
-                found.append(gamma)
-    return found
+    l, m = alpha.level, beta.level
+    return [
+        AffineRoot(c, p * l + q * m)
+        for p, q, c in _interval_shape(system, alpha.root, beta.root)
+    ]
+
+
+def _interval_shape(system: RootSystem, a: Vector, b: Vector) -> tuple:
+    """The (p, q, p*a + q*b) that are roots, for (p, q) = (1, 1), (1, 2),
+    (2, 1); computed once per pair of relative roots, kept on the system.
+
+    Larger p or q give no root in A_n or BC_n (Bourbaki, Lie VI, on root
+    strings).  2a + 2b is a root only when a + b is one, and then
+    (2a + 2b, 2L) doubles the (1, 1) member (a + b, L), so (2, 2) is left out.
+    """
+    shape = system.interval_shapes.get((a, b))
+    if shape is None:
+        shape = system.interval_shapes[(a, b)] = tuple(
+            (p, q, c)
+            for p, q in ((1, 1), (1, 2), (2, 1))
+            if system.contains(c := tuple(p * x + q * y for x, y in zip(a, b)))
+        )
+    return shape
 
 
 def simple_affine_roots(system: RootSystem) -> list[AffineRoot]:

@@ -39,8 +39,7 @@ from .roots import (
     RootSystem,
     Vector,
     build_root_system,
-    dot,
-    is_zero,
+    pairing,
     reflect_vector,
     scale,
     sub,
@@ -187,13 +186,12 @@ class GroupModel:
         _, cval = lam.monomial_parts()
         if not cval.is_rational:
             raise NotMonomial("coroot argument must have a rational coefficient")
-        dvec = scale(Q(2) / dot(a_rel, a_rel), a_rel)
         diag = []
         for p in range(self.n):
-            e = dot(dvec, self.slot_weight(p))
+            e = pairing(self.slot_weight(p), a_rel)
             if e.denominator != 1:
                 raise NotMonomial(f"non-integral coroot exponent {e}")
-            diag.append(lam.monomial_pow(int(e)))
+            diag.append(lam.monomial_pow(e))
         g = LaurentMatrix.diagonal(diag)
         if not self.contains(g):
             raise MembershipViolation("coroot value left the group")
@@ -482,13 +480,13 @@ class SplitSLModel(GroupModel):
         self._build_layouts()
 
     def slot_weight(self, slot: int) -> Vector:
-        w = [Q(0)] * self.n
-        w[slot] = Q(1)
+        w = [0] * self.n
+        w[slot] = 1
         return tuple(w)
 
     def _build_layout(self, a_rel: Vector) -> RootLayout:
-        i = a_rel.index(Q(1))
-        j = a_rel.index(Q(-1))
+        i = a_rel.index(1)
+        j = a_rel.index(-1)
         return RootLayout("elementary", 1, (i, j))
 
     def contains(self, g: LaurentMatrix) -> bool:
@@ -502,12 +500,12 @@ class SplitSLModel(GroupModel):
         if len(absolute) != self.n:
             raise IndexOutOfRange(f"absolute root must live in Q^{self.n}")
         try:
-            i = absolute.index(Q(1))
-            j = absolute.index(Q(-1))
+            i = absolute.index(1)
+            j = absolute.index(-1)
         except ValueError as exc:
             raise IndexOutOfRange(f"{absolute} is not elementary") from exc
-        check = [Q(0)] * self.n
-        check[i], check[j] = Q(1), Q(-1)
+        check = [0] * self.n
+        check[i], check[j] = 1, -1
         if tuple(check) != tuple(absolute):
             raise IndexOutOfRange(f"{absolute} is not elementary")
         return i, j
@@ -583,11 +581,11 @@ class SUModel(GroupModel):
         return self.n - 1 - x
 
     def slot_weight(self, slot: int) -> Vector:
-        w = [Q(0)] * self.witt
+        w = [0] * self.witt
         if slot < self.witt:
-            w[slot] = Q(1)
+            w[slot] = 1
         elif slot >= self.n - self.witt:
-            w[self._mirror(slot)] = Q(-1)
+            w[self._mirror(slot)] = -1
         return tuple(w)
 
     def _build_layout(self, a_rel: Vector) -> RootLayout:
@@ -641,16 +639,16 @@ class SUModel(GroupModel):
         if len(absolute) != self.n:
             raise IndexOutOfRange(f"absolute root must live in Q^{self.n}")
         try:
-            i = list(absolute).index(Q(1))
-            j = list(absolute).index(Q(-1))
+            i = list(absolute).index(1)
+            j = list(absolute).index(-1)
         except ValueError as exc:
             raise IndexOutOfRange(f"{absolute} is not of shape e_i - e_j") from exc
-        check = [Q(0)] * self.n
-        check[i], check[j] = Q(1), Q(-1)
+        check = [0] * self.n
+        check[i], check[j] = 1, -1
         if tuple(check) != tuple(absolute):
             raise IndexOutOfRange(f"{absolute} is not of shape e_i - e_j")
         w = sub(self.slot_weight(i), self.slot_weight(j))
-        if is_zero(w):
+        if not any(w):
             return None
         if not self.system.contains(w):
             raise IndexOutOfRange(f"projection {w} is not a relative root")

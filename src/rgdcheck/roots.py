@@ -1,39 +1,39 @@
-"""Finite root systems of types A_n and BC_n with exact rational coordinates.
+"""Finite root systems of types A_n and BC_n with integer coordinates.
 
-Type A_n lives in the sum-zero hyperplane of Q^(n+1) as the vectors e_i - e_j.
-Type BC_n lives in Q^n and contains +-e_i, +-2e_i and +-e_i +- e_j, so some
+Type A_n lives in the sum-zero hyperplane of Z^(n+1) as the vectors e_i - e_j.
+Type BC_n lives in Z^n and contains +-e_i, +-2e_i and +-e_i +- e_j, so some
 roots have proportional doubles; pairings and reflections use the standard
-dot product and 2(a,b)/(a,a).
+dot product and 2(a,b)/(a,a).  Roots are int tuples; the helpers stay exact
+on the rational points (sample points, the fundamental point) as well.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import ReflectionLeftSystem, UnsupportedType
 
 Q = Fraction
 
-Vector = tuple[Q, ...]
+Vector = tuple[int, ...]
+
+
+def integral(x) -> int:
+    """x as an int; raises ValueError unless x is an integer (no truncation)."""
+    if x.denominator != 1:
+        raise ValueError(f"{x} is not an integer")
+    return int(x)
 
 
 def vec(*xs) -> Vector:
-    return tuple(Q(x) for x in xs)
+    return tuple(integral(x) for x in xs)
 
 
-def dot(u: Vector, v: Vector) -> Q:
+def dot(u: Vector, v: Vector) -> int | Q:
     if len(u) != len(v):
         raise ValueError(f"dot of lengths {len(u)} and {len(v)}")
-    # Accumulate over a common denominator so the gcd reduction runs once at
-    # the end instead of once per term; dot is the hottest rational kernel.
-    num = 0
-    den = 1
-    for a, b in zip(u, v):
-        n = a.numerator * b.numerator
-        d = a.denominator * b.denominator
-        num = num * d + n * den
-        den *= d
-    return Q(num, den)
+    return sum(map(mul, u, v))
 
 
 def add(u: Vector, v: Vector) -> Vector:
@@ -49,20 +49,27 @@ def neg(u: Vector) -> Vector:
 
 
 def scale(c, u: Vector) -> Vector:
-    c = Q(c)
     return tuple(c * a for a in u)
 
 
-def is_zero(u: Vector) -> bool:
-    return all(a == 0 for a in u)
+def _quotient(n, d) -> int | Q:
+    """n / d exactly: an int when d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Q(n, d)
 
 
-def pairing(b: Vector, a: Vector) -> Q:
-    """Cartan pairing <b, a^vee> = 2 (a,b) / (a,a)."""
+def pairing(b: Vector, a: Vector) -> int | Q:
+    """Cartan pairing <b, a^vee> = 2 (a,b) / (a,a); an int on two roots."""
     aa = dot(a, a)
     if aa == 0:
         raise ValueError("pairing against the zero vector")
-    return 2 * dot(a, b) / aa
+    return _quotient(2 * dot(a, b), aa)
+
+
+def coroot(a: Vector) -> Vector:
+    """a^vee = 2a / (a,a); an integer vector for every A_n and BC_n root."""
+    aa = dot(a, a)
+    return tuple(_quotient(2 * x, aa) for x in a)
 
 
 def reflect_vector(a: Vector, v: Vector) -> Vector:
@@ -70,22 +77,16 @@ def reflect_vector(a: Vector, v: Vector) -> Vector:
     return sub(v, scale(pairing(v, a), a))
 
 
-def proportionality(a: Vector, b: Vector) -> Q | None:
-    """The ratio r with b = r * a, or None if a, b are not proportional."""
-    r = None
-    for x, y in zip(a, b):
-        if x == 0:
-            if y != 0:
-                return None
-            continue
-        s = y / x
-        if r is None:
-            r = s
-        elif r != s:
-            return None
-    if r is None:
-        return None  # a was zero
-    return r if b == scale(r, a) else None
+def proportionality(a: Vector, b: Vector) -> int | Q | None:
+    """The ratio r with b = r * a (an int when it is one), or None if a, b
+    are not proportional or a is zero."""
+    i = next((i for i, x in enumerate(a) if x != 0), None)
+    if i is None:
+        return None
+    x0, y0 = a[i], b[i]
+    if any(x * y0 != y * x0 for x, y in zip(a, b)):
+        return None
+    return _quotient(y0, x0)
 
 
 class RootSystem:
@@ -98,6 +99,8 @@ class RootSystem:
       simple: the simple roots
       highest: the highest root
       fundamental_point: rational point v with 0 < (a, v) < 1 for all positive a
+      interval_shapes: per pair of roots, the shape of their open interval;
+        filled on first use by `affine.open_interval`
     """
 
     __slots__ = (
@@ -107,6 +110,7 @@ class RootSystem:
         "simple",
         "highest",
         "fundamental_point",
+        "interval_shapes",
         "_root_set",
         "_positive",
     )
@@ -120,17 +124,17 @@ class RootSystem:
             for i in range(dim):
                 for j in range(dim):
                     if i != j:
-                        r = [Q(0)] * dim
-                        r[i] = Q(1)
-                        r[j] = Q(-1)
+                        r = [0] * dim
+                        r[i] = 1
+                        r[j] = -1
                         roots.append(tuple(r))
             simple = []
             for i in range(rank):
-                r = [Q(0)] * dim
-                r[i] = Q(1)
-                r[i + 1] = Q(-1)
+                r = [0] * dim
+                r[i] = 1
+                r[i + 1] = -1
                 simple.append(tuple(r))
-            highest = tuple([Q(1)] + [Q(0)] * (rank - 1) + [Q(-1)])
+            highest = tuple([1] + [0] * (rank - 1) + [-1])
             # (a_i, v) = 1/N for every simple root, N = max height + 1
             n_height = rank + 1
             fundamental = tuple(Q(rank - i, n_height) for i in range(dim))
@@ -139,27 +143,27 @@ class RootSystem:
             roots = []
             for i in range(dim):
                 for c in (1, -1, 2, -2):
-                    r = [Q(0)] * dim
-                    r[i] = Q(c)
+                    r = [0] * dim
+                    r[i] = c
                     roots.append(tuple(r))
             for i in range(dim):
                 for j in range(i + 1, dim):
                     for ci in (1, -1):
                         for cj in (1, -1):
-                            r = [Q(0)] * dim
-                            r[i] = Q(ci)
-                            r[j] = Q(cj)
+                            r = [0] * dim
+                            r[i] = ci
+                            r[j] = cj
                             roots.append(tuple(r))
             simple = []
             for i in range(rank - 1):
-                r = [Q(0)] * dim
-                r[i] = Q(1)
-                r[i + 1] = Q(-1)
+                r = [0] * dim
+                r[i] = 1
+                r[i + 1] = -1
                 simple.append(tuple(r))
-            last = [Q(0)] * dim
-            last[rank - 1] = Q(1)
+            last = [0] * dim
+            last[rank - 1] = 1
             simple.append(tuple(last))
-            highest = tuple([Q(2)] + [Q(0)] * (rank - 1))
+            highest = tuple([2] + [0] * (rank - 1))
             # heights reach 2*rank for the doubled first coordinate
             n_height = 2 * rank + 1
             fundamental = tuple(Q(rank - i, n_height) for i in range(dim))
@@ -171,6 +175,7 @@ class RootSystem:
         self.simple = tuple(simple)
         self.highest = highest
         self.fundamental_point = fundamental
+        self.interval_shapes = {}
         self._root_set = frozenset(self.roots)
         self._positive = frozenset(
             a for a in self.roots if dot(a, fundamental) > 0
@@ -183,10 +188,6 @@ class RootSystem:
         if not self.contains(a):
             raise ReflectionLeftSystem(f"{a} is not a root")
         return a in self._positive
-
-    @property
-    def positive(self) -> tuple[Vector, ...]:
-        return tuple(a for a in self.roots if a in self._positive)
 
     def reflect_root(self, a: Vector, b: Vector) -> Vector:
         """s_a(b) = b - <b, a^vee> a, checked to stay inside the system."""

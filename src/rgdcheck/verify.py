@@ -13,6 +13,8 @@ counts it; `run_suites` creates, times and returns the reports.
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -23,7 +25,6 @@ from .affine import (
     affine_reflect,
     affine_root,
     chamber_oracle,
-    half_space_contains,
     is_positive,
     is_prenilpotent,
     open_interval,
@@ -45,7 +46,7 @@ from .models import (
     coords_neg,
     generator_coords,
 )
-from .roots import pairing
+from .roots import dot, integral, pairing, vec
 
 Q = Fraction
 
@@ -466,7 +467,9 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
     Covers the reflection involution, point-set equivariance of reflections,
     positivity against the fundamental chamber point, prenilpotency against
     the interior-point oracle, and the half-space containments of open
-    intervals.
+    intervals.  Point tests run in integers: v is in alpha_(a, l) iff D v is
+    in alpha_(a, D l), and for D twice the common denominator of the points,
+    D v, D l and (coroots being integral) the reflected points are integers.
     """
     system = model.system
     rng = random.Random(cfg.seed + 7)
@@ -484,12 +487,28 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
         tuple(Q(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(dim))
         for _ in range(n_points)
     ]
+    scale_d = 2 * math.lcm(*(x.denominator for v in points for x in v))
+    scaled = [vec(*(scale_d * x for x in v)) for v in points]
+
+    def heights(pts) -> dict:
+        """(a, v) for every root a and point v, one integer dot each."""
+        return {a: [dot(a, v) for v in pts] for a in system.roots}
+
+    def sides(h: dict, alpha: AffineRoot) -> list[bool]:
+        """Which of the points with heights h lie in the half-space alpha."""
+        shift = integral(scale_d * alpha.level)
+        return [x + shift >= 0 for x in h[alpha.root]]
+
+    drawn = heights(scaled)
+    side = functools.cache(functools.partial(sides, drawn))
     for alpha in groups:
-        refl = [reflect_point(alpha, v) for v in points]
+        wall = AffineRoot(alpha.root, integral(scale_d * alpha.level))
+        refl = [reflect_point(wall, v) for v in scaled]
         # reflection is an involution on points
         with report.case(lambda: f"alpha={alpha}", "point involution") as case:
-            if any(reflect_point(alpha, rv) != v for v, rv in zip(points, refl)):
+            if any(reflect_point(wall, rv) != v for v, rv in zip(scaled, refl)):
                 case.fail("mismatch")
+        reflected = heights(refl)
         for beta in groups:
             rbeta = affine_reflect(system, alpha, beta)
             with report.case(
@@ -499,14 +518,14 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                     case.fail(f"{rbeta}")
                     continue
                 # half-space equivariance: v in beta iff s(v) in s(beta)
-                for v, rv in zip(points, refl):
-                    if half_space_contains(beta, v) != half_space_contains(rbeta, rv):
-                        report.fail(
-                            f"alpha={alpha} beta={beta} v={v}",
-                            "membership equivariance",
-                            "mismatch",
-                        )
-                        break
+                before, after = side(beta), sides(reflected, rbeta)
+                moved = [v for v, x, y in zip(points, before, after) if x != y]
+                if moved:
+                    report.fail(
+                        f"alpha={alpha} beta={beta} v={moved[0]}",
+                        "membership equivariance",
+                        "mismatch",
+                    )
 
     for i, alpha in enumerate(groups):
         for beta in groups[i:]:
@@ -528,21 +547,18 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                 lambda: f"alpha={alpha} beta={beta}",
                 "interval members contain the intersection",
             ):
-                for v in points:
-                    inside = half_space_contains(alpha, v) and half_space_contains(
-                        beta, v
-                    )
-                    outside = half_space_contains(-alpha, v) and half_space_contains(
-                        -beta, v
-                    )
-                    for gamma in interval:
-                        if inside and not half_space_contains(gamma, v):
+                inside = [x and y for x, y in zip(side(alpha), side(beta))]
+                outside = [x and y for x, y in zip(side(-alpha), side(-beta))]
+                members = [(gamma, side(gamma), side(-gamma)) for gamma in interval]
+                for k, v in enumerate(points):
+                    for gamma, gamma_in, gamma_out in members:
+                        if inside[k] and not gamma_in[k]:
                             report.fail(
                                 f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
                                 "interval member contains the intersection",
                                 "point escapes",
                             )
-                        if outside and not half_space_contains(-gamma, v):
+                        if outside[k] and not gamma_out[k]:
                             report.fail(
                                 f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
                                 "negated member contains the negated intersection",
@@ -588,14 +604,15 @@ class SuiteConfig:
         unknown = [s for s in self.suites if s not in SUITES]
         if unknown:
             raise ConfigError(f"unknown suites {unknown}; known: {list(ALL_SUITES)}")
+        # the selection as it runs: table order, each suite once
+        object.__setattr__(self, "suites", tuple(s for s in SUITES if s in self.suites))
 
 
 def run_suites(model: GroupModel, cfg: SuiteConfig) -> list[AxiomReport]:
     """One report per selected suite, in table order."""
     reports = []
-    for tag, (axiom, body) in SUITES.items():
-        if tag not in cfg.suites:
-            continue
+    for tag in cfg.suites:
+        axiom, body = SUITES[tag]
         report = AxiomReport(axiom)
         start = time.perf_counter()
         body(model, cfg, report)

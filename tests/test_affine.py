@@ -45,7 +45,7 @@ def test_half_space_membership():
     assert half_space_contains(alpha, vec(0, 5))
     assert half_space_contains(alpha, vec(-1, 0))
     assert not half_space_contains(alpha, vec(-1, 0), strict=True)
-    assert not half_space_contains(alpha, vec(Q(-3, 2), 0))
+    assert not half_space_contains(alpha, (Q(-3, 2), 0))
 
 
 def test_point_reflection_fixes_the_wall():
@@ -166,42 +166,77 @@ def test_open_interval_distinct_gradients():
     bc2 = build_root_system("BC", 2)
     s1, s2 = bc2.simple  # e1 - e2 and e2
     got2 = open_interval(bc2, affine_root(s1, 0), affine_root(s2, 0))
-    # p*s1 + q*s2 stays a root for (1,1), (1,2), (2,2) = e1-e2+..., all level 0
-    assert affine_root(vec(1, 0), 0) in got2
-    assert affine_root(vec(1, 1), 0) in got2
-    assert affine_root(vec(2, 0), 0) in got2
-    assert len(got2) == 3
+    # p*s1 + q*s2 is a root for (1,1), (1,2) and (2,2), all at level 0; the
+    # (2,2) member (2e1, 0) doubles (e1, 0), and U_(2e1, 0) lies in U_(e1, 0)
+    assert got2 == [affine_root(vec(1, 0), 0), affine_root(vec(1, 1), 0)]
 
 
 def test_open_interval_levels_follow_the_endpoints():
     bc2 = build_root_system("BC", 2)
     s1, s2 = bc2.simple
     got = open_interval(bc2, affine_root(s1, 2), affine_root(s2, -1))
-    # p + q-weighted levels: (1,1) -> 1, (1,2) -> 0, (2,2) -> 2
-    assert affine_root(vec(1, 0), 1) in got
-    assert affine_root(vec(1, 1), 0) in got
-    assert affine_root(vec(2, 0), 2) in got
+    # p + q-weighted levels: (1,1) -> 1, (1,2) -> 0; (2,2) -> (2e1, 2) doubles
+    # the (1,1) member (e1, 1) and is left out
+    assert got == [affine_root(vec(1, 0), 1), affine_root(vec(1, 1), 0)]
 
 
-def test_open_interval_scan_bound_is_stable():
-    # rescanning with a larger coefficient bound finds no extra members
-    from rgdcheck.roots import add, is_zero, scale
-
+def test_open_interval_keeps_doubled_roots_at_odd_levels():
+    # no U_(e1, L) covers a doubled root at an odd level, so it stays
+    bc1 = build_root_system("BC", 1)
+    e = vec(1)
+    assert open_interval(bc1, affine_root(e, 0), affine_root(e, 1)) == [
+        affine_root(vec(2), 1)
+    ]
     bc2 = build_root_system("BC", 2)
-    affs = [affine_root(a, l) for a in bc2.roots for l in (-1, 0, 1)]
+    got = open_interval(bc2, affine_root(vec(1, -1), 0), affine_root(vec(0, 2), 1))
+    # (1,1) -> (e1 + e2, 1) and (2,1) -> (2e1, 1)
+    assert got == [affine_root(vec(1, 1), 1), affine_root(vec(2, 0), 1)]
+
+
+def _scanned_interval(system, alpha, beta, bound=10):
+    """Every (p*a + q*b, p*l + q*m) with 1 <= p, q <= bound and p*a + q*b a
+    root, ordered by p + q, then p."""
+    found = []
+    for total in range(2, 2 * bound + 1):
+        for p in range(max(1, total - bound), min(bound, total - 1) + 1):
+            q = total - p
+            c = tuple(p * x + q * y for x, y in zip(alpha.root, beta.root))
+            if not system.contains(c):
+                continue
+            gamma = AffineRoot(c, p * alpha.level + q * beta.level)
+            if gamma not in found:
+                found.append(gamma)
+    return found
+
+
+def _without_doubles(members):
+    """Leave out (2c, 2L) when (c, L) is a member: U_(2c, 2L) lies in U_(c, L)."""
+    return [
+        g
+        for g in members
+        if (tuple(Q(x, 2) for x in g.root), g.level / 2) not in members
+    ]
+
+
+@pytest.mark.parametrize("kind,rank", [(k, r) for k in ("A", "BC") for r in (1, 2, 3)])
+def test_open_interval_matches_a_wide_scan(kind, rank):
+    # the per-pair tables (p, q <= 2) agree with a p, q <= 10 scan, members
+    # and order alike, on every prenilpotent pair at levels -1..1
+    system = build_root_system(kind, rank)
+    assert system.interval_shapes == {}  # built on first use only
+    affs = [affine_root(a, l) for a in system.roots for l in (-1, 0, 1)]
+    dropped = 0
     for alpha in affs:
         for beta in affs:
             if not is_prenilpotent(alpha, beta):
                 continue
-            base = set(open_interval(bc2, alpha, beta))
-            wide = set()
-            for p in range(1, 11):
-                for q in range(1, 11):
-                    c = add(scale(p, alpha.root), scale(q, beta.root))
-                    if is_zero(c) or not bc2.contains(c):
-                        continue
-                    wide.add(AffineRoot(c, p * alpha.level + q * beta.level))
-            assert base == wide, (alpha, beta)
+            scanned = _scanned_interval(system, alpha, beta)
+            want = _without_doubles(scanned)
+            assert open_interval(system, alpha, beta) == want, (alpha, beta)
+            dropped += len(scanned) - len(want)
+    # the rule bites exactly where a multipliable root is a sum a + b
+    assert (dropped > 0) == (kind == "BC" and rank >= 2)
+    assert len(system.interval_shapes) <= len(system.roots) ** 2
 
 
 def test_open_interval_rejects_non_prenilpotent_pairs():

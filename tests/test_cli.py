@@ -159,6 +159,16 @@ def test_run_returns_code_and_report():
     assert report["summary"]["pass"] is True
 
 
+def test_repeated_suite_tags_run_and_report_once(capsys):
+    code = main(["--group", "sl", "--rank", "1", *FAST, "--suites", "rgd3,rgd0,rgd0"])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["suites"] == ["rgd0", "rgd3"]
+    assert [s["axiom"] for s in report["suites"]] == ["RGD0", "RGD3"]
+    code = main(["--group", "sl", "--rank", "1", *FAST, "--suites", "rgd0,rgd0"])
+    assert json.loads(capsys.readouterr().out)["config"]["suites"] == ["rgd0"]
+
+
 def test_markdown_renders_failures_section():
     report = {
         "model": {"kind": "sl", "rank": 1, "relative_system": "A1"},

@@ -5,15 +5,16 @@ rendered JSON, with the view stored in `tests/golden/determinism_views.json`.
 The stored views pin every suite's case count and every failure record, so a
 refactor of the suites that changes either shows up here.
 
-SU(5,2) RGD1 holds 32 known false failures at levels [-1, 0] with 1 sample:
-`open_interval` returns a multipliable (a, l) together with its double
-(2a, 2l), and `peel_product` counts that corner twice and hits its cap
-(ROADMAP item 1). Fixing that defect changes this entry on purpose; regenerate
-the file then with
+Every entry passes.  SU(5,2) RGD1 (236 cases at levels [-1, 0], 1 sample)
+held 32 false failures until `open_interval` indexed the commutator product
+by root groups: it returned a multipliable (a, l) together with its double
+(2a, 2l), whose coordinate the pinning of (a, l) already carries, and
+`peel_product` counted that corner twice and hit its cap.  A change that
+alters a view on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
-and state the change in CHANGES.md.
+and states the change in CHANGES.md.
 """
 
 import json
@@ -25,8 +26,8 @@ from rgdcheck.cli import main, render_json, report_determinism_view
 
 GOLDEN = Path(__file__).parent / "golden" / "determinism_views.json"
 COMMENT = (
-    "SU(5,2) RGD1 holds 32 known false failures (BC_n doubled-root interval "
-    "defect, ROADMAP item 1); fixing it regenerates that entry"
+    "determinism views of five reference runs; SU(5,2) RGD1 passes since "
+    "open_interval leaves out (2a, 2l) when (a, l) is a member"
 )
 
 WIDE = ["--level-min", "-1", "--level-max", "1", "--samples", "2"]

@@ -4,8 +4,14 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rgdcheck import ReflectionLeftSystem, UnsupportedType, build_root_system, pairing
-from rgdcheck.roots import add, dot, proportionality, reflect_vector, vec
+from rgdcheck import (
+    ReflectionLeftSystem,
+    UnsupportedType,
+    affine_root,
+    build_root_system,
+    pairing,
+)
+from rgdcheck.roots import add, coroot, dot, proportionality, reflect_vector, vec
 
 
 def test_root_counts():
@@ -49,7 +55,7 @@ def test_fundamental_point_separates_signs():
     for kind, rank in (("A", 1), ("A", 2), ("A", 3), ("BC", 1), ("BC", 2), ("BC", 3)):
         system = build_root_system(kind, rank)
         v0 = system.fundamental_point
-        for a in system.positive:
+        for a in filter(system.is_positive_root, system.roots):
             assert 0 < dot(a, v0) < 1
 
 
@@ -105,7 +111,30 @@ def test_proportional_sets_and_multipliable_roots():
         assert not a2.is_multipliable(a)
 
 
+def test_roots_pairings_and_coroots_are_integers():
+    for kind, rank in (("A", 1), ("A", 3), ("BC", 1), ("BC", 3)):
+        system = build_root_system(kind, rank)
+        for a in system.roots:
+            assert all(type(x) is int for x in a)
+            assert all(type(x) is int for x in coroot(a))
+            for b in system.roots:
+                assert type(dot(a, b)) is int
+                assert type(pairing(b, a)) is int
+    assert vec(1, Q(-2)) == (1, -2)
+    assert all(type(x) is int for x in vec(1, Q(-2)))
+    with pytest.raises(ValueError):
+        vec(Q(1, 2))  # never truncated to 0
+
+
+def test_affine_roots_reject_non_integer_gradients():
+    with pytest.raises(ValueError):
+        affine_root((Q(1, 2), 0), 0)
+    assert affine_root((Q(1), Q(-1)), 0).root == (1, -1)
+
+
 def test_proportionality_ratios():
+    half = proportionality(vec(2, 0), vec(1, 0))
+    assert half == Q(1, 2) and isinstance(half, Q)  # exact, never a float
     assert proportionality(vec(1, 0), vec(2, 0)) == Q(2)
     assert proportionality(vec(1, -1), vec(-1, 1)) == Q(-1)
     assert proportionality(vec(1, 0), vec(0, 1)) is None

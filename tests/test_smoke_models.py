@@ -2,8 +2,9 @@
 
 Levels [0, 0] with one sample keep each run short while still reaching the
 code paths of every model: anisotropic middle blocks of one and two slots,
-the non-reduced BC2 intervals and 4x4 to 6x6 matrices.  The coroot-shift
-suite conjugates by coroot values at nonzero levels only, so it gets [-1, 0].
+the non-reduced BC2 and BC3 intervals and 4x4 to 7x7 matrices.  The
+coroot-shift suite conjugates by coroot values at nonzero levels only, so it
+gets [-1, 0].
 On A1 a single level holds no prenilpotent pair, so SL2's RGD1 has no case.
 """
 
@@ -19,24 +20,11 @@ MODELS = {
     "SU(4,1)": lambda: special_unitary(4, 1),
     "SU(5,2)": lambda: special_unitary(5, 2),
     "SU(6,2)": lambda: special_unitary(6, 2),
+    "SU(7,3)": lambda: special_unitary(7, 3),
 }
 
-# On BC_n with n >= 2, open_interval returns a multipliable (a, l) together
-# with its double (2a, 2l), whose coordinate the pinning of (a, l) already
-# carries; peel_product then counts that corner twice and hits its cap.
-BC2_INTERVAL_DEFECT = pytest.mark.xfail(
-    strict=True,
-    reason="BC_n doubled-root interval defect: peel_product counts U_2a twice",
-)
-KNOWN_DEFECTS = {("SU(5,2)", "rgd1"), ("SU(6,2)", "rgd1")}
-
 CASES = [
-    pytest.param(
-        name,
-        suite,
-        id=f"{name}-{suite}",
-        marks=[BC2_INTERVAL_DEFECT] if (name, suite) in KNOWN_DEFECTS else [],
-    )
+    pytest.param(name, suite, id=f"{name}-{suite}")
     for name in MODELS
     for suite in ALL_SUITES
 ]

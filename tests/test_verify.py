@@ -128,6 +128,35 @@ def test_rgd1_passes_on_su41_at_the_default_window():
     assert r.cases == 720
 
 
+WIDE_BC2 = SuiteConfig(level_min=-1, level_max=1, samples=2)
+
+
+def test_rgd1_passes_on_su52_on_a_wide_window():
+    # BC2 intervals hold multipliable roots with their doubles; U_(2c, 2L)
+    # lies in U_(c, L), so the commutator peels only without the double
+    r = run_one("rgd1", special_unitary(5, 2), WIDE_BC2)
+    assert r.passed, r.failures[:2]
+    assert r.cases == 1080
+
+
+def test_rgd1_sees_doubled_roots_missing_from_the_interval(monkeypatch):
+    # a mutant interval without any doubled root, also at odd levels where no
+    # U_(c, L) covers it, must fail RGD1
+    original = verify.open_interval
+
+    def without_doubles(system, alpha, beta):
+        return [
+            g
+            for g in original(system, alpha, beta)
+            if not system.contains(tuple(Q(x, 2) for x in g.root))
+        ]
+
+    monkeypatch.setattr(verify, "open_interval", without_doubles)
+    r = run_one("rgd1", special_unitary(5, 2), WIDE_BC2)
+    assert r.cases == 1080
+    assert len(r.failures) == 180
+
+
 def test_rgd3_records_profile_of_every_group():
     r = run_one("rgd3", special_unitary(3, 1), SMALL)
     assert r.passed
