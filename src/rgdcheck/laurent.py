@@ -87,17 +87,6 @@ class LaurentPoly:
         ((e4, c),) = self.coeffs.items()
         return e4, c
 
-    def exponents(self) -> list[int]:
-        return sorted(self.coeffs)
-
-    def on_integer_lattice(self) -> bool:
-        """True when every exponent is an integer power of t."""
-        return all(e % EXP_SCALE == 0 for e in self.coeffs)
-
-    def in_poly_ring(self) -> bool:
-        """True when the polynomial lies in k[t] (all exponents >= 0)."""
-        return all(e >= 0 for e in self.coeffs)
-
     def in_inv_poly_ring(self) -> bool:
         """True when the polynomial lies in k[t^-1] (all exponents <= 0)."""
         return all(e <= 0 for e in self.coeffs)
@@ -124,13 +113,8 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             other = LaurentPoly.const(other)
         out: dict[int, FieldScalar] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                prod = c1 * c2
-                cur = out.get(e)
-                out[e] = prod if cur is None else cur + prod
-        return _poly(out)
+        _add_product(out, self.coeffs, other.coeffs)
+        return _nonzero_poly(out)
 
     __rmul__ = __mul__
 
@@ -173,8 +157,31 @@ class LaurentPoly:
 def _poly(coeffs: dict[int, FieldScalar]) -> LaurentPoly:
     """Trusted constructor: integer keys and FieldScalar values; only drops
     zero coefficients."""
+    return _nonzero_poly({e: c for e, c in coeffs.items() if not c.is_zero()})
+
+
+def _add_product(acc: dict, a: dict, b: dict, negate=False) -> None:
+    """acc += a * b (acc -= a * b when negate) on coefficient maps; a product
+    of nonzero scalars is nonzero, so only a sum can leave a zero to drop."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            prod = -(c1 * c2) if negate else c1 * c2
+            cur = acc.get(e)
+            if cur is None:
+                acc[e] = prod
+                continue
+            cur = cur + prod
+            if cur.is_zero():
+                del acc[e]
+            else:
+                acc[e] = cur
+
+
+def _nonzero_poly(coeffs: dict[int, FieldScalar]) -> LaurentPoly:
+    """Trusted constructor for coefficients that are already all nonzero."""
     p = object.__new__(LaurentPoly)
-    p.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
+    p.coeffs = coeffs
     return p
 
 
@@ -183,9 +190,14 @@ ONE = LaurentPoly.one()
 
 
 class LaurentMatrix:
-    """Square matrix over LaurentPoly, used for group elements (det a unit)."""
+    """Square matrix over LaurentPoly, used for group elements (det a unit).
 
-    __slots__ = ("n", "rows")
+    Stored as sparse rows, `sparse[i] = {j: entry}` over the nonzero entries
+    only, so products and determinants of the mostly unipotent group elements
+    walk few entries; `rows` builds the dense grid for display.
+    """
+
+    __slots__ = ("n", "sparse")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -193,109 +205,105 @@ class LaurentMatrix:
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("matrix must be square")
         self.n = n
-        self.rows = rows
+        self.sparse = tuple({j: p for j, p in enumerate(r) if p.coeffs} for r in rows)
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return _matrix([{i: ONE} for i in range(n)])
 
     @staticmethod
     def from_entries(n: int, entries: dict[tuple[int, int], LaurentPoly]) -> "LaurentMatrix":
         """The identity with each given entry set to the given polynomial."""
-        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        rows = [{i: ONE} for i in range(n)]
         for (i, j), p in entries.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise DimensionMismatch(f"entry ({i},{j}) outside {n}x{n}")
-            rows[i][j] = p
-        return LaurentMatrix(rows)
+            if p.coeffs:
+                rows[i][j] = p
+            else:
+                rows[i].pop(j, None)
+        return _matrix(rows)
 
     @staticmethod
     def diagonal(entries) -> "LaurentMatrix":
-        entries = list(entries)
-        n = len(entries)
-        return LaurentMatrix(
-            [[entries[i] if i == j else ZERO for j in range(n)] for i in range(n)]
-        )
+        return _matrix([{i: p} if p.coeffs else {} for i, p in enumerate(entries)])
+
+    @property
+    def rows(self) -> tuple[tuple[LaurentPoly, ...], ...]:
+        """The dense grid, zeros included."""
+        return tuple(tuple(r.get(j, ZERO) for j in range(self.n)) for r in self.sparse)
 
     def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.rows[i][j]
+        return self.sparse[i].get(j, ZERO)
+
+    def items(self):
+        """((i, j), entry) for every nonzero entry, row by row."""
+        return (((i, j), p) for i, r in enumerate(self.sparse) for j, p in r.items())
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n}x{self.n} @ {other.n}x{other.n}")
-        n = self.n
+        right = other.sparse
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc: dict[int, FieldScalar] = {}
-                for k in range(n):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if not a.coeffs or not b.coeffs:
-                        continue
-                    for e1, c1 in a.coeffs.items():
-                        for e2, c2 in b.coeffs.items():
-                            e = e1 + e2
-                            prod = c1 * c2
-                            cur = acc.get(e)
-                            acc[e] = prod if cur is None else cur + prod
-                row.append(_poly(acc))
-            out.append(row)
-        return LaurentMatrix(out)
+        for row in self.sparse:
+            accs: dict[int, dict[int, FieldScalar]] = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    acc = accs.get(j)
+                    if acc is None:
+                        acc = accs[j] = {}
+                    _add_product(acc, a.coeffs, b.coeffs)
+            out.append({j: _nonzero_poly(acc) for j, acc in accs.items() if acc})
+        return _matrix(out)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.sparse == other.sparse
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(tuple(frozenset(r.items()) for r in self.sparse))
 
     def is_identity(self) -> bool:
-        return self == LaurentMatrix.identity(self.n)
+        return all(
+            len(r) == 1 and i in r and r[i].is_one() for i, r in enumerate(self.sparse)
+        )
+
+    def _mapped_transpose(self, f) -> "LaurentMatrix":
+        out: list[dict[int, LaurentPoly]] = [{} for _ in range(self.n)]
+        for (i, j), p in self.items():
+            out[j][i] = f(p)
+        return _matrix(out)
 
     def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
+        return self._mapped_transpose(lambda p: p)
 
     def conj_transpose(self) -> "LaurentMatrix":
         """Transpose with the field involution applied entrywise."""
-        return LaurentMatrix(
-            [[self.rows[j][i].conj() for j in range(self.n)] for i in range(self.n)]
-        )
+        return self._mapped_transpose(LaurentPoly.conj)
 
     def det(self) -> LaurentPoly:
         """Division-free determinant: dynamic programming over column subsets."""
-        n = self.n
-        # best[mask] = signed sum over ways to fill the first popcount(mask)
-        # rows using exactly the columns in mask
-        best: dict[int, LaurentPoly] = {0: ONE}
-        for i in range(n):
-            nxt: dict[int, LaurentPoly] = {}
+        # best[mask] = coefficients of the signed sum over ways to fill the
+        # first popcount(mask) rows using exactly the columns in mask
+        best: dict[int, dict[int, FieldScalar]] = {0: {0: _SCALAR_ONE}}
+        for i, row in enumerate(self.sparse):
+            nxt: dict[int, dict[int, FieldScalar]] = {}
             for mask, val in best.items():
-                if val.is_zero():
+                if not val:
                     continue
-                below = 0  # columns of mask below j: inversions added = i - below
-                for j in range(n):
+                for j, a in row.items():
                     bit = 1 << j
                     if mask & bit:
-                        below += 1
                         continue
-                    a = self.rows[i][j]
-                    if a.is_zero():
-                        continue
-                    term = val * a
-                    if (i - below) & 1:
-                        term = -term
-                    m2 = mask | bit
-                    cur = nxt.get(m2)
-                    nxt[m2] = term if cur is None else cur + term
+                    acc = nxt.get(mask | bit)
+                    if acc is None:
+                        acc = nxt[mask | bit] = {}
+                    # inversions added: the columns of mask above j
+                    odd = (i - (mask & (bit - 1)).bit_count()) & 1
+                    _add_product(acc, val, a.coeffs, odd)
             best = nxt
-        return best.get((1 << n) - 1, ZERO)
+        return _nonzero_poly(best.get((1 << self.n) - 1, {}))
 
     def inverse(self) -> "LaurentMatrix":
         """Inverse of a diagonal matrix whose diagonal entries are unit monomials.
@@ -304,23 +312,20 @@ class LaurentMatrix:
         product of known factors and is inverted factor by factor where it is
         built.  Any other input raises NotInvertibleOverRing.
         """
-        n = self.n
-        rows = self.rows
-        if any(rows[i][j].coeffs for i in range(n) for j in range(n) if i != j):
+        if any(j != i for (i, j), _ in self.items()):
             raise NotInvertibleOverRing("only diagonal matrices are inverted")
-        return LaurentMatrix.diagonal([rows[i][i].monomial_inverse() for i in range(n)])
+        return LaurentMatrix.diagonal(
+            [self.entry(i, i).monomial_inverse() for i in range(self.n)]
+        )
 
     def constant_part(self) -> "LaurentMatrix":
         """Entrywise coefficient of t^0."""
-        return LaurentMatrix(
+        return _matrix(
             [
-                [LaurentPoly({0: e.coeff(0)}) for e in row]
-                for row in self.rows
+                {j: _nonzero_poly({0: p.coeffs[0]}) for j, p in r.items() if 0 in p.coeffs}
+                for r in self.sparse
             ]
         )
-
-    def conj(self) -> "LaurentMatrix":
-        return LaurentMatrix([[e.conj() for e in row] for row in self.rows])
 
     def __str__(self):
         cells = [[str(e) for e in row] for row in self.rows]
@@ -331,3 +336,12 @@ class LaurentMatrix:
 
     def __repr__(self):
         return f"LaurentMatrix of size {self.n}:\n{self}"
+
+
+def _matrix(rows: list[dict[int, LaurentPoly]]) -> LaurentMatrix:
+    """Trusted constructor: sparse rows of in-range columns holding no zero
+    polynomial."""
+    m = object.__new__(LaurentMatrix)
+    m.n = len(rows)
+    m.sparse = tuple(rows)
+    return m

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedType,
     WrongKind,
 )
-from .laurent import ZERO, LaurentMatrix, LaurentPoly
+from .laurent import ZERO, LaurentMatrix, LaurentPoly, _poly
 from .roots import (
     RootSystem,
     Vector,
@@ -44,9 +44,12 @@ from .roots import (
     scale,
     sub,
 )
-from .scalars import FieldScalar, is_squarefree, sqrt_of
+from .scalars import FieldScalar, from_parts, is_squarefree, sqrt_of
 
 Q = Fraction
+
+_SCALAR_ZERO = FieldScalar(0)
+_MINUS_HALF = FieldScalar(Q(-1, 2))
 
 
 class RootGroupCoords(NamedTuple):
@@ -120,11 +123,11 @@ class RootLayout:
         self.double_root = double_root
 
 
-def _exp4_of_level(level: Q) -> int:
-    e = -4 * Q(level)
-    if e.denominator != 1:
+def _exp4_of_level(level) -> int:
+    """Scaled exponent -4 * level of an int or Fraction level."""
+    if 4 % level.denominator:
         raise ValueError(f"level {level} off the quarter-exponent lattice")
-    return int(e)
+    return -(4 // level.denominator) * level.numerator
 
 
 class GroupModel:
@@ -209,30 +212,26 @@ class GroupModel:
                 f"{len(coords.c)}+{len(coords.d)}"
             )
         e4 = _exp4_of_level(level)
+        # every entry set here is off the diagonal, where from_entries drops
+        # a zero polynomial
         entries: dict[tuple[int, int], LaurentPoly] = {}
         if lay.rtype in ("elementary", "double"):
-            entries[lay.corner] = LaurentPoly({e4: FieldScalar(coords.c[0])})
+            entries[lay.corner] = _poly({e4: FieldScalar.coerce(coords.c[0])})
         elif lay.rtype == "pair":
-            z = FieldScalar(coords.c[0], coords.c[1], self.disc)
-            entries[lay.corner] = LaurentPoly({e4: z})
-            entries[lay.secondary] = LaurentPoly({e4: lay.sec_sign * z.conj()})
+            z = from_parts(coords.c[0], coords.c[1], self.disc)
+            zc = z.conj()
+            entries[lay.corner] = _poly({e4: z})
+            entries[lay.secondary] = _poly({e4: zc if lay.sec_sign > 0 else -zc})
         elif lay.rtype == "single":
-            zs = [
-                FieldScalar(coords.c[2 * h], coords.c[2 * h + 1], self.disc)
-                for h in range(len(lay.z_pos))
-            ]
-            p2 = FieldScalar(0)
-            for h, z in enumerate(zs):
-                w = -z.conj() * lay.sfac
-                p2 = p2 + z * z.conj()
-                if not z.is_zero():
-                    entries[lay.z_pos[h]] = LaurentPoly({e4: z})
-                if not w.is_zero():
-                    entries[lay.w_pos[h]] = LaurentPoly({e4: w})
-            p2 = p2 * lay.sfac * Q(-1, 2)
-            corner = FieldScalar(coords.d[0]) + p2
-            if not corner.is_zero():
-                entries[lay.corner] = LaurentPoly({2 * e4: corner})
+            p2 = _SCALAR_ZERO
+            for h, (zp, wp) in enumerate(zip(lay.z_pos, lay.w_pos)):
+                z = from_parts(coords.c[2 * h], coords.c[2 * h + 1], self.disc)
+                zc = z.conj()
+                p2 = p2 + z * zc
+                entries[zp] = _poly({e4: z})
+                entries[wp] = _poly({e4: -zc * lay.sfac})
+            corner = FieldScalar.coerce(coords.d[0]) + p2 * lay.sfac * _MINUS_HALF
+            entries[lay.corner] = _poly({2 * e4: corner})
         else:
             raise WrongKind(f"unknown layout {lay.rtype}")
         return LaurentMatrix.from_entries(self.n, entries)
@@ -241,12 +240,12 @@ class GroupModel:
         """The canonical corner scalar p2 determined by the linear part."""
         lay = self.layout(a_rel)
         if lay.rtype != "single":
-            return FieldScalar(0)
-        p2 = FieldScalar(0)
+            return _SCALAR_ZERO
+        p2 = _SCALAR_ZERO
         for h in range(len(lay.z_pos)):
-            z = FieldScalar(c[2 * h], c[2 * h + 1], self.disc)
+            z = from_parts(c[2 * h], c[2 * h + 1], self.disc)
             p2 = p2 + z * z.conj()
-        return p2 * lay.sfac * Q(-1, 2)
+        return p2 * lay.sfac * _MINUS_HALF
 
     def _read_coords(
         self, g: LaurentMatrix, alpha: AffineRoot, strict: bool
@@ -386,7 +385,7 @@ class GroupModel:
             v = RootGroupCoords(neg, (Q(-1) / cval,))
             return v, v
         if lay.rtype == "pair":
-            z = FieldScalar(u0.c[0], u0.c[1], self.disc)
+            z = from_parts(u0.c[0], u0.c[1], self.disc)
             if z.is_zero():
                 raise RankOneSolveFailed("zero coordinate on a pair root group")
             par = -z.inverse()
@@ -394,7 +393,7 @@ class GroupModel:
             return v, v
         # single relative root
         zs = [
-            FieldScalar(u0.c[2 * h], u0.c[2 * h + 1], self.disc)
+            from_parts(u0.c[2 * h], u0.c[2 * h + 1], self.disc)
             for h in range(len(lay.z_pos))
         ]
         if all(z.is_zero() for z in zs):
@@ -402,7 +401,7 @@ class GroupModel:
             # whose reflection fixes the same wall
             dbl = affine_root(lay.double_root, 0)
             return self._rank_one_witnesses(RootGroupCoords(dbl, u0.d))
-        corner = FieldScalar(u0.d[0]) + self.quadratic_correction(a_rel, u0.c)
+        corner = FieldScalar.coerce(u0.d[0]) + self.quadratic_correction(a_rel, u0.c)
         if corner.is_zero():
             raise RankOneSolveFailed("degenerate corner on a single root group")
         cinvn = -corner.inverse()  # -1/c
@@ -437,14 +436,11 @@ class GroupModel:
 
     def _check_reflection_shape(self, a_rel: Vector, w0: LaurentMatrix) -> None:
         """w0 must vanish outside the entries allowed by the reflection s_a."""
-        for p in range(self.n):
-            wp = self.slot_weight(p)
-            for q in range(self.n):
-                if reflect_vector(a_rel, self.slot_weight(q)) != wp:
-                    if not w0.entry(p, q).is_zero():
-                        raise RankOneSolveFailed(
-                            f"entry ({p},{q}) of the representative should vanish"
-                        )
+        for (p, q), _ in w0.items():
+            if reflect_vector(a_rel, self.slot_weight(q)) != self.slot_weight(p):
+                raise RankOneSolveFailed(
+                    f"entry ({p},{q}) of the representative should vanish"
+                )
 
     # -- torus centralizer ----------------------------------------------------------
 
@@ -452,16 +448,10 @@ class GroupModel:
         """Member of C_G(S)(k): constant entries, block-diagonal over weights."""
         if not self.contains(g):
             return False
-        for p in range(self.n):
-            for q in range(self.n):
-                e = g.entry(p, q)
-                if e.is_zero():
-                    continue
-                if not e.is_constant():
-                    return False
-                if self.slot_weight(p) != self.slot_weight(q):
-                    return False
-        return True
+        return all(
+            e.is_constant() and self.slot_weight(p) == self.slot_weight(q)
+            for (p, q), e in g.items()
+        )
 
 
 class SplitSLModel(GroupModel):

@@ -47,14 +47,7 @@ class FieldScalar:
                 disc = None
         elif ext != 0:
             raise FieldMismatch("extension part requires a discriminant")
-        # over the lcm of two reduced denominators the triple is already
-        # reduced: a prime of den divides one denominator fully, so not its
-        # numerator
-        bd, ed = base.denominator, ext.denominator
-        den = bd * ed // gcd(bd, ed)
-        self._a = base.numerator * (den // bd)
-        self._b = ext.numerator * (den // ed)
-        self._den = den
+        self._a, self._b, self._den = _triple(base, ext)
         self.disc = disc
 
     # -- field bookkeeping ------------------------------------------------
@@ -221,6 +214,21 @@ def _reduced(a: int, b: int, den: int, disc: int | None) -> FieldScalar:
         b //= g
         den //= g
     return _make(a, b, den, disc)
+
+
+def _triple(base, ext) -> tuple[int, int, int]:
+    """(a, b, den) of base + ext * sqrt(d) for int or Fraction parts; over the
+    lcm of the denominators it is reduced, as a prime of den divides one
+    denominator fully and so not that part's numerator."""
+    bd, ed = base.denominator, ext.denominator
+    den = bd * ed // gcd(bd, ed)
+    return base.numerator * (den // bd), ext.numerator * (den // ed), den
+
+
+def from_parts(base, ext, disc: int | None) -> FieldScalar:
+    """Trusted constructor of base + ext * sqrt(disc) for int or Fraction
+    parts and a discriminant the caller has already validated."""
+    return _make(*_triple(base, ext), disc)
 
 
 _ONE = _make(1, 0, 1, None)

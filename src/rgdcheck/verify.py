@@ -127,6 +127,16 @@ class Case:
 # -- shared helpers ----------------------------------------------------------
 
 
+def _text(x) -> str:
+    """Readable text of a case input, never a Fraction repr: rationals as 1/2,
+    tuples as (1, -1/2), root group coordinates as their parts c+d."""
+    if isinstance(x, RootGroupCoords):
+        return f"{_text(x.c)}+{_text(x.d)}"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(_text, x)) + ")"
+    return str(x)
+
+
 def in_range_affine_roots(model: GroupModel, cfg: SuiteConfig) -> list[AffineRoot]:
     return [
         affine_root(a, l)
@@ -174,7 +184,10 @@ def _drawn_pinnings(
     pins = [model.relative_pinning(coords) for coords in draws]
     for coords, g in zip(draws, pins):
         if not model.contains(g):
-            case.fail(f"{coords} left the group", "pinning lands in G")
+            case.fail(
+                f"alpha={coords.alpha} {_text(coords)} left the group",
+                "pinning lands in G",
+            )
             return None
     return pins
 
@@ -187,7 +200,8 @@ def _rgd0(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     for alpha in in_range_affine_roots(model, cfg):
         for coords in _basis_generators(model, alpha):
             with report.case(
-                lambda: f"alpha={alpha} coords={coords}", "nonidentity"
+                lambda: f"alpha={alpha} c={_text(coords.c)} d={_text(coords.d)}",
+                "nonidentity",
             ) as case:
                 pins = _drawn_pinnings(model, case, [coords])
                 if pins is not None and pins[0].is_identity():
@@ -207,7 +221,7 @@ def _rgd1(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                 u = sample_coords(model, alpha, rng, s)
                 v = sample_coords(model, beta, rng, s)
                 with report.case(
-                    lambda: f"alpha={alpha} beta={beta} u={u.c}+{u.d} v={v.c}+{v.d}",
+                    lambda: f"alpha={alpha} beta={beta} u={_text(u)} v={_text(v)}",
                     lambda: f"commutator in product over {[str(g) for g in interval]}",
                 ) as case:
                     draws = [u, v, coords_neg(u), coords_neg(v)]
@@ -233,7 +247,7 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
             u = sample_coords(model, alpha, rng, s)
             w = None
             with report.case(
-                lambda: f"alpha={alpha} u={u.c}+{u.d}", "representative"
+                lambda: f"alpha={alpha} u={_text(u)}", "representative"
             ) as case:
                 w, w_inv, v1, v2, x = model.w_element_parts(alpha.root, u, alpha.level)
                 reps.append((w, w_inv))
@@ -255,8 +269,8 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                     g = model.relative_pinning(coords)
                     with report.case(
                         lambda: (
-                            f"alpha={alpha} u={u.c}+{u.d} beta={beta} "
-                            f"gen={coords.c}+{coords.d}"
+                            f"alpha={alpha} u={_text(u)} beta={beta} "
+                            f"gen={_text(coords)}"
                         ),
                         lambda: f"conjugate in U_{target}",
                     ):
@@ -281,18 +295,15 @@ def rgd3_case(model: GroupModel, alpha: AffineRoot) -> str:
 
 
 def _triangular_profile(g: LaurentMatrix, upper: bool, exp_ok) -> bool:
-    for p in range(g.n):
-        for q in range(g.n):
-            e = g.entry(p, q)
-            if p == q:
-                if not e.is_one():
-                    return False
-            elif (q > p) == upper:
-                if not all(exp_ok(x) for x in e.coeffs):
-                    return False
-            elif not e.is_zero():
+    ones = 0  # unit diagonal entries
+    for (p, q), e in g.items():
+        if p == q:
+            if not e.is_one():
                 return False
-    return True
+            ones += 1
+        elif (q > p) != upper or not all(exp_ok(x) for x in e.coeffs):
+            return False
+    return ones == g.n
 
 
 _PROFILE_TESTS = {
@@ -311,11 +322,9 @@ def positive_side_profile(g: LaurentMatrix) -> bool:
     """Profile satisfied by everything in the group generated by the positive
     affine root groups: entries in k[t^-1] whose value at t^-1 = 0 is upper
     unipotent."""
-    for row in g.rows:
-        for e in row:
-            if not e.in_inv_poly_ring():
-                return False
-    return _triangular_profile(g.constant_part(), True, lambda e: e == 0)
+    return all(e.in_inv_poly_ring() for _, e in g.items()) and _triangular_profile(
+        g.constant_part(), True, lambda e: e == 0
+    )
 
 
 def _rgd3(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
@@ -331,7 +340,7 @@ def _rgd3(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
         for coords in _basis_generators(model, alpha):
             g = model.relative_pinning(coords)
             with report.case(
-                lambda: f"alpha={alpha} gen={coords.c}+{coords.d}",
+                lambda: f"alpha={alpha} gen={_text(coords)}",
                 lambda: f"profile {profile}",
             ) as case:
                 if not test(g):
@@ -340,7 +349,7 @@ def _rgd3(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
         for coords in _basis_generators(model, -alpha):
             g = model.relative_pinning(coords)
             with report.case(
-                lambda: f"-alpha={-alpha} gen={coords.c}+{coords.d}",
+                lambda: f"-alpha={-alpha} gen={_text(coords)}",
                 "witness escapes the positive-side profile",
             ) as case:
                 if g.is_identity() or positive_side_profile(g):
@@ -377,7 +386,7 @@ def _rgd5(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
             for coords in _basis_generators(model, alpha):
                 g = model.relative_pinning(coords)
                 with report.case(
-                    lambda: f"alpha={alpha} gen={coords.c}+{coords.d}",
+                    lambda: f"alpha={alpha} gen={_text(coords)}",
                     "conjugate stays in the same root group",
                 ):
                     model.peel(h @ g @ hinv, alpha)
@@ -405,7 +414,7 @@ def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> N
                         with report.case(
                             lambda: (
                                 f"a={a_rel} l={l} b={b_rel} n={n} "
-                                f"gen={coords.c}+{coords.d}"
+                                f"gen={_text(coords)}"
                             ),
                             lambda: f"conjugate in U_{target}",
                         ):
@@ -414,7 +423,7 @@ def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> N
                                 report.fail(
                                     f"a={a_rel} l={l} b={b_rel} n={n}",
                                     f"coordinates preserved at level {target.level}",
-                                    f"{got.c}+{got.d}",
+                                    f"{_text(got)}",
                                 )
                             elif kinv @ conj @ kappa != g:
                                 report.fail(
@@ -440,12 +449,16 @@ def _q2_additive(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> No
             v = tuple(_rand_q(rng) for _ in range(nc))
             w = tuple(_rand_q(rng) for _ in range(nc))
             level = rng.randint(cfg.level_min, cfg.level_max)
-            with report.case(lambda: f"a={a_rel} v={v} w={w}", "additive law") as case:
+            with report.case(
+                lambda: f"a={a_rel} v={_text(v)} w={_text(w)}", "additive law"
+            ) as case:
                 q2vw = model.q2_additive(a_rel, v, w, level)
                 if multipliable:
                     q2wv = model.q2_additive(a_rel, w, v, level)
                     if tuple(-x for x in q2vw) != q2wv:
-                        case.fail(f"{q2vw} vs {q2wv}", "q2(v, w) = -q2(w, v)")
+                        case.fail(
+                            f"{_text(q2vw)} vs {_text(q2wv)}", "q2(v, w) = -q2(w, v)"
+                        )
                     r = Q(3, 2)
                     scaled = model.q2_additive(
                         a_rel,
@@ -455,9 +468,9 @@ def _q2_additive(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> No
                     )
                     if tuple(r * r * x for x in q2vw) != scaled:
                         report.fail(
-                            f"a={a_rel} v={v} w={w} r={r}",
+                            f"a={a_rel} v={_text(v)} w={_text(w)} r={r}",
                             "q2(r v, r w) = r^2 q2(v, w)",
-                            f"{scaled}",
+                            _text(scaled),
                         )
 
 
@@ -522,7 +535,7 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                 moved = [v for v, x, y in zip(points, before, after) if x != y]
                 if moved:
                     report.fail(
-                        f"alpha={alpha} beta={beta} v={moved[0]}",
+                        f"alpha={alpha} beta={beta} v={_text(moved[0])}",
                         "membership equivariance",
                         "mismatch",
                     )
@@ -554,13 +567,13 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                     for gamma, gamma_in, gamma_out in members:
                         if inside[k] and not gamma_in[k]:
                             report.fail(
-                                f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
+                                f"alpha={alpha} beta={beta} gamma={gamma} v={_text(v)}",
                                 "interval member contains the intersection",
                                 "point escapes",
                             )
                         if outside[k] and not gamma_out[k]:
                             report.fail(
-                                f"alpha={alpha} beta={beta} gamma={gamma} v={v}",
+                                f"alpha={alpha} beta={beta} gamma={gamma} v={_text(v)}",
                                 "negated member contains the negated intersection",
                                 "point escapes",
                             )

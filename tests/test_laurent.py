@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgdcheck import (
     DimensionMismatch,
@@ -34,12 +37,8 @@ def test_constructors_and_predicates():
     assert LaurentPoly.zero().is_zero()
     assert LaurentPoly.one().is_one()
     assert LaurentPoly.const(5).is_constant()
-    half = LaurentPoly.t_power(Q(1, 2))
-    assert not half.on_integer_lattice()
-    assert t.on_integer_lattice()
-    assert t.in_poly_ring() and not t.in_inv_poly_ring()
-    tinv = LaurentPoly.t_power(-1)
-    assert tinv.in_inv_poly_ring() and not tinv.in_poly_ring()
+    assert not t.in_inv_poly_ring()
+    assert LaurentPoly.t_power(-1).in_inv_poly_ring()
 
 
 def test_term_rejects_exponents_off_the_quarter_lattice():
@@ -258,7 +257,13 @@ def _sympy_matrix(sympy, m, s):
 
 
 def _stores_no_zeros(m):
-    return all(not c.is_zero() for row in m.rows for p in row for c in p.coeffs.values())
+    """No zero polynomial among the stored entries, no zero coefficient in
+    any of them, and every stored column inside the matrix."""
+    return len(m.sparse) == m.n and all(
+        0 <= j < m.n and p.coeffs and all(not c.is_zero() for c in p.coeffs.values())
+        for row in m.sparse
+        for j, p in row.items()
+    )
 
 
 @pytest.mark.parametrize("disc", [None, -1, -2, -3, -7])
@@ -278,3 +283,146 @@ def test_products_and_determinants_match_sympy(disc):
         assert all(not c.is_zero() for c in det.coeffs.values())
         oracle = sa.det(method="berkowitz")
         assert sympy.expand(_to_sympy(sympy, det, s) - oracle) == 0, (n, disc)
+
+
+# -- the sparse store against dense references kept in this file ---------------
+
+ZERO, ONE = LaurentPoly.zero(), LaurentPoly.one()
+DISCS = [None, -1, -2, -3, -7]
+
+
+def _poly_mul(p, q):
+    """Schoolbook product of two polynomials, coefficient by coefficient."""
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, FieldScalar(0)) + c1 * c2
+    return LaurentPoly(out)
+
+
+def _dense_product(a, b):
+    """Dense schoolbook matrix product over the dense grids."""
+    ra, rb, n = a.rows, b.rows, a.n
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = out[i][j] + _poly_mul(ra[i][k], rb[k][j])
+    return out
+
+
+def _leibniz_det(m):
+    """Sum over permutations of sign times the product of the picked entries."""
+    rows, out = m.rows, ZERO
+    for perm in permutations(range(m.n)):
+        inversions = sum(perm[x] > perm[y] for x in range(m.n) for y in range(x + 1, m.n))
+        term = ONE
+        for i, j in enumerate(perm):
+            term = _poly_mul(term, rows[i][j])
+        out = out - term if inversions % 2 else out + term
+    return out
+
+
+@st.composite
+def polys(draw, disc, zero_share=0.4):
+    """A polynomial on the quarter lattice; zero with about the given share."""
+    if draw(st.floats(0, 1)) < zero_share:
+        return ZERO
+    coeffs = {}
+    for e4 in draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3)):
+        base = Q(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        ext = 0 if disc is None else draw(st.integers(-2, 2))
+        coeffs[e4] = FieldScalar(base, ext, disc)
+    return LaurentPoly(coeffs)
+
+
+@st.composite
+def matrices(draw, n=None, disc=None):
+    """(kind, dense rows, matrix): a sparse random matrix given as dense rows
+    with explicit zero entries, a unipotent one from from_entries, or a
+    diagonal one."""
+    n = n if n is not None else draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["sparse", "unipotent", "diagonal"]))
+    if kind == "diagonal":
+        diag = [draw(polys(disc, zero_share=0.15)) for _ in range(n)]
+        rows = [[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+        return kind, rows, LaurentMatrix.diagonal(diag)
+    if kind == "unipotent":
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        entries = {}
+        for i, j in draw(st.lists(cells, max_size=2 * n)):
+            # diagonal cells keep the unit (explicitly set) or get an entry
+            entries[(i, j)] = ONE if i == j and draw(st.booleans()) else draw(polys(disc))
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        for (i, j), p in entries.items():
+            rows[i][j] = p
+        return kind, rows, LaurentMatrix.from_entries(n, entries)
+    rows = [[draw(polys(disc, zero_share=0.6)) for _ in range(n)] for _ in range(n)]
+    return kind, rows, LaurentMatrix(rows)
+
+
+@st.composite
+def matrix_pairs(draw):
+    disc = draw(st.sampled_from(DISCS))
+    n = draw(st.integers(1, 4))
+    return draw(matrices(n, disc)), draw(matrices(n, disc))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(matrix_pairs())
+def test_sparse_product_and_det_match_dense_references(pair):
+    (_, _, a), (_, _, b) = pair
+    prod = a @ b
+    assert _stores_no_zeros(prod)
+    assert prod == LaurentMatrix(_dense_product(a, b))
+    assert prod.rows == tuple(map(tuple, _dense_product(a, b)))
+    for m in (a, b, prod):
+        det = m.det()
+        assert all(not c.is_zero() for c in det.coeffs.values())
+        assert det == _leibniz_det(m)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.sampled_from(DISCS).flatmap(lambda d: matrices(disc=d)))
+def test_sparse_store_invariants(drawn):
+    kind, rows, m = drawn
+    # the builders agree with the dense constructor, zeros and all
+    dense = LaurentMatrix(rows)
+    assert _stores_no_zeros(m) and _stores_no_zeros(dense)
+    assert m == dense and hash(m) == hash(dense)
+    assert m.sparse == dense.sparse
+    # rows round-trips through the constructor
+    assert m.rows == tuple(map(tuple, rows))
+    assert LaurentMatrix(m.rows) == m
+    # is_identity holds exactly when the matrix equals the identity
+    ident = LaurentMatrix.identity(m.n)
+    assert m.is_identity() == (m == ident)
+    assert m.is_identity() == all(
+        rows[i][j] == (ONE if i == j else ZERO) for i in range(m.n) for j in range(m.n)
+    )
+    # transposes and constant parts keep the store free of zeros
+    for derived in (m.transpose(), m.conj_transpose(), m.constant_part()):
+        assert _stores_no_zeros(derived)
+    assert m.transpose().rows == tuple(zip(*m.rows))
+
+
+def test_identity_however_built():
+    for n in (2, 3, 5):
+        ident = LaurentMatrix.identity(n)
+        built = [
+            LaurentMatrix.from_entries(n, {(i, i): LaurentPoly.const(1) for i in range(n)}),
+            LaurentMatrix.from_entries(n, {(0, n - 1): ZERO}),
+            LaurentMatrix.diagonal([LaurentPoly.const(Q(2, 2))] * n),
+            LaurentMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)]),
+        ]
+        for m in built:
+            assert m.is_identity() and m == ident and hash(m) == hash(ident)
+    t = LaurentPoly.t_power(1)
+    # entries that cancel completely leave nothing stored
+    u = LaurentMatrix.from_entries(3, {(0, 1): t, (0, 2): t * t, (1, 2): t})
+    u_inv = LaurentMatrix.from_entries(3, {(0, 1): -t, (1, 2): -t})
+    for prod in (u @ u_inv, u_inv @ u):
+        assert _stores_no_zeros(prod) and prod.is_identity()
+    assert not LaurentMatrix.diagonal([ONE, t]).is_identity()
+    assert not LaurentMatrix.diagonal([ONE, ZERO]).is_identity()
+    assert not LaurentMatrix.from_entries(2, {(0, 1): t}).is_identity()

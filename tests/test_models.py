@@ -26,7 +26,9 @@ from rgdcheck import (
     special_unitary,
     split_sl,
 )
+from rgdcheck.models import _exp4_of_level
 from rgdcheck.roots import vec
+from rgdcheck.verify import sample_coords
 
 I = FieldScalar(0, 1, -1)
 
@@ -514,3 +516,47 @@ def test_generator_coords_cover_every_slot():
     assert (Q(0), Q(1), Q(0)) in slots
     assert (Q(0), Q(0), Q(1)) in slots
     assert generator_coords(su, alpha, (0,)) == []
+
+
+# -- the pinning builder ----------------------------------------------------------------
+
+BUILDER_MODELS = [
+    ("SL2", lambda: split_sl(1)),
+    ("SL3", lambda: split_sl(2)),
+    ("SL4", lambda: split_sl(3)),
+    ("SU(3,1)", lambda: special_unitary(3, 1)),
+    ("SU(4,1)", lambda: special_unitary(4, 1)),
+    ("SU(5,2)", lambda: special_unitary(5, 2)),
+    ("SU(6,2)", lambda: special_unitary(6, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in BUILDER_MODELS], ids=[n for n, _ in BUILDER_MODELS]
+)
+def test_pinning_builder_round_trips_through_peel(make):
+    """peel(relative_pinning(c)) == c for every relative root at levels -2..2,
+    with the three fixed draws (1, -1, 1/2 on every slot) and three random
+    draws, including draws with zero slots."""
+    model = make()
+    rng = random.Random(7)
+    for a_rel in model.system.roots:
+        for level in range(-2, 3):
+            alpha = affine_root(a_rel, level)
+            draws = [sample_coords(model, alpha, rng, s) for s in range(6)]
+            nc, nd = model.coord_lengths(a_rel)
+            # one slot set, the others zero
+            one_slot = (Q(0),) * (nc - 1) + (Q(-3, 2),)
+            draws.append(RootGroupCoords(alpha, one_slot, (Q(0),) * nd))
+            for coords in draws:
+                assert model.peel(model.relative_pinning(coords), alpha) == coords
+
+
+def test_exp4_of_level_takes_int_and_fraction_levels():
+    assert _exp4_of_level(0) == 0
+    assert _exp4_of_level(1) == -4 and _exp4_of_level(-2) == 8
+    assert _exp4_of_level(Q(3)) == -12
+    assert _exp4_of_level(Q(1, 2)) == -2 and _exp4_of_level(Q(-3, 4)) == 3
+    for off in (Q(1, 3), Q(1, 8), Q(-5, 6)):
+        with pytest.raises(ValueError):
+            _exp4_of_level(off)

@@ -8,6 +8,8 @@ import pytest
 from rgdcheck import (
     ALL_SUITES,
     ConfigError,
+    LaurentMatrix,
+    LaurentPoly,
     MembershipViolation,
     NotInRootGroup,
     PeelFailure,
@@ -331,3 +333,64 @@ def test_other_errors_propagate_out_of_run_suites(monkeypatch):
     install_body(monkeypatch, body)
     with pytest.raises(MembershipViolation):
         run_suites(split_sl(1), replace(SMALL, suites=("rgd0",)))
+
+
+# -- readable failure records ----------------------------------------------------------
+
+
+def all_failure_text(reports):
+    return [v for r in reports for f in r.failures for v in f.values()]
+
+
+@pytest.mark.parametrize(
+    "model", [split_sl(1), special_unitary(3, 1)], ids=["SL2", "SU(3,1)"]
+)
+def test_failure_records_print_coordinates_as_rationals(monkeypatch, model):
+    """A forced RGD1 failure prints its drawn coordinates (the third fixed
+    draw is 1/2 on every slot) as rationals, never as Fraction reprs."""
+
+    def residue(self, g, order):
+        raise ResidueNotIdentity("forced residue")
+
+    monkeypatch.setattr(type(model), "peel_product", residue)
+    r = run_one("rgd1", model, SMALL)
+    assert r.cases > 0 and len(r.failures) == r.cases
+    text = all_failure_text([r])
+    assert not any("Fraction(" in t for t in text)
+    assert any("1/2" in f["inputs"] for f in r.failures)
+    if model.kind == "su":
+        # u and v print as c+d: a short root of BC1 has two rational slots on
+        # its root module and one on its doubled root
+        assert any("u=(1/2, 1/2)+(1/2)" in f["inputs"] for f in r.failures)
+
+
+def test_rgd0_failure_prints_alpha_c_and_d(monkeypatch):
+    model = special_unitary(3, 1)
+    monkeypatch.setattr(model, "contains", lambda g: False)
+    r = run_one("rgd0", model, ZERO_WINDOW)
+    assert len(r.failures) == r.cases > 0
+    first = r.failures[0]
+    assert first["inputs"].startswith("alpha=") and " c=(" in first["inputs"]
+    assert " d=(" in first["inputs"]
+    assert "left the group" in first["actual"]
+    text = all_failure_text([r])
+    assert not any("Fraction(" in t or "RootGroupCoords(" in t for t in text)
+
+
+def test_profiles_read_every_stored_entry_and_the_whole_diagonal():
+    t, tinv = LaurentPoly.t_power(1), LaurentPoly.t_power(-1)
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    upper_tinv = LaurentMatrix.from_entries(3, {(0, 2): tinv + one})
+    assert verify._PROFILE_TESTS["upper-nonneg"](upper_tinv)
+    assert not verify._PROFILE_TESTS["upper-strict-t"](upper_tinv)
+    assert not verify._PROFILE_TESTS["lower-nonneg"](upper_tinv)
+    # a unit diagonal is required: a missing (zero) or non-unit entry fails
+    for diag in ([one, zero, one], [one, t, one]):
+        g = LaurentMatrix.diagonal(diag)
+        assert not any(test(g) for test in verify._PROFILE_TESTS.values())
+        assert not verify.positive_side_profile(g)
+    # the positive side: k[t^-1] entries, upper unipotent at t^-1 = 0
+    assert verify.positive_side_profile(upper_tinv)
+    assert verify.positive_side_profile(LaurentMatrix.from_entries(2, {(1, 0): tinv}))
+    assert not verify.positive_side_profile(LaurentMatrix.from_entries(2, {(1, 0): one}))
+    assert not verify.positive_side_profile(LaurentMatrix.from_entries(2, {(0, 1): t}))
