@@ -2,9 +2,12 @@
 
 An affine root alpha_(a, l) is the half-space {v : (a, v) >= -l} attached to
 the gradient root a and the level l; levels are integers except on doubled
-roots of BC systems, where proper half-integers occur.  The reflection in the
-wall of alpha_(a, l) acts on points by v -> s_a(v) - l * a^vee and on affine
-roots by alpha_(b, m) -> alpha_(s_a(b), m - l * <b, a^vee>).
+roots of BC systems, where proper half-integers occur.  An integral level is
+an int and a proper half-integer a Fraction, so negation, reflection and
+interval members built from integral levels stay in integer arithmetic.  The
+reflection in the wall of alpha_(a, l) acts on points by
+v -> s_a(v) - l * a^vee and on affine roots by
+alpha_(b, m) -> alpha_(s_a(b), m - l * <b, a^vee>).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ Q = Fraction
 
 class AffineRoot(NamedTuple):
     root: Vector
-    level: Q
+    level: int | Q  # a Fraction only for a proper half-integer
 
     def __neg__(self) -> "AffineRoot":
         return AffineRoot(neg(self.root), -self.level)
@@ -47,11 +50,17 @@ class AffineRoot(NamedTuple):
 
 
 def affine_root(a: Vector, level) -> AffineRoot:
-    """alpha_(a, level); raises ValueError on a gradient that is not integral."""
+    """alpha_(a, level), the level an int when integral; raises ValueError on
+    a gradient that is not integral and HalfIntegerLevel off the half-integers."""
     level = Q(level)
-    if (2 * level).denominator != 1:
+    if level.denominator > 2:
         raise HalfIntegerLevel(f"level {level} is not a half-integer")
-    return AffineRoot(vec(*a), level)
+    return AffineRoot(vec(*a), _level(level))
+
+
+def _level(x):
+    """The level x as an int when integral; a proper half-integer stays a Fraction."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def half_space_contains(alpha: AffineRoot, v: Vector, strict: bool = False) -> bool:
@@ -67,11 +76,20 @@ def reflect_point(alpha: AffineRoot, v: Vector) -> Vector:
 
 
 def affine_reflect(system: RootSystem, alpha: AffineRoot, beta: AffineRoot) -> AffineRoot:
-    """Image of beta under the reflection in the wall of alpha."""
-    a, l = alpha.root, alpha.level
-    b, m = beta.root, beta.level
-    c = system.reflect_root(a, b)
-    return AffineRoot(c, m - l * pairing(b, a))
+    """Image of beta under the reflection in the wall of alpha.
+
+    (s_a(b), <b, a^vee>) is computed once per pair of roots and kept on the
+    system, so the level is the only arithmetic per call.
+    """
+    key = (alpha.root, beta.root)
+    hit = system.reflections.get(key)
+    if hit is None:
+        hit = system.reflections[key] = (
+            system.reflect_root(*key),
+            pairing(beta.root, alpha.root),
+        )
+    c, k = hit
+    return AffineRoot(c, _level(beta.level - alpha.level * k))
 
 
 def is_positive(system: RootSystem, alpha: AffineRoot) -> bool:
@@ -141,8 +159,8 @@ def _interval_shape(system: RootSystem, a: Vector, b: Vector) -> tuple:
 
 def simple_affine_roots(system: RootSystem) -> list[AffineRoot]:
     """The simple affine roots: (a_i, 0) for simple a_i, then (-theta, 1)."""
-    out = [AffineRoot(a, Q(0)) for a in system.simple]
-    out.append(AffineRoot(neg(system.highest), Q(1)))
+    out = [AffineRoot(a, 0) for a in system.simple]
+    out.append(AffineRoot(neg(system.highest), 1))
     return out
 
 
@@ -163,48 +181,60 @@ def chamber_oracle(system: RootSystem, alpha: AffineRoot, strict: bool = True) -
     return half_space_contains(alpha, system.fundamental_point, strict=strict)
 
 
-def _interior_point(alpha: AffineRoot, beta: AffineRoot) -> Vector | None:
-    """A rational point interior to both half-spaces, or None if none exists."""
-    a, l = alpha.root, alpha.level
-    b, m = beta.root, beta.level
+def _interior_point(alpha: AffineRoot, beta: AffineRoot) -> tuple[Vector, int] | None:
+    """(V, D) with V an integer vector and D > 0 such that V / D is interior to
+    both half-spaces, or None if no point is.
+
+    Works on the doubled levels 2l and 2m, integers even on doubled roots.
+    """
+    a, b = alpha.root, beta.root
+    # 2 * a half-integer level is an integral int or Fraction; int() is exact
+    l2, m2 = int(2 * alpha.level), int(2 * beta.level)
     r = proportionality(a, b)
     if r is None:
         # independent gradients: solve (a,v) = 1 - l, (b,v) = 1 - m exactly
-        # on the 2-plane spanned by a and b
+        # on the 2-plane spanned by a and b, v = (x a + y b) / (2 det)
         aa, ab, bb = dot(a, a), dot(a, b), dot(b, b)
         det = aa * bb - ab * ab
         # det > 0 by Cauchy-Schwarz for independent vectors
-        ta, tb = 1 - l, 1 - m
-        x = (ta * bb - tb * ab) / det
-        y = (tb * aa - ta * ab) / det
-        v = add(scale(x, a), scale(y, b))
-        return v
-    # parallel walls: (a,v) must exceed -l and r*(a,v) must exceed -m
-    if r > 0:
+        ta, tb = 2 - l2, 2 - m2
+        x = ta * bb - tb * ab
+        y = tb * aa - ta * ab
+        return add(scale(x, a), scale(y, b)), 2 * det
+    # parallel walls, b = r a with r = n/d: (a,v) must exceed -l and
+    # r*(a,v) must exceed -m; both bounds below are on 2|n| (a,v)
+    n, d = r.numerator, r.denominator
+    if n > 0:
         # both constraints open upward: any large enough value works
-        s = max(-l, -m / r) + 1
+        s, e = max(-l2 * n, -m2 * d) + 2 * n, 2 * n
     else:
-        # opposite orientations: -l < (a,v) < -m/r needed
-        lo, hi = -l, -m / r
+        # opposite orientations: -l2 |n| < 2|n| (a,v) < m2 d needed
+        lo, hi = l2 * n, m2 * d
         if lo >= hi:
             return None
-        s = (lo + hi) / 2
-    return scale(s / dot(a, a), a)
+        s, e = lo + hi, -4 * n
+    # (a,v) = s / e, with v = s a / (e (a,a))
+    return scale(s, a), e * dot(a, a)
 
 
 def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
     """Geometric prenilpotency: both intersections of interiors are nonempty.
 
     The pair is prenilpotent exactly when alpha and beta share an interior
-    point and so do their negatives.
+    point and so do their negatives.  The point V / D is checked in
+    integers: it is interior to alpha_(a, l) iff V is interior to
+    alpha_(a, D l).
     """
     for pair in ((alpha, beta), (-alpha, -beta)):
-        v = _interior_point(*pair)
-        if v is None:
+        point = _interior_point(*pair)
+        if point is None:
             return False
-        if not all(half_space_contains(g, v, strict=True) for g in pair):
+        v, d = point
+        if not all(
+            half_space_contains(AffineRoot(g.root, d * g.level), v, strict=True)
+            for g in pair
+        ):
             raise RgdcheckError(
                 f"computed point is not interior to both {pair[0]} and {pair[1]}"
             )
     return True
-

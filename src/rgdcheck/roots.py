@@ -101,6 +101,8 @@ class RootSystem:
       fundamental_point: rational point v with 0 < (a, v) < 1 for all positive a
       interval_shapes: per pair of roots, the shape of their open interval;
         filled on first use by `affine.open_interval`
+      reflections: per pair of roots (a, b), the pair (s_a(b), <b, a^vee>);
+        filled on first use by `affine.affine_reflect`
     """
 
     __slots__ = (
@@ -111,6 +113,7 @@ class RootSystem:
         "highest",
         "fundamental_point",
         "interval_shapes",
+        "reflections",
         "_root_set",
         "_positive",
     )
@@ -176,6 +179,7 @@ class RootSystem:
         self.highest = highest
         self.fundamental_point = fundamental
         self.interval_shapes = {}
+        self.reflections = {}
         self._root_set = frozenset(self.roots)
         self._positive = frozenset(
             a for a in self.roots if dot(a, fundamental) > 0

@@ -29,9 +29,62 @@ from rgdcheck.roots import vec
 def test_levels_live_on_the_half_integer_lattice():
     a = vec(1, -1)
     assert affine_root(a, Q(1, 2)).level == Q(1, 2)
+    assert type(affine_root(a, Q(1, 2)).level) is Q
     assert affine_root(a, -3).level == Q(-3)
+    # integral levels are ints, whether given as int or as Fraction
+    assert type(affine_root(a, -3).level) is int
+    assert type(affine_root(a, Q(4, 2)).level) is int
+    assert type(affine_root(a, Q(-6, 4)).level) is Q
     with pytest.raises(HalfIntegerLevel):
         affine_root(a, Q(1, 3))
+    with pytest.raises(HalfIntegerLevel):
+        affine_root(a, Q(1, 4))
+
+
+SYSTEMS = [(k, r) for k in ("A", "BC") for r in (1, 2, 3)]
+
+
+def _level_typed(alpha):
+    """An integral level is an int, a proper half-integer a Fraction."""
+    return type(alpha.level) is (int if alpha.level.denominator == 1 else Q)
+
+
+@pytest.mark.parametrize("kind,rank", SYSTEMS)
+def test_integral_levels_stay_ints(kind, rank):
+    # every affine root built from integral levels carries an int level, so
+    # no Fraction arithmetic creeps back into the affine layer; a proper
+    # half-integer level stays a Fraction
+    system = build_root_system(kind, rank)
+    affs = [affine_root(a, l) for a in system.roots for l in (-2, -1, 0, 1, 2)]
+    made = list(affs) + [-alpha for alpha in affs] + simple_affine_roots(system)
+    for alpha in affs[::3]:
+        for beta in affs:
+            made.append(affine_reflect(system, alpha, beta))
+            if is_prenilpotent(alpha, beta):
+                made.extend(open_interval(system, alpha, beta))
+    bad = [g for g in made if type(g.level) is not int]
+    assert not bad, bad[:3]
+    halves = [
+        affine_root(a, Q(l, 2))
+        for a in system.roots
+        if all(x % 2 == 0 for x in a)  # the doubled roots +-2e_i
+        for l in (-3, -1, 1, 3)
+    ]
+    assert bool(halves) == (kind == "BC")
+    assert all(type(g.level) is Q and type((-g).level) is Q for g in halves)
+    # a half-integer input may give an integral level, as in the reflection
+    # of (2e_i, 0) in the wall of (2e_i, 1/2); that level is an int too
+    made = []
+    for gamma in halves:
+        for alpha in affs[::7] + halves:
+            made.append(affine_reflect(system, alpha, gamma))
+            made.append(affine_reflect(system, gamma, alpha))
+            for pair in ((alpha, gamma), (gamma, alpha)):
+                if is_prenilpotent(*pair):
+                    made.extend(open_interval(system, *pair))
+    bad = [g for g in made if not _level_typed(g)]
+    assert not bad, bad[:3]
+    assert any(type(g.level) is int for g in made) == (kind == "BC")
 
 
 def test_negation_flips_gradient_and_level():
@@ -126,15 +179,39 @@ def test_prenilpotency_signs():
     assert is_prenilpotent(affine_root(a, 0), affine_root(b, 0))
 
 
+def _strictly_inside(pair, point):
+    """V / D is interior to both half-spaces, checked in Fractions."""
+    v, d = point
+    assert type(d) is int and d > 0 and all(type(x) is int for x in v)
+    x = tuple(Q(c, d) for c in v)
+    return all(sum(Q(a) * b for a, b in zip(g.root, x)) + g.level > 0 for g in pair)
+
+
 def test_prenilpotency_matches_geometric_oracle():
-    for kind, rank in (("A", 1), ("A", 2), ("BC", 1), ("BC", 2)):
+    for kind, rank in SYSTEMS:
         system = build_root_system(kind, rank)
         affs = [affine_root(a, l) for a in system.roots for l in (-2, 0, 1)]
+        # doubled BC roots (+-2e_i) at half-integer levels, where the
+        # oracle's doubled-level arithmetic matters
+        affs += [
+            affine_root(a, l)
+            for a in system.roots
+            if all(x % 2 == 0 for x in a)
+            for l in (Q(-1, 2), Q(1, 2), Q(3, 2))
+        ]
+        assert any(type(g.level) is Q for g in affs) == (kind == "BC")
+        points = 0
         for alpha in affs:
             for beta in affs:
                 assert is_prenilpotent(alpha, beta) == prenilpotent_oracle(
                     alpha, beta
                 ), (alpha, beta)
+                for pair in ((alpha, beta), (-alpha, -beta)):
+                    point = affine._interior_point(*pair)
+                    if point is not None:
+                        points += 1
+                        assert _strictly_inside(pair, point), (pair, point)
+        assert points > len(affs) ** 2
 
 
 def test_prenilpotent_oracle_raises_when_its_point_is_not_interior(monkeypatch):
@@ -214,7 +291,7 @@ def _without_doubles(members):
     return [
         g
         for g in members
-        if (tuple(Q(x, 2) for x in g.root), g.level / 2) not in members
+        if (tuple(Q(x, 2) for x in g.root), Q(g.level) / 2) not in members
     ]
 
 
