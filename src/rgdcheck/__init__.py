@@ -38,7 +38,6 @@ from .errors import (
     ResidueNotIdentity,
     RgdcheckError,
     UnsupportedType,
-    WrongKind,
 )
 from .laurent import LaurentMatrix, LaurentPoly
 from .models import (

@@ -181,20 +181,28 @@ def chamber_oracle(system: RootSystem, alpha: AffineRoot, strict: bool = True) -
     return half_space_contains(alpha, system.fundamental_point, strict=strict)
 
 
-def _interior_point(alpha: AffineRoot, beta: AffineRoot) -> tuple[Vector, int] | None:
+def _pair_geometry(a: Vector, b: Vector) -> tuple:
+    """proportionality(a, b) and the Gram dots (a,a), (a,b), (b,b); negating
+    both gradients changes none of them."""
+    return proportionality(a, b), dot(a, a), dot(a, b), dot(b, b)
+
+
+def _interior_point(
+    alpha: AffineRoot, beta: AffineRoot, geometry: tuple | None = None
+) -> tuple[Vector, int] | None:
     """(V, D) with V an integer vector and D > 0 such that V / D is interior to
     both half-spaces, or None if no point is.
 
     Works on the doubled levels 2l and 2m, integers even on doubled roots.
+    geometry is _pair_geometry of the two gradients, computed when not given.
     """
     a, b = alpha.root, beta.root
     # 2 * a half-integer level is an integral int or Fraction; int() is exact
     l2, m2 = int(2 * alpha.level), int(2 * beta.level)
-    r = proportionality(a, b)
+    r, aa, ab, bb = geometry or _pair_geometry(a, b)
     if r is None:
         # independent gradients: solve (a,v) = 1 - l, (b,v) = 1 - m exactly
         # on the 2-plane spanned by a and b, v = (x a + y b) / (2 det)
-        aa, ab, bb = dot(a, a), dot(a, b), dot(b, b)
         det = aa * bb - ab * ab
         # det > 0 by Cauchy-Schwarz for independent vectors
         ta, tb = 2 - l2, 2 - m2
@@ -214,7 +222,7 @@ def _interior_point(alpha: AffineRoot, beta: AffineRoot) -> tuple[Vector, int] |
             return None
         s, e = lo + hi, -4 * n
     # (a,v) = s / e, with v = s a / (e (a,a))
-    return scale(s, a), e * dot(a, a)
+    return scale(s, a), e * aa
 
 
 def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
@@ -225,8 +233,9 @@ def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
     integers: it is interior to alpha_(a, l) iff V is interior to
     alpha_(a, D l).
     """
+    geometry = _pair_geometry(alpha.root, beta.root)
     for pair in ((alpha, beta), (-alpha, -beta)):
-        point = _interior_point(*pair)
+        point = _interior_point(*pair, geometry)
         if point is None:
             return False
         v, d = point

@@ -41,10 +41,6 @@ class NotPrenilpotent(RgdcheckError):
     """Pair of affine roots is not prenilpotent, so the interval is undefined."""
 
 
-class WrongKind(RgdcheckError):
-    """Operation applied to a group model of the wrong kind."""
-
-
 class NotMonomial(RgdcheckError):
     """Coroot argument must be a unit monomial c * t^e with c != 0."""
 

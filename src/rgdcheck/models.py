@@ -13,7 +13,11 @@ Two families are implemented over the rational Laurent ring:
 Coordinates on a root group are rational tuples: for each relative root a
 the group U_(a, level) is parametrized by RootGroupCoords(alpha, c, d) where
 c has one rational slot per k-basis vector of the root module of a, and d
-(possibly empty) covers the module of the doubled root 2a.
+(possibly empty) covers the module of the doubled root 2a.  Every root group
+has one RootLayout shape: each linear coordinate z, in k or k', is linked to
+the entry holding z and, in SU, to a partner entry holding factor * tau(z);
+a multipliable root adds the corner entry of 2a, which carries d shifted by
+the quadratic correction of the linear part.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ from .errors import (
     PeelFailure,
     ReflectionLeftSystem,
     UnsupportedType,
-    WrongKind,
 )
-from .laurent import ZERO, LaurentMatrix, LaurentPoly, _poly
+from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _matrix, _nonzero_poly
 from .roots import (
     RootSystem,
     Vector,
@@ -85,42 +88,28 @@ def coords_add(x: RootGroupCoords, y: RootGroupCoords) -> RootGroupCoords:
     )
 
 
-class RootLayout:
-    """Matrix entry positions and module data of one relative root group."""
+class RootLayout(NamedTuple):
+    """Matrix entry positions and module data of one relative root group.
 
-    __slots__ = (
-        "rtype",
-        "mdim",
-        "corner",
-        "secondary",
-        "sec_sign",
-        "z_pos",
-        "w_pos",
-        "sfac",
-        "double_root",
-    )
+    Each linear coordinate z has one link (position, partner, factor): z sits
+    at position, and factor * tau(z) at partner when there is one.  z lies in
+    k' (two rational slots) when field is set, else in k (one slot).  On a
+    multipliable root the doubled-root coordinate sits at corner, at twice the
+    exponent, shifted by -sfac/2 * sum z tau(z); corner is None otherwise.
+    """
 
-    def __init__(
-        self,
-        rtype: str,
-        mdim: int,
-        corner: tuple[int, int],
-        secondary: tuple[int, int] | None = None,
-        sec_sign: int = 1,
-        z_pos: tuple[tuple[int, int], ...] = (),
-        w_pos: tuple[tuple[int, int], ...] = (),
-        sfac: FieldScalar | None = None,
-        double_root: Vector | None = None,
-    ):
-        self.rtype = rtype  # "elementary", "double", "pair" or "single"
-        self.mdim = mdim  # k-dimension of the root module
-        self.corner = corner  # main entry (elementary/pair primary, else corner)
-        self.secondary = secondary
-        self.sec_sign = sec_sign
-        self.z_pos = z_pos
-        self.w_pos = w_pos
-        self.sfac = sfac
-        self.double_root = double_root
+    links: tuple[tuple, ...]  # (position, partner, factor) for each z
+    field: bool = False
+    corner: tuple[int, int] | None = None
+    mdim: int = 1  # k-dimension of the root module
+    sfac: FieldScalar | None = None
+
+
+def _rational(x: FieldScalar, error: type[Exception] | None) -> Q:
+    """The rational x, or its rational part when error is None."""
+    if error is not None and not x.is_rational:
+        raise error(f"coefficient {x} is not rational")
+    return x.base
 
 
 def _exp4_of_level(level) -> int:
@@ -174,7 +163,28 @@ class GroupModel:
 
     def coord_lengths(self, a_rel: Vector) -> tuple[int, int]:
         lay = self.layout(a_rel)
-        return lay.mdim, (1 if lay.double_root is not None else 0)
+        return lay.mdim, (0 if lay.corner is None else 1)
+
+    def _module_dims(self) -> dict[str, int]:
+        """k-dimension of each root module, keyed by the root's coordinates."""
+        dims = {",".join(map(str, a)): self.layout(a).mdim for a in self.system.roots}
+        return dict(sorted(dims.items()))
+
+    def project_root(self, absolute: Vector) -> Vector | None:
+        """Restriction of an absolute root e_i - e_j to the split torus.
+
+        Returns the relative root, or None when the restriction vanishes
+        (both indices in the anisotropic middle block of SU).
+        """
+        if sorted(absolute) != [-1] + [0] * (self.n - 2) + [1]:
+            raise IndexOutOfRange(f"{absolute} is not e_i - e_j in Q^{self.n}")
+        i, j = list(absolute).index(1), list(absolute).index(-1)
+        w = sub(self.slot_weight(i), self.slot_weight(j))
+        if not any(w):
+            return None
+        if not self.system.contains(w):
+            raise IndexOutOfRange(f"projection {w} is not a relative root")
+        return w
 
     def coroot(self, a_rel: Vector, lam: LaurentPoly) -> LaurentMatrix:
         """The coroot cocharacter of the relative root, evaluated at lam.
@@ -205,80 +215,82 @@ class GroupModel:
         builds, as RGD0 and RGD1 check membership on the inputs they draw."""
         a_rel, level = coords.alpha
         lay = self.layout(a_rel)
-        nd = 1 if lay.double_root is not None else 0
+        nd = 0 if lay.corner is None else 1
         if len(coords.c) != lay.mdim or len(coords.d) != nd:
             raise MembershipViolation(
                 f"expected {lay.mdim}+{nd} coordinates, got "
                 f"{len(coords.c)}+{len(coords.d)}"
             )
         e4 = _exp4_of_level(level)
-        # every entry set here is off the diagonal, where from_entries drops
-        # a zero polynomial
-        entries: dict[tuple[int, int], LaurentPoly] = {}
-        if lay.rtype in ("elementary", "double"):
-            entries[lay.corner] = _poly({e4: FieldScalar.coerce(coords.c[0])})
-        elif lay.rtype == "pair":
-            z = from_parts(coords.c[0], coords.c[1], self.disc)
-            zc = z.conj()
-            entries[lay.corner] = _poly({e4: z})
-            entries[lay.secondary] = _poly({e4: zc if lay.sec_sign > 0 else -zc})
-        elif lay.rtype == "single":
-            p2 = _SCALAR_ZERO
-            for h, (zp, wp) in enumerate(zip(lay.z_pos, lay.w_pos)):
-                z = from_parts(coords.c[2 * h], coords.c[2 * h + 1], self.disc)
-                zc = z.conj()
-                p2 = p2 + z * zc
-                entries[zp] = _poly({e4: z})
-                entries[wp] = _poly({e4: -zc * lay.sfac})
-            corner = FieldScalar.coerce(coords.d[0]) + p2 * lay.sfac * _MINUS_HALF
-            entries[lay.corner] = _poly({2 * e4: corner})
-        else:
-            raise WrongKind(f"unknown layout {lay.rtype}")
-        return LaurentMatrix.from_entries(self.n, entries)
+        # the identity with each nonzero entry set, all off the diagonal
+        rows = [{i: ONE} for i in range(self.n)]
+        zs = self._link_scalars(lay, coords.c)
+        for ((p, q), partner, factor), z in zip(lay.links, zs):
+            if not z.is_zero():
+                rows[p][q] = _nonzero_poly({e4: z})
+                if partner is not None:
+                    p, q = partner
+                    rows[p][q] = _nonzero_poly({e4: factor * z.conj()})
+        if nd:
+            corner = FieldScalar.coerce(coords.d[0]) + self._correction(lay, zs)
+            if not corner.is_zero():
+                p, q = lay.corner
+                rows[p][q] = _nonzero_poly({2 * e4: corner})
+        return _matrix(rows)
 
-    def quadratic_correction(self, a_rel: Vector, c: tuple[Q, ...]) -> FieldScalar:
-        """The canonical corner scalar p2 determined by the linear part."""
-        lay = self.layout(a_rel)
-        if lay.rtype != "single":
-            return _SCALAR_ZERO
+    def _link_scalars(self, lay: RootLayout, c: tuple[Q, ...]) -> list[FieldScalar]:
+        """The link scalars z named by the rational coordinates c."""
+        if not lay.field:
+            return list(map(FieldScalar.coerce, c))
+        return [from_parts(c[k], c[k + 1], self.disc) for k in range(0, len(c), 2)]
+
+    @staticmethod
+    def _correction(lay: RootLayout, zs: list[FieldScalar]) -> FieldScalar:
+        """The corner shift -sfac/2 * sum z tau(z) fixed by the linear part."""
         p2 = _SCALAR_ZERO
-        for h in range(len(lay.z_pos)):
-            z = from_parts(c[2 * h], c[2 * h + 1], self.disc)
+        for z in zs:
             p2 = p2 + z * z.conj()
         return p2 * lay.sfac * _MINUS_HALF
 
-    def _read_coords(
-        self, g: LaurentMatrix, alpha: AffineRoot, strict: bool
+    def _coords(
+        self,
+        alpha: AffineRoot,
+        zs: list[FieldScalar],
+        corner: FieldScalar | None,
+        error: type[Exception] | None = None,
     ) -> RootGroupCoords:
-        """Raw coordinate reads at the designated entries, without verification."""
+        """Coordinates of the element of U_alpha with link scalars zs and, on a
+        multipliable root, the given corner entry.  A coordinate in k that is
+        not rational raises error, or is read by its rational part when error
+        is None."""
+        lay = self.layout(alpha.root)
+        c: list[Q] = []
+        for z in zs:
+            if lay.field:
+                c += (z.base, z.ext)
+            else:
+                c.append(_rational(z, error))
+        if lay.corner is None:
+            return RootGroupCoords(alpha, tuple(c))
+        d0 = corner - self._correction(lay, zs)
+        return RootGroupCoords(alpha, tuple(c), (_rational(d0, error),))
+
+    def _read_coords(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
+        """Raw coordinate reads at the designated entries, without verification:
+        a coordinate in k is read by its rational part."""
         a_rel, level = alpha
         lay = self.layout(a_rel)
         e4 = _exp4_of_level(level)
-
-        def rational(val: FieldScalar) -> Q:
-            if strict and not val.is_rational:
-                raise NotInRootGroup(f"coefficient {val} is not rational")
-            return val.base
-
-        if lay.rtype in ("elementary", "double"):
-            val = g.entry(*lay.corner).coeff(e4)
-            return RootGroupCoords(alpha, (rational(val),))
-        if lay.rtype == "pair":
-            val = g.entry(*lay.corner).coeff(e4)
-            return RootGroupCoords(alpha, (val.base, val.ext))
-        # single
-        c: list[Q] = []
-        for pos in lay.z_pos:
-            val = g.entry(*pos).coeff(e4)
-            c.extend((val.base, val.ext))
-        corner = g.entry(*lay.corner).coeff(2 * e4)
-        d0 = corner - self.quadratic_correction(a_rel, tuple(c))
-        return RootGroupCoords(alpha, tuple(c), (rational(d0),))
+        zs = []
+        for (p, q), _, _ in lay.links:
+            zs.append(g.entry(p, q).coeff(e4))
+        corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
+        return self._coords(alpha, zs, corner)
 
     def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
         """Coordinates of g as an element of U_alpha, or NotInRootGroup; g is
         compared with its rebuilt pinning, and membership in G is not checked."""
-        coords = self._read_coords(g, alpha, strict=True)
+        coords = self._read_coords(g, alpha)
         if self.relative_pinning(coords) != g:
             raise NotInRootGroup(f"{alpha}: matrix is not in this root group")
         return coords
@@ -296,7 +308,7 @@ class GroupModel:
         off delta.  Each pass moves the discrepancy strictly deeper into the
         unipotent filtration; there are at most 3 * len(order) + 6 passes.
         """
-        coords = [self._read_coords(g, alpha, strict=False) for alpha in order]
+        coords = [self._read_coords(g, alpha) for alpha in order]
         if g.is_identity():
             return coords
         for _ in range(3 * len(order) + 5):
@@ -306,7 +318,7 @@ class GroupModel:
             if delta.is_identity():
                 return coords
             coords = [
-                coords_add(cs, self._read_coords(delta, cs.alpha, strict=False))
+                coords_add(cs, self._read_coords(delta, cs.alpha))
                 for cs in coords
             ]
         raise ResidueNotIdentity(
@@ -323,19 +335,19 @@ class GroupModel:
         """
         alpha = affine_root(a_rel, level)
         lay = self.layout(a_rel)
-        nd = 1 if lay.double_root is not None else 0
+        nd = 0 if lay.corner is None else 1
         cv = RootGroupCoords(alpha, tuple(v), (Q(0),) * nd)
         cw = RootGroupCoords(alpha, tuple(w), (Q(0),) * nd)
         csum = coords_add(cv, cw)
         g = self.relative_pinning(coords_neg(csum)) @ (
             self.relative_pinning(cv) @ self.relative_pinning(cw)
         )
-        if lay.double_root is None:
+        if not nd:
             if not g.is_identity():
                 raise PeelFailure(f"additivity fails on non-multipliable {a_rel}")
             return ()
         try:
-            rest = self.peel(g, affine_root(lay.double_root, 2 * Q(level)))
+            rest = self.peel(g, affine_root(scale(2, a_rel), 2 * Q(level)))
         except NotInRootGroup as exc:
             raise PeelFailure(str(exc)) from exc
         return rest.c
@@ -378,61 +390,36 @@ class GroupModel:
         a_rel = u0.alpha.root
         lay = self.layout(a_rel)
         neg = affine_root(tuple(-x for x in a_rel), 0)
-        if lay.rtype in ("elementary", "double"):
-            cval = u0.c[0]
-            if cval == 0:
-                raise RankOneSolveFailed("zero coordinate on a one-parameter group")
-            v = RootGroupCoords(neg, (Q(-1) / cval,))
-            return v, v
-        if lay.rtype == "pair":
-            z = from_parts(u0.c[0], u0.c[1], self.disc)
+        zs = self._link_scalars(lay, u0.c)
+        if lay.corner is None:
+            # one link: v1 = v2 = x(-1/z)
+            (z,) = zs
             if z.is_zero():
-                raise RankOneSolveFailed("zero coordinate on a pair root group")
-            par = -z.inverse()
-            v = RootGroupCoords(neg, (par.base, par.ext))
+                raise RankOneSolveFailed("zero coordinate on a one-parameter group")
+            v = self._coords(neg, [-z.inverse()], None, RankOneSolveFailed)
             return v, v
-        # single relative root
-        zs = [
-            from_parts(u0.c[2 * h], u0.c[2 * h + 1], self.disc)
-            for h in range(len(lay.z_pos))
-        ]
         if all(z.is_zero() for z in zs):
             # pure doubled part: delegate to the corner one-parameter group,
             # whose reflection fixes the same wall
-            dbl = affine_root(lay.double_root, 0)
+            dbl = affine_root(scale(2, a_rel), 0)
             return self._rank_one_witnesses(RootGroupCoords(dbl, u0.d))
-        corner = FieldScalar.coerce(u0.d[0]) + self.quadratic_correction(a_rel, u0.c)
+        corner = FieldScalar.coerce(u0.d[0]) + self._correction(lay, zs)
         if corner.is_zero():
             raise RankOneSolveFailed("degenerate corner on a single root group")
         cinvn = -corner.inverse()  # -1/c
         cinvt = -corner.conj().inverse()  # -1/tau(c)
-        ws = [-z.conj() * lay.sfac for z in zs]
+        ws = [factor * z.conj() for (_, _, factor), z in zip(lay.links, zs)]
         # k'-parameters of the two witnesses on the opposite root group
-        if self._is_positive_single(a_rel):
+        if sum(a_rel) > 0:
             y1 = [w * cinvn for w in ws]  # -w_h / c
             y2 = [-w * cinvt for w in ws]  # +w_h / tau(c)
         else:
             y1 = [-w * cinvt for w in ws]
             y2 = [w * cinvn for w in ws]
         return (
-            self._single_coords_from_parts(neg, y1, cinvt),
-            self._single_coords_from_parts(neg, y2, cinvt),
+            self._coords(neg, y1, cinvt, RankOneSolveFailed),
+            self._coords(neg, y2, cinvt, RankOneSolveFailed),
         )
-
-    def _is_positive_single(self, a_rel: Vector) -> bool:
-        return sum(a_rel) > 0
-
-    def _single_coords_from_parts(
-        self, alpha: AffineRoot, ys: list[FieldScalar], corner: FieldScalar
-    ) -> RootGroupCoords:
-        """Coordinates of a single-root element with given linear part and corner."""
-        c: list[Q] = []
-        for y in ys:
-            c.extend((y.base, y.ext))
-        d0 = corner - self.quadratic_correction(alpha.root, tuple(c))
-        if not d0.is_rational:
-            raise RankOneSolveFailed(f"corner {corner} misses the canonical form")
-        return RootGroupCoords(alpha, tuple(c), (d0.base,))
 
     def _check_reflection_shape(self, a_rel: Vector, w0: LaurentMatrix) -> None:
         """w0 must vanish outside the entries allowed by the reflection s_a."""
@@ -475,42 +462,18 @@ class SplitSLModel(GroupModel):
         return tuple(w)
 
     def _build_layout(self, a_rel: Vector) -> RootLayout:
-        i = a_rel.index(1)
-        j = a_rel.index(-1)
-        return RootLayout("elementary", 1, (i, j))
+        return RootLayout((((a_rel.index(1), a_rel.index(-1)), None, None),))
 
     def contains(self, g: LaurentMatrix) -> bool:
         return g.n == self.n and g.det().is_one()
 
-    def project_root(self, absolute: Vector) -> Vector | None:
-        _ = self._absolute_pair(absolute)
-        return tuple(absolute)
-
-    def _absolute_pair(self, absolute: Vector) -> tuple[int, int]:
-        if len(absolute) != self.n:
-            raise IndexOutOfRange(f"absolute root must live in Q^{self.n}")
-        try:
-            i = absolute.index(1)
-            j = absolute.index(-1)
-        except ValueError as exc:
-            raise IndexOutOfRange(f"{absolute} is not elementary") from exc
-        check = [0] * self.n
-        check[i], check[j] = 1, -1
-        if tuple(check) != tuple(absolute):
-            raise IndexOutOfRange(f"{absolute} is not elementary")
-        return i, j
-
     def descriptor(self) -> dict:
-        dims = {}
-        for a in self.system.roots:
-            key = ",".join(str(x) for x in a)
-            dims[key] = 1
         return {
             "kind": "sl",
             "rank": self.rank,
             "matrix_size": self.n,
             "relative_system": f"A{self.rank}",
-            "module_dims": dict(sorted(dims.items())),
+            "module_dims": self._module_dims(),
         }
 
     def sample_centralizer_elements(
@@ -579,76 +542,35 @@ class SUModel(GroupModel):
         return tuple(w)
 
     def _build_layout(self, a_rel: Vector) -> RootLayout:
+        def slot(i: int, x: int) -> int:
+            """The basis slot of weight sign(x) e_i."""
+            return i if x > 0 else self._mirror(i)
+
         nz = [(idx, x) for idx, x in enumerate(a_rel) if x != 0]
-        mir = self._mirror
-        if len(nz) == 1:
-            i, x = nz[0]
-            if x == 2:
-                return RootLayout("double", 1, (i, mir(i)))
-            if x == -2:
-                return RootLayout("double", 1, (mir(i), i))
-            if x == 1:
-                return RootLayout(
-                    "single",
-                    2 * len(self.middles),
-                    (i, mir(i)),
-                    z_pos=tuple((i, h) for h in self.middles),
-                    w_pos=tuple((h, mir(i)) for h in self.middles),
-                    sfac=self.s.inverse(),
-                    double_root=scale(2, a_rel),
-                )
-            return RootLayout(
-                "single",
-                2 * len(self.middles),
-                (mir(i), i),
-                z_pos=tuple((h, i) for h in self.middles),
-                w_pos=tuple((mir(i), h) for h in self.middles),
-                sfac=self.s,
-                double_root=scale(2, a_rel),
-            )
-        (i, xi), (j, xj) = nz
-        if xi == 1 and xj == 1:
-            return RootLayout("pair", 2, (i, mir(j)), (j, mir(i)), 1)
-        if xi == -1 and xj == -1:
-            return RootLayout("pair", 2, (mir(j), i), (mir(i), j), 1)
-        if xi == 1 and xj == -1:
-            return RootLayout("pair", 2, (i, j), (mir(j), mir(i)), -1)
-        return RootLayout("pair", 2, (j, i), (mir(i), mir(j)), -1)
+        if len(nz) == 2:
+            # pair root: z at one entry, +-tau(z) at its mirror image
+            (i, xi), (j, xj) = nz
+            ij, ji = (slot(i, xi), slot(j, -xj)), (slot(j, xj), slot(i, -xi))
+            pos, partner = (ij, ji) if xi > 0 else (ji, ij)
+            return RootLayout(((pos, partner, FieldScalar(xi * xj)),), True, mdim=2)
+        ((i, x),) = nz
+        p, q = slot(i, x), slot(i, -x)
+        if abs(x) == 2:
+            return RootLayout((((p, q), None, None),))
+        # single root: one link through each middle slot h, and the corner
+        sfac = self.s.inverse() if x > 0 else self.s
+        links = tuple(
+            ((p, h), (h, q), -sfac) if x > 0 else ((h, q), (p, h), -sfac)
+            for h in self.middles
+        )
+        return RootLayout(links, True, (p, q), 2 * len(links), sfac)
 
     def contains(self, g: LaurentMatrix) -> bool:
         if g.n != self.n or not g.det().is_one():
             return False
         return g.conj_transpose() @ self.gram @ g == self.gram
 
-    def project_root(self, absolute: Vector) -> Vector | None:
-        """Restriction of an absolute root e_i - e_j to the split torus.
-
-        Returns the relative root, or None when the restriction vanishes
-        (both indices in the anisotropic middle block).
-        """
-        if len(absolute) != self.n:
-            raise IndexOutOfRange(f"absolute root must live in Q^{self.n}")
-        try:
-            i = list(absolute).index(1)
-            j = list(absolute).index(-1)
-        except ValueError as exc:
-            raise IndexOutOfRange(f"{absolute} is not of shape e_i - e_j") from exc
-        check = [0] * self.n
-        check[i], check[j] = 1, -1
-        if tuple(check) != tuple(absolute):
-            raise IndexOutOfRange(f"{absolute} is not of shape e_i - e_j")
-        w = sub(self.slot_weight(i), self.slot_weight(j))
-        if not any(w):
-            return None
-        if not self.system.contains(w):
-            raise IndexOutOfRange(f"projection {w} is not a relative root")
-        return w
-
     def descriptor(self) -> dict:
-        dims = {}
-        for a in self.system.roots:
-            key = ",".join(str(x) for x in a)
-            dims[key] = self.layout(a).mdim
         return {
             "kind": "su",
             "dim": self.n,
@@ -657,37 +579,35 @@ class SUModel(GroupModel):
             "matrix_size": self.n,
             "relative_system": f"BC{self.witt}",
             "gram": [[str(e) for e in row] for row in self.gram.rows],
-            "module_dims": dict(sorted(dims.items())),
+            "module_dims": self._module_dims(),
         }
 
     def sample_centralizer_elements(
         self, rng, count: int
     ) -> list[tuple[LaurentMatrix, LaurentMatrix]]:
+        def nonzero() -> FieldScalar:
+            z = FieldScalar(0)
+            while z.is_zero():
+                z = FieldScalar(
+                    Q(rng.randint(-4, 4), rng.randint(1, 3)),
+                    Q(rng.randint(-4, 4), rng.randint(1, 3)),
+                    self.disc,
+                )
+            return z
+
         out = []
         for idx in range(count):
             entries: list[FieldScalar] = [FieldScalar(0)] * self.n
             det = FieldScalar(1)
             for i in range(self.witt):
-                lam = FieldScalar(0)
-                while lam.is_zero():
-                    lam = FieldScalar(
-                        Q(rng.randint(-4, 4), rng.randint(1, 3)),
-                        Q(rng.randint(-4, 4), rng.randint(1, 3)),
-                        self.disc,
-                    )
+                lam = nonzero()
                 entries[i] = lam
                 entries[self._mirror(i)] = lam.conj().inverse()
                 det = det * lam * lam.conj().inverse()
             # middle block: norm-one diagonal entries z / tau(z), with the
             # last one correcting the determinant back to 1
             for h in self.middles[:-1]:
-                z = FieldScalar(0)
-                while z.is_zero():
-                    z = FieldScalar(
-                        Q(rng.randint(-4, 4), rng.randint(1, 3)),
-                        Q(rng.randint(-4, 4), rng.randint(1, 3)),
-                        self.disc,
-                    )
+                z = nonzero()
                 mu = z * z.conj().inverse()
                 entries[h] = mu
                 det = det * mu

@@ -374,6 +374,40 @@ def test_w_element_levels_conjugate_consistently():
             assert (w @ w_inv).is_identity() and (w_inv @ w).is_identity()
 
 
+SU_MODELS = {"SU(4,1)": special_unitary(4, 1), "SU(5,2)": special_unitary(5, 2)}
+SU_ROOT_CASES = [
+    pytest.param(model, a, level, id=f"{name}_a{','.join(map(str, a))}_l{level}")
+    for name, model in SU_MODELS.items()
+    for a in model.system.roots
+    for level in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("model, a, level", SU_ROOT_CASES)
+def test_every_su_root_group_peels_back_and_reflects(model, a, level):
+    # every layout shape, both signs of every root, and every corner; on
+    # SU(4,1) the single roots +-e1 have two links each
+    rng = random.Random(f"{model.n}-{a}-{level}")
+    nc, nd = model.coord_lengths(a)
+    alpha = affine_root(a, level)
+    c = tuple(Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nc))
+    if not any(c):
+        c = (Q(1),) + c[1:]
+    d = tuple(Q(rng.randint(-3, 3)) for _ in range(nd))
+    samples = [RootGroupCoords(alpha, c, d)]
+    if nd:
+        # a pure doubled-root part takes the corner route of the rank one solver
+        samples.append(RootGroupCoords(alpha, (Q(0),) * nc, (Q(rng.randint(1, 3)),)))
+    for u in samples:
+        x = model.relative_pinning(u)
+        assert model.peel(x, alpha) == u
+        w, w_inv, v1, v2, x_again = model.w_element_parts(a, u, level)
+        assert x_again == x
+        assert w == v1 @ x @ v2
+        assert (w @ w_inv).is_identity()
+        assert model.contains(w)
+
+
 def test_w_element_rejects_trivial_or_mismatched_input():
     sl2 = split_sl(1)
     a = sl2.system.simple[0]

@@ -217,14 +217,20 @@ def test_failures_are_recorded_with_inputs_expected_actual():
 # -- where membership in the group is checked -----------------------------------
 
 
+def is_pair(lay):
+    """A pair root group: links in k' and no doubled-root corner."""
+    return lay.field and lay.corner is None
+
+
 class FlippedPairSU(SUModel):
-    """SU(5,2) whose pair pinnings carry the wrong sign on the secondary
+    """SU(5,2) whose pair pinnings carry the wrong sign on the partner
     entry, so those pinnings leave the group."""
 
     def _build_layout(self, a_rel):
         lay = super()._build_layout(a_rel)
-        if lay.rtype == "pair":
-            lay.sec_sign = -lay.sec_sign
+        if is_pair(lay):
+            ((pos, partner, factor),) = lay.links
+            lay = lay._replace(links=((pos, partner, -factor),))
         return lay
 
 
@@ -249,7 +255,7 @@ def test_pinnings_outside_the_group_are_recorded_by_rgd0():
     pair_cases = sum(
         model.coord_lengths(a)[0]
         for a in model.system.roots
-        if model.layout(a).rtype == "pair"
+        if is_pair(model.layout(a))
     )
     assert len(r.failures) == pair_cases > 0
     assert all(f["expected"] == "pinning lands in G" for f in r.failures)
