@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -44,6 +45,8 @@ class RunConfig:
             raise ConfigError("su needs --dim and --witt")
         if self.format not in ("json", "md"):
             raise ConfigError(f"format must be json or md, got {self.format!r}")
+        if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise ConfigError(f"no directory to write {self.out!r} into")
 
 
 def _make_model(cfg: RunConfig) -> GroupModel:
@@ -195,11 +198,15 @@ def main(argv=None) -> int:
         print(f"rgdcheck: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = render_json(report) if cfg.format == "json" else render_markdown(report)
-    if cfg.out:
+    if not cfg.out:
+        print(text)
+        return code
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"rgdcheck: configuration error: --out: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

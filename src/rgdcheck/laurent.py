@@ -119,7 +119,10 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def conj(self) -> "LaurentPoly":
-        """Apply the field involution to every coefficient (t is fixed)."""
+        """Apply the field involution to every coefficient (t is fixed); tau
+        fixes Q, so a polynomial with rational coefficients is returned as is."""
+        if all(c.is_rational for c in self.coeffs.values()):
+            return self
         return _poly({e: c.conj() for e, c in self.coeffs.items()})
 
     def monomial_inverse(self) -> "LaurentPoly":
@@ -241,19 +244,29 @@ class LaurentMatrix:
         return (((i, j), p) for i, r in enumerate(self.sparse) for j, p in r.items())
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        """Product over stored entries; a cell reached only by a term with the
+        shared ONE as a factor reuses the other factor's polynomial object."""
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n}x{self.n} @ {other.n}x{other.n}")
         right = other.sparse
         out = []
         for row in self.sparse:
-            accs: dict[int, dict[int, FieldScalar]] = {}
+            cells: dict[int, LaurentPoly | dict[int, FieldScalar]] = {}
             for k, a in row.items():
                 for j, b in right[k].items():
-                    acc = accs.get(j)
+                    acc = cells.get(j)
                     if acc is None:
-                        acc = accs[j] = {}
+                        if a is ONE or b is ONE:
+                            cells[j] = b if a is ONE else a
+                            continue
+                        acc = cells[j] = {}
+                    elif acc.__class__ is LaurentPoly:
+                        acc = cells[j] = dict(acc.coeffs)
                     _add_product(acc, a.coeffs, b.coeffs)
-            out.append({j: _nonzero_poly(acc) for j, acc in accs.items() if acc})
+            for j, acc in cells.items():
+                if acc.__class__ is dict:
+                    cells[j] = _nonzero_poly(acc)
+            out.append({j: p for j, p in cells.items() if p.coeffs})
         return _matrix(out)
 
     def __eq__(self, other):
@@ -283,11 +296,21 @@ class LaurentMatrix:
         return self._mapped_transpose(LaurentPoly.conj)
 
     def det(self) -> LaurentPoly:
-        """Division-free determinant: dynamic programming over column subsets."""
+        """Division-free determinant: the diagonal's product for a triangular
+        matrix, else dynamic programming over column subsets."""
+        rows = self.sparse
+        if all(min(r, default=i) >= i for i, r in enumerate(rows)) or all(
+            max(r, default=i) <= i for i, r in enumerate(rows)
+        ):
+            out = ONE
+            for i, r in enumerate(rows):
+                p = r.get(i, ZERO)
+                out = p if out is ONE else out if p is ONE else out * p
+            return out
         # best[mask] = coefficients of the signed sum over ways to fill the
         # first popcount(mask) rows using exactly the columns in mask
         best: dict[int, dict[int, FieldScalar]] = {0: {0: _SCALAR_ONE}}
-        for i, row in enumerate(self.sparse):
+        for i, row in enumerate(rows):
             nxt: dict[int, dict[int, FieldScalar]] = {}
             for mask, val in best.items():
                 if not val:

@@ -522,7 +522,7 @@ class SUModel(GroupModel):
         self.middles = tuple(range(witt, dim - witt))
         gram: dict[tuple[int, int], LaurentPoly] = {}
         for i in range(witt):
-            gram[(i, dim - 1 - i)] = LaurentPoly.const(1)
+            gram[(i, dim - 1 - i)] = ONE
             gram[(dim - 1 - i, i)] = LaurentPoly.const(-1)
         for h in self.middles:
             gram[(h, h)] = LaurentPoly.const(self.s)

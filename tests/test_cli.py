@@ -113,6 +113,30 @@ def test_out_file_written(tmp_path, capsys):
     assert report["summary"]["pass"] is True
 
 
+def test_unwritable_out_path_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    """Exit 1 means only that an axiom failed: a report destination that
+    cannot be written exits 2, and a missing directory is caught before any
+    suite runs."""
+    from rgdcheck import cli
+
+    args = ["--group", "sl", "--rank", "1", *FAST, "--suites", "rgd0", "--out"]
+    missing = tmp_path / "missing" / "r.json"
+    with monkeypatch.context() as m:
+        m.setattr(cli, "run_suites", lambda *a: pytest.fail("suites ran"))
+        assert main([*args, str(missing)]) == 2
+        with pytest.raises(ConfigError):
+            RunConfig(group="sl", rank=1, out=str(missing))
+    assert not missing.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("rgdcheck: configuration error:") and "Traceback" not in err
+    # a destination whose directory exists but which cannot be opened for
+    # writing (here a directory) fails only when the report is written
+    assert main([*args, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rgdcheck: configuration error: --out:")
+
+
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(group="sp")

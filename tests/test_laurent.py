@@ -14,8 +14,13 @@ from rgdcheck import (
     LaurentMatrix,
     LaurentPoly,
     NotInvertibleOverRing,
+    RootGroupCoords,
+    affine_root,
+    special_unitary,
+    split_sl,
     sqrt_of,
 )
+from rgdcheck import laurent
 from rgdcheck.laurent import EXP_SCALE
 
 
@@ -426,3 +431,139 @@ def test_identity_however_built():
     assert not LaurentMatrix.diagonal([ONE, t]).is_identity()
     assert not LaurentMatrix.diagonal([ONE, ZERO]).is_identity()
     assert not LaurentMatrix.from_entries(2, {(0, 1): t}).is_identity()
+
+
+
+# -- the unit pass-through, triangular determinants and rational conj -----------
+
+SHARED_ONE = laurent.ONE  # the object products pass through, not only its value
+PIN_MODELS = [split_sl(n) for n in (1, 2)]
+PIN_MODELS += [special_unitary(dim, witt) for dim, witt in ((3, 1), (4, 1), (5, 2))]
+
+
+@st.composite
+def unit_matrices(draw, n, disc):
+    """A matrix holding the shared ONE on its diagonal with entries on both
+    sides of it, or an upper or lower triangular one whose diagonal mixes the
+    shared ONE, other units, non-units and zeros."""
+    kind = draw(st.sampled_from(["shared-unit", "upper", "lower"]))
+    diagonal = st.one_of(st.just(SHARED_ONE), polys(disc, zero_share=0.2))
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                rows[i][j] = SHARED_ONE if kind == "shared-unit" else draw(diagonal)
+            elif kind == "shared-unit" or (kind == "upper") == (j > i):
+                rows[i][j] = draw(polys(disc, zero_share=0.6))
+    return LaurentMatrix(rows)
+
+
+@st.composite
+def pinnings(draw, model):
+    """The pinning of a drawn affine root and rational coordinates."""
+    a = draw(st.sampled_from(model.system.roots))
+    nc, nd = model.coord_lengths(a)
+    qs = st.builds(Q, st.integers(-3, 3), st.integers(1, 3))
+    c = tuple(draw(qs) for _ in range(nc))
+    d = tuple(draw(qs) for _ in range(nd))
+    alpha = affine_root(a, draw(st.integers(-1, 1)))
+    return model.relative_pinning(RootGroupCoords(alpha, c, d))
+
+
+@st.composite
+def unit_pairs(draw):
+    """Two same-size matrices: pinnings of one model (with conjugate
+    transposes and the Gram matrix the hermitian check multiplies them with),
+    or a shared-unit or triangular matrix next to any drawn matrix."""
+    if draw(st.booleans()):
+        model = draw(st.sampled_from(PIN_MODELS))
+        g, h = draw(pinnings(model)), draw(pinnings(model))
+        others = [h, g.conj_transpose()] + ([] if model.gram is None else [model.gram])
+        return g, draw(st.sampled_from(others))
+    disc = draw(st.sampled_from(DISCS))
+    n = draw(st.integers(1, 4))
+    other = st.one_of(unit_matrices(n, disc), matrices(n, disc).map(lambda d: d[2]))
+    return draw(unit_matrices(n, disc)), draw(other)
+
+
+def _snapshot(m):
+    """Each stored entry by identity, with a copy of its coefficient map."""
+    return [{j: (p, dict(p.coeffs)) for j, p in row.items()} for row in m.sparse]
+
+
+def _unchanged(m, snap):
+    return len(m.sparse) == len(snap) and all(
+        row.keys() == s.keys()
+        and all(row[j] is s[j][0] and row[j].coeffs == s[j][1] for j in row)
+        for row, s in zip(m.sparse, snap)
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(unit_pairs())
+def test_unit_pass_through_matches_dense_references(pair):
+    a, b = pair
+    for x, y in ((a, b), (b, a)):
+        prod = x @ y
+        assert _stores_no_zeros(prod)
+        assert prod.rows == tuple(map(tuple, _dense_product(x, y)))
+    for m in (a, b, a @ b):
+        det = m.det()
+        assert all(not c.is_zero() for c in det.coeffs.values())
+        assert det == _leibniz_det(m)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(unit_pairs())
+def test_products_determinants_and_conj_leave_operands_alone(pair):
+    a, b = pair
+    snaps = [_snapshot(a), _snapshot(b)]
+    a @ b, b @ a, a.det(), b.det(), a.conj_transpose(), b.conj_transpose()
+    assert _unchanged(a, snaps[0]) and _unchanged(b, snaps[1])
+
+
+def test_reused_cell_accumulates_in_a_copy():
+    """Output cell (0, 0) first reuses b's entry t^2 (a's unit times it), then
+    a's t times b's -t reaches the same cell and cancels it."""
+    t = LaurentPoly.t_power(1)
+    a = LaurentMatrix([[SHARED_ONE, t], [ZERO, SHARED_ONE]])
+    b = LaurentMatrix([[t * t, t], [-t, SHARED_ONE]])
+    snaps = [_snapshot(a), _snapshot(b)]
+    prod = a @ b
+    assert prod.rows == tuple(map(tuple, _dense_product(a, b)))
+    assert 0 not in prod.sparse[0] and _stores_no_zeros(prod)
+    assert _unchanged(a, snaps[0]) and _unchanged(b, snaps[1])
+    assert b.entry(0, 0) == t * t
+
+
+def test_pinning_products_pass_units_and_entries_through():
+    sl3 = PIN_MODELS[1]
+    x01 = sl3.relative_pinning(RootGroupCoords(affine_root((1, -1, 0), 1), (Q(2),)))
+    x12 = sl3.relative_pinning(RootGroupCoords(affine_root((0, 1, -1), 0), (Q(3),)))
+    prod = x01 @ x12
+    # row 2 is the identity's in both factors, and so is (0, 0)
+    assert prod.sparse[2][2] is SHARED_ONE and prod.sparse[0][0] is SHARED_ONE
+    # the (0, 1) entry meets only the unit of x12 and is reused as is
+    assert prod.sparse[0][1] is x01.sparse[0][1]
+    assert prod.entry(0, 2) == x01.entry(0, 1) * x12.entry(1, 2)
+    # pinnings are triangular with a unit diagonal: det is the shared unit
+    assert x01.det() is SHARED_ONE and prod.det() is SHARED_ONE
+
+
+def test_triangular_det_is_the_diagonal_product():
+    t = LaurentPoly.t_power(1)
+    two = LaurentPoly.const(2)
+    upper = LaurentMatrix([[two, t, ONE], [ZERO, t, t], [ZERO, ZERO, SHARED_ONE]])
+    assert upper.det() == LaurentPoly.term(2, 1) == _leibniz_det(upper)
+    lower = upper.transpose()
+    assert lower.det() == _leibniz_det(lower)
+    # a missing diagonal entry makes a triangular determinant zero
+    singular = LaurentMatrix([[t, ONE], [ZERO, ZERO]])
+    assert singular.det().is_zero() and singular.transpose().det().is_zero()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(DISCS).flatmap(polys))
+def test_conj_returns_rational_polynomials_themselves(p):
+    assert p.conj() == LaurentPoly({e: c.conj() for e, c in p.coeffs.items()})
+    assert (p.conj() is p) == all(c.is_rational for c in p.coeffs.values())
