@@ -45,10 +45,10 @@ from .models import (
     RootGroupCoords,
     SplitSLModel,
     SUModel,
+    basis_generators,
     build_model,
     coords_add,
     coords_neg,
-    generator_coords,
     special_unitary,
     split_sl,
 )

@@ -43,6 +43,11 @@ class RunConfig:
             raise ConfigError("sl needs --rank")
         if self.group == "su" and (self.dim is None or self.witt is None):
             raise ConfigError("su needs --dim and --witt")
+        # the report's config block records every flag, so none may go unused
+        if self.group == "sl" and (self.dim, self.witt, self.disc) != (None, None, -1):
+            raise ConfigError("--dim, --witt and --disc apply to su only")
+        if self.group == "su" and self.rank is not None:
+            raise ConfigError("--rank applies to sl only")
         if self.format not in ("json", "md"):
             raise ConfigError(f"format must be json or md, got {self.format!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):

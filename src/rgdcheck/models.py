@@ -101,7 +101,6 @@ class RootLayout(NamedTuple):
     links: tuple[tuple, ...]  # (position, partner, factor) for each z
     field: bool = False
     corner: tuple[int, int] | None = None
-    mdim: int = 1  # k-dimension of the root module
     sfac: FieldScalar | None = None
 
 
@@ -162,12 +161,13 @@ class GroupModel:
         return lay
 
     def coord_lengths(self, a_rel: Vector) -> tuple[int, int]:
+        """Rational slots: 1 per link (2 in k') and 1 at a corner, if any."""
         lay = self.layout(a_rel)
-        return lay.mdim, (0 if lay.corner is None else 1)
+        return len(lay.links) * (1 + lay.field), (0 if lay.corner is None else 1)
 
     def _module_dims(self) -> dict[str, int]:
         """k-dimension of each root module, keyed by the root's coordinates."""
-        dims = {",".join(map(str, a)): self.layout(a).mdim for a in self.system.roots}
+        dims = {",".join(map(str, a)): self.coord_lengths(a)[0] for a in self.system.roots}
         return dict(sorted(dims.items()))
 
     def project_root(self, absolute: Vector) -> Vector | None:
@@ -215,10 +215,10 @@ class GroupModel:
         builds, as RGD0 and RGD1 check membership on the inputs they draw."""
         a_rel, level = coords.alpha
         lay = self.layout(a_rel)
-        nd = 0 if lay.corner is None else 1
-        if len(coords.c) != lay.mdim or len(coords.d) != nd:
+        nc, nd = self.coord_lengths(a_rel)
+        if len(coords.c) != nc or len(coords.d) != nd:
             raise MembershipViolation(
-                f"expected {lay.mdim}+{nd} coordinates, got "
+                f"expected {nc}+{nd} coordinates, got "
                 f"{len(coords.c)}+{len(coords.d)}"
             )
         e4 = _exp4_of_level(level)
@@ -334,8 +334,7 @@ class GroupModel:
         root is not multipliable, in which case additivity must be strict.
         """
         alpha = affine_root(a_rel, level)
-        lay = self.layout(a_rel)
-        nd = 0 if lay.corner is None else 1
+        _, nd = self.coord_lengths(a_rel)
         cv = RootGroupCoords(alpha, tuple(v), (Q(0),) * nd)
         cw = RootGroupCoords(alpha, tuple(w), (Q(0),) * nd)
         csum = coords_add(cv, cw)
@@ -552,7 +551,7 @@ class SUModel(GroupModel):
             (i, xi), (j, xj) = nz
             ij, ji = (slot(i, xi), slot(j, -xj)), (slot(j, xj), slot(i, -xi))
             pos, partner = (ij, ji) if xi > 0 else (ji, ij)
-            return RootLayout(((pos, partner, FieldScalar(xi * xj)),), True, mdim=2)
+            return RootLayout(((pos, partner, FieldScalar(xi * xj)),), True)
         ((i, x),) = nz
         p, q = slot(i, x), slot(i, -x)
         if abs(x) == 2:
@@ -563,7 +562,7 @@ class SUModel(GroupModel):
             ((p, h), (h, q), -sfac) if x > 0 else ((h, q), (p, h), -sfac)
             for h in self.middles
         )
-        return RootLayout(links, True, (p, q), 2 * len(links), sfac)
+        return RootLayout(links, True, (p, q), sfac)
 
     def contains(self, g: LaurentMatrix) -> bool:
         if g.n != self.n or not g.det().is_one():
@@ -644,21 +643,14 @@ def special_unitary(dim: int, witt: int, disc: int = -1) -> SUModel:
     return SUModel(dim, witt, disc)
 
 
-def generator_coords(
-    model: GroupModel, alpha: AffineRoot, coeffs
-) -> list[RootGroupCoords]:
+def basis_generators(model: GroupModel, alpha: AffineRoot) -> list[RootGroupCoords]:
+    """One generator of U_alpha per rational slot: 1 there and 0 elsewhere."""
     nc, nd = model.coord_lengths(alpha.root)
     out = []
-    for val in coeffs:
-        val = Q(val)
-        if val == 0:
-            continue
-        for slot in range(nc):
-            c = [Q(0)] * nc
-            c[slot] = val
-            out.append(RootGroupCoords(alpha, tuple(c), (Q(0),) * nd))
-        for slot in range(nd):
-            out.append(RootGroupCoords(alpha, (Q(0),) * nc, (val,)))
+    for slot in range(nc + nd):
+        unit = [Q(0)] * (nc + nd)
+        unit[slot] = Q(1)
+        out.append(RootGroupCoords(alpha, tuple(unit[:nc]), tuple(unit[nc:])))
     return out
 
 

@@ -40,12 +40,7 @@ from .errors import (
     ResidueNotIdentity,
 )
 from .laurent import LaurentMatrix, LaurentPoly
-from .models import (
-    GroupModel,
-    RootGroupCoords,
-    coords_neg,
-    generator_coords,
-)
+from .models import GroupModel, RootGroupCoords, basis_generators, coords_neg
 from .roots import dot, integral, pairing, vec
 
 Q = Fraction
@@ -66,11 +61,6 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def fail(self, inputs: str, expected: str, actual: str) -> None:
-        self.failures.append(
-            {"inputs": inputs, "expected": expected, "actual": actual}
-        )
 
     def case(self, inputs, expected) -> Case:
         """Count one case and return it, to be run as a `with` block; see Case."""
@@ -96,7 +86,8 @@ class Case:
     callable that builds the inputs text, and `expected` a text or a callable
     that builds it: they are called only when the case fails, so a passing
     case formats nothing.  A body may set `expected` as the case moves on to
-    its next check.
+    its next check.  Every failure record comes from `fail`, at most one per
+    case: once failed, a case leaves its block or checks nothing more.
     """
 
     __slots__ = ("report", "inputs", "expected")
@@ -112,7 +103,9 @@ class Case:
             expected = self.expected
         if callable(expected):
             expected = expected()
-        self.report.fail(self.inputs(), expected, actual)
+        self.report.failures.append(
+            {"inputs": self.inputs(), "expected": expected, "actual": actual}
+        )
 
     def __enter__(self) -> Case:
         return self
@@ -169,12 +162,6 @@ def sample_coords(
     return RootGroupCoords(alpha, tuple(vals[:nc]), tuple(vals[nc:]))
 
 
-def _basis_generators(
-    model: GroupModel, alpha: AffineRoot
-) -> list[RootGroupCoords]:
-    return generator_coords(model, alpha, [Q(1)])
-
-
 def _drawn_pinnings(
     model: GroupModel, case: Case, draws
 ) -> list[LaurentMatrix] | None:
@@ -192,13 +179,39 @@ def _drawn_pinnings(
     return pins
 
 
+def _conjugation(
+    model: GroupModel,
+    cfg: SuiteConfig,
+    report: AxiomReport,
+    prefix: str,
+    h: LaurentMatrix,
+    hinv: LaurentMatrix,
+    target,
+    same_coords: bool = False,
+) -> None:
+    """h carries U_beta onto U_target(beta): one case per basis generator g of
+    every in-range U_beta peels h g h^-1 in U_target(beta) and, if same_coords,
+    compares its coordinates with g's.  Inputs: "<prefix> beta=... gen=..."."""
+    for beta in in_range_affine_roots(model, cfg):
+        image = target(beta)
+        for coords in basis_generators(model, beta):
+            g = model.relative_pinning(coords)
+            with report.case(
+                lambda: f"{prefix} beta={beta} gen={_text(coords)}",
+                lambda: f"conjugate in U_{image}",
+            ) as case:
+                got = model.peel(h @ g @ hinv, image)
+                if same_coords and (got.c, got.d) != (coords.c, coords.d):
+                    case.fail(_text(got), f"coordinates preserved in U_{image}")
+
+
 # -- the suites ------------------------------------------------------------------
 
 
 def _rgd0(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Every affine root group in range is nontrivial and pinned inside G."""
     for alpha in in_range_affine_roots(model, cfg):
-        for coords in _basis_generators(model, alpha):
+        for coords in basis_generators(model, alpha):
             with report.case(
                 lambda: f"alpha={alpha} c={_text(coords.c)} d={_text(coords.d)}",
                 "nonidentity",
@@ -239,9 +252,9 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     reflected one, and differ between samples by a torus centralizer element.
     """
     rng = random.Random(cfg.seed + 2)
-    groups = in_range_affine_roots(model, cfg)
     n_samples = max(cfg.samples, 4)
     for alpha in simple_affine_roots(model.system):
+        reflect = functools.partial(affine_reflect, model.system, alpha)
         reps = []
         for s in range(n_samples):
             u = sample_coords(model, alpha, rng, s)
@@ -263,18 +276,9 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
             if w is None:
                 continue
             # conjugation: w U_beta w^-1 = U_(reflected beta)
-            for beta in groups:
-                target = affine_reflect(model.system, alpha, beta)
-                for coords in _basis_generators(model, beta):
-                    g = model.relative_pinning(coords)
-                    with report.case(
-                        lambda: (
-                            f"alpha={alpha} u={_text(u)} beta={beta} "
-                            f"gen={_text(coords)}"
-                        ),
-                        lambda: f"conjugate in U_{target}",
-                    ):
-                        model.peel(w @ g @ w_inv, target)
+            _conjugation(
+                model, cfg, report, f"alpha={alpha} u={_text(u)}", w, w_inv, reflect
+            )
         # different samples differ by a torus centralizer element
         for k in range(1, len(reps)):
             with report.case(
@@ -337,7 +341,7 @@ def _rgd3(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     for alpha in in_range_affine_roots(model, cfg):
         profile = rgd3_case(model, alpha)
         test = _PROFILE_TESTS[profile]
-        for coords in _basis_generators(model, alpha):
+        for coords in basis_generators(model, alpha):
             g = model.relative_pinning(coords)
             with report.case(
                 lambda: f"alpha={alpha} gen={_text(coords)}",
@@ -346,7 +350,7 @@ def _rgd3(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                 if not test(g):
                     case.fail("profile violated")
     for alpha in simple_affine_roots(model.system):
-        for coords in _basis_generators(model, -alpha):
+        for coords in basis_generators(model, -alpha):
             g = model.relative_pinning(coords)
             with report.case(
                 lambda: f"-alpha={-alpha} gen={_text(coords)}",
@@ -380,57 +384,25 @@ def _rgd5(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Torus centralizer elements normalize every affine root group."""
     rng = random.Random(cfg.seed + 5)
     torus = model.sample_centralizer_elements(rng, max(8, cfg.samples))
-    groups = in_range_affine_roots(model, cfg)
-    for h, hinv in torus:
-        for alpha in groups:
-            for coords in _basis_generators(model, alpha):
-                g = model.relative_pinning(coords)
-                with report.case(
-                    lambda: f"alpha={alpha} gen={_text(coords)}",
-                    "conjugate stays in the same root group",
-                ):
-                    model.peel(h @ g @ hinv, alpha)
+    for k, (h, hinv) in enumerate(torus):
+        _conjugation(model, cfg, report, f"h={k}", h, hinv, lambda beta: beta)
 
 
 def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Conjugating U_(b, n) by the coroot of a at t^(-l/2) shifts the level
-    by l * <b, a^vee> / 2 and preserves coordinates; conjugating back returns
-    the original element."""
-    system = model.system
-    for a_rel in system.roots:
+    by l * <b, a^vee> / 2 and preserves coordinates."""
+    for a_rel in model.system.roots:
         for l in range(cfg.level_min, cfg.level_max + 1):
             if l == 0:
                 continue
             kappa = model.coroot(a_rel, LaurentPoly.t_power(Q(-l, 2)))
+            shift = {b: Q(l) * pairing(b, a_rel) / 2 for b in model.system.roots}
+            shifted = lambda beta: affine_root(beta.root, beta.level + shift[beta.root])
+            prefix = f"a={a_rel} l={l}"
             kinv = kappa.inverse()
-            for b_rel in system.roots:
-                shift = Q(l) * pairing(b_rel, a_rel) / 2
-                for n in range(cfg.level_min, cfg.level_max + 1):
-                    alpha = affine_root(b_rel, n)
-                    target = affine_root(b_rel, n + shift)
-                    for coords in _basis_generators(model, alpha):
-                        g = model.relative_pinning(coords)
-                        conj = kappa @ g @ kinv
-                        with report.case(
-                            lambda: (
-                                f"a={a_rel} l={l} b={b_rel} n={n} "
-                                f"gen={_text(coords)}"
-                            ),
-                            lambda: f"conjugate in U_{target}",
-                        ):
-                            got = model.peel(conj, target)
-                            if got.c != coords.c or got.d != coords.d:
-                                report.fail(
-                                    f"a={a_rel} l={l} b={b_rel} n={n}",
-                                    f"coordinates preserved at level {target.level}",
-                                    f"{_text(got)}",
-                                )
-                            elif kinv @ conj @ kappa != g:
-                                report.fail(
-                                    f"a={a_rel} l={l} b={b_rel} n={n}",
-                                    "round trip returns the original",
-                                    "round trip mismatch",
-                                )
+            _conjugation(
+                model, cfg, report, prefix, kappa, kinv, shifted, same_coords=True
+            )
 
 
 def _q2_additive(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
@@ -459,6 +431,7 @@ def _q2_additive(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> No
                         case.fail(
                             f"{_text(q2vw)} vs {_text(q2wv)}", "q2(v, w) = -q2(w, v)"
                         )
+                        continue
                     r = Q(3, 2)
                     scaled = model.q2_additive(
                         a_rel,
@@ -467,10 +440,8 @@ def _q2_additive(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> No
                         level,
                     )
                     if tuple(r * r * x for x in q2vw) != scaled:
-                        report.fail(
-                            f"a={a_rel} v={_text(v)} w={_text(w)} r={r}",
-                            "q2(r v, r w) = r^2 q2(v, w)",
-                            _text(scaled),
+                        case.fail(
+                            f"r={r}: {_text(scaled)}", "q2(r v, r w) = r^2 q2(v, w)"
                         )
 
 
@@ -534,10 +505,8 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                 before, after = side(beta), sides(reflected, rbeta)
                 moved = [v for v, x, y in zip(points, before, after) if x != y]
                 if moved:
-                    report.fail(
-                        f"alpha={alpha} beta={beta} v={_text(moved[0])}",
-                        "membership equivariance",
-                        "mismatch",
+                    case.fail(
+                        f"v={_text(moved[0])} changes side", "membership equivariance"
                     )
 
     for i, alpha in enumerate(groups):
@@ -559,24 +528,19 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
             with report.case(
                 lambda: f"alpha={alpha} beta={beta}",
                 "interval members contain the intersection",
-            ):
-                inside = [x and y for x, y in zip(side(alpha), side(beta))]
-                outside = [x and y for x, y in zip(side(-alpha), side(-beta))]
-                members = [(gamma, side(gamma), side(-gamma)) for gamma in interval]
-                for k, v in enumerate(points):
-                    for gamma, gamma_in, gamma_out in members:
-                        if inside[k] and not gamma_in[k]:
-                            report.fail(
-                                f"alpha={alpha} beta={beta} gamma={gamma} v={_text(v)}",
-                                "interval member contains the intersection",
-                                "point escapes",
-                            )
-                        if outside[k] and not gamma_out[k]:
-                            report.fail(
-                                f"alpha={alpha} beta={beta} gamma={gamma} v={_text(v)}",
-                                "negated member contains the negated intersection",
-                                "point escapes",
-                            )
+            ) as case:
+                # a point in alpha and beta lies in every member gamma, and a
+                # point in -alpha and -beta in every -gamma
+                escapes = (
+                    f"gamma={member} v={_text(v)} escapes"
+                    for gamma in interval
+                    for a, b, member in ((alpha, beta, gamma), (-alpha, -beta, -gamma))
+                    for v, x, y, z in zip(points, side(a), side(b), side(member))
+                    if x and y and not z
+                )
+                escape = next(escapes, None)
+                if escape:
+                    case.fail(escape)
 
 
 # -- the suite table, its configuration and runner ---------------------------------

@@ -15,13 +15,14 @@ from rgdcheck import (
     RootGroupCoords,
     SuiteConfig,
     affine_root,
+    basis_generators,
     run_suites,
     special_unitary,
     split_sl,
 )
 from rgdcheck.cli import RunConfig, build_report, report_determinism_view
 from rgdcheck.roots import vec
-from rgdcheck.verify import _PROFILE_TESTS, _basis_generators, in_range_affine_roots, rgd3_case
+from rgdcheck.verify import _PROFILE_TESTS, in_range_affine_roots, rgd3_case
 
 SL2 = split_sl(1)
 SL3 = split_sl(2)
@@ -103,7 +104,7 @@ def test_criterion_5_rgd3_triangular_profiles():
     for model in (SL2, SU31):
         for alpha in in_range_affine_roots(model, cfg):
             case = rgd3_case(model, alpha)
-            for coords in _basis_generators(model, alpha):
+            for coords in basis_generators(model, alpha):
                 g = model.relative_pinning(coords)
                 for name, test in _PROFILE_TESTS.items():
                     if test(g) != (name == case):

@@ -153,6 +153,23 @@ def test_run_config_validation():
         run(RunConfig(group="sl", rank=0))
 
 
+def test_flags_of_the_other_group_are_configuration_errors(capsys):
+    # the report's config block records every flag, so a flag that did not
+    # apply to the model would read as if it had
+    sl = ["--group", "sl", "--rank", "1", *FAST, "--suites", "rgd0"]
+    assert main([*sl, "--dim", "7", "--witt", "3", "--disc", "-5"]) == 2
+    su = ["--group", "su", "--dim", "3", "--witt", "1", *FAST, "--suites", "rgd0"]
+    assert main([*su, "--rank", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "configuration error" in captured.err
+    for extra in ({"dim": 7}, {"witt": 3}, {"disc": -5}):
+        with pytest.raises(ConfigError):
+            RunConfig(group="sl", rank=1, **extra)
+    # an sl run records the default --disc -1, as it always has
+    assert RunConfig(group="sl", rank=1, disc=-1).disc == -1
+    assert main([*sl, "--disc", "-1"]) == 0
+
+
 def test_determinism_view_strips_volatile_fields():
     cfg = RunConfig(
         group="su",
@@ -224,9 +241,15 @@ def test_markdown_renders_failures_section():
 
 
 def test_module_runner_invokes_cli(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child finds the package in src/ also when it is not installed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [
             sys.executable,
@@ -242,6 +265,7 @@ def test_module_runner_invokes_cli(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["summary"]["pass"] is True

@@ -19,10 +19,10 @@ from rgdcheck import (
     RootGroupCoords,
     UnsupportedType,
     affine_root,
+    basis_generators,
     build_model,
     coords_add,
     coords_neg,
-    generator_coords,
     special_unitary,
     split_sl,
 )
@@ -543,13 +543,12 @@ def test_is_centralizer_element_rejections():
 def test_generator_coords_cover_every_slot():
     su = special_unitary(3, 1)
     alpha = affine_root(vec(1), 0)
-    got = generator_coords(su, alpha, (1,))
+    got = basis_generators(su, alpha)
     assert len(got) == 3  # two linear slots and one corner slot
     slots = [cs.c + cs.d for cs in got]
     assert (Q(1), Q(0), Q(0)) in slots
     assert (Q(0), Q(1), Q(0)) in slots
     assert (Q(0), Q(0), Q(1)) in slots
-    assert generator_coords(su, alpha, (0,)) == []
 
 
 # -- the pinning builder ----------------------------------------------------------------

@@ -16,9 +16,11 @@ from rgdcheck import (
     RankOneSolveFailed,
     ResidueNotIdentity,
     RootGroupCoords,
+    SplitSLModel,
     SUModel,
     SuiteConfig,
     affine_root,
+    coords_neg,
     run_suites,
     special_unitary,
     split_sl,
@@ -172,8 +174,8 @@ def test_coroot_shift_reports_case_volume():
     cfg = SuiteConfig(level_min=-1, level_max=1, samples=2)
     r = run_one("coroot-shift", split_sl(1), cfg)
     assert r.passed
-    # 2 roots x 2 nonzero shifts x (2 roots x 3 levels) plus round trips
-    assert r.cases > 0
+    # 2 roots x 2 nonzero shifts x (2 roots x 3 levels) x 1 generator
+    assert r.cases == 24
 
 
 def test_q2_additive_rank_one():
@@ -200,9 +202,11 @@ def test_failures_are_recorded_with_inputs_expected_actual():
     from rgdcheck import AxiomReport
 
     r = AxiomReport("RGD1")
-    r.cases = 2
-    r.fail("alpha=x beta=y", "commutator in the open interval", "residue left")
-    assert not r.passed
+    with r.case(lambda: "alpha=x beta=y", "commutator in the open interval") as case:
+        case.fail("residue left")
+    with r.case(lambda: "alpha=x beta=z", "unused"):
+        pass
+    assert r.cases == 2 and not r.passed
     d = r.to_dict()
     assert d["pass"] is False
     assert d["failures"] == [
@@ -339,6 +343,72 @@ def test_other_errors_propagate_out_of_run_suites(monkeypatch):
     install_body(monkeypatch, body)
     with pytest.raises(MembershipViolation):
         run_suites(split_sl(1), replace(SMALL, suites=("rgd0",)))
+
+
+# -- the shared conjugation check: RGD2, RGD5 and CorootShift ---------------------
+
+
+class IdentityCorootSL(SplitSLModel):
+    """SL whose coroot values are the identity, so no level ever shifts."""
+
+    def coroot(self, a_rel, lam):
+        return LaurentMatrix.identity(self.n)
+
+
+class DoubledCorootSU(SUModel):
+    """SU whose coroot is evaluated at 2 t^(-l/2): levels shift as they should,
+    but every coordinate is scaled by a power of 2."""
+
+    def coroot(self, a_rel, lam):
+        return super().coroot(a_rel, LaurentPoly.const(2) * lam)
+
+
+class PinningTorusSL(SplitSLModel):
+    """SL whose torus centralizer samples are all the root group element
+    x_a(1), which normalizes U_beta only when a + beta is no root."""
+
+    def sample_centralizer_elements(self, rng, count):
+        u = RootGroupCoords(affine_root(self.system.roots[0], 0), (Q(1),))
+        pair = (self.relative_pinning(u), self.relative_pinning(coords_neg(u)))
+        return [pair] * count
+
+
+class IdentityWeylSL(SplitSLModel):
+    """SL whose Weyl representatives m(u) are the identity."""
+
+    def w_element_parts(self, a_rel, u, level):
+        _, _, v1, v2, x = super().w_element_parts(a_rel, u, level)
+        one = LaurentMatrix.identity(self.n)
+        return one, one, v1, v2, x
+
+
+@pytest.mark.parametrize(
+    "tag, model, failed, cases, prefix, expected, conjugations",
+    [
+        # A2 has no pair of orthogonal roots: every case shifts its level
+        ("coroot-shift", IdentityCorootSL(2), 216, 216, "a=", "conjugate in U_", 216),
+        # the level shifts as it should, the coordinates do not survive
+        ("coroot-shift", DoubledCorootSU(3, 1), 192, 192, "a=", "coordinates", 192),
+        # x_a(1) moves 3 of the 6 root directions of A2
+        ("rgd5", PinningTorusSL(2), 72, 144, "h=", "conjugate in U_", 72),
+        # 12 representatives fail to factor and 216 conjugates do not
+        # reflect; the 9 quotients of identities still centralize the torus
+        ("rgd2", IdentityWeylSL(2), 228, 237, "alpha=", "conjugate in U_", 216),
+    ],
+    ids=["coroot-identity", "coroot-doubled", "rgd5-pinning", "rgd2-identity"],
+)
+def test_conjugation_mutants_are_caught(
+    tag, model, failed, cases, prefix, expected, conjugations
+):
+    r = run_one(tag, model, SMALL)
+    assert (len(r.failures), r.cases) == (failed, cases)
+    assert len(r.failures) <= r.cases
+    # the records the shared conjugation check wrote
+    shared = [f for f in r.failures if f["expected"].startswith(expected)]
+    assert len(shared) == conjugations
+    for f in shared:
+        assert f["inputs"].startswith(prefix) and " beta=" in f["inputs"]
+        assert " gen=" in f["inputs"]
 
 
 # -- readable failure records ----------------------------------------------------------
