@@ -52,6 +52,8 @@ class RunConfig:
             raise ConfigError(f"format must be json or md, got {self.format!r}")
         if self.out and not os.path.isdir(os.path.dirname(self.out) or "."):
             raise ConfigError(f"no directory to write {self.out!r} into")
+        if self.out and os.path.isdir(self.out):
+            raise ConfigError(f"--out: {self.out!r} is a directory")
 
 
 def _make_model(cfg: RunConfig) -> GroupModel:

@@ -361,6 +361,55 @@ class LaurentMatrix:
         return f"LaurentMatrix of size {self.n}:\n{self}"
 
 
+def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
+    """The map g -> h @ g @ hinv, for one h and hinv and many g near I.
+
+    By distributivity h (I + E) hinv = h hinv + h E hinv, so h hinv is formed
+    once and each g adds the outer product h[:, p] E[p][q] hinv[q, :] of every
+    stored entry (p, q) of E = g - I: a diagonal entry that is the shared ONE
+    adds nothing, and a missing one adds -1.  Exact for any hinv, an inverse
+    of h or not.  The operands and h hinv are never written to.
+    """
+    n = h.n
+    base = (h @ hinv).sparse
+    cols = h.transpose().sparse
+    right = hinv.sparse
+
+    def conj(g: LaurentMatrix) -> LaurentMatrix:
+        if g.n != n:
+            raise DimensionMismatch(f"{n}x{n} conjugating {g.n}x{g.n}")
+        cells: list[dict] = [dict(r) for r in base]
+        for p, row in enumerate(g.sparse):
+            for q, e in row.items() if p in row else (*row.items(), (p, ZERO)):
+                if q != p:
+                    diff = e.coeffs
+                elif e is ONE:
+                    continue
+                else:
+                    diff = (e - ONE).coeffs
+                for i, a in cols[p].items():
+                    if a is ONE:
+                        left = diff
+                    else:
+                        left = {}
+                        _add_product(left, a.coeffs, diff)
+                    out = cells[i]
+                    for j, b in right[q].items():
+                        acc = out.get(j)
+                        if acc is None:
+                            acc = out[j] = {}
+                        elif acc.__class__ is LaurentPoly:
+                            acc = out[j] = dict(acc.coeffs)
+                        _add_product(acc, left, b.coeffs)
+        for r in cells:
+            for j, acc in r.items():
+                if acc.__class__ is dict:
+                    r[j] = _nonzero_poly(acc)
+        return _matrix([{j: p for j, p in r.items() if p.coeffs} for r in cells])
+
+    return conj
+
+
 def _matrix(rows: list[dict[int, LaurentPoly]]) -> LaurentMatrix:
     """Trusted constructor: sparse rows of in-range columns holding no zero
     polynomial."""

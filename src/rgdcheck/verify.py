@@ -39,7 +39,7 @@ from .errors import (
     RankOneSolveFailed,
     ResidueNotIdentity,
 )
-from .laurent import LaurentMatrix, LaurentPoly
+from .laurent import LaurentMatrix, LaurentPoly, conjugator
 from .models import GroupModel, RootGroupCoords, basis_generators, coords_neg
 from .roots import dot, integral, pairing, vec
 
@@ -179,9 +179,21 @@ def _drawn_pinnings(
     return pins
 
 
+def _generator_pinnings(
+    model: GroupModel, cfg: SuiteConfig
+) -> list[tuple[AffineRoot, list[tuple[RootGroupCoords, LaurentMatrix]]]]:
+    """(beta, [(coords, pinning)]) for every in-range U_beta: each basis
+    generator with its pinning, built once for one suite call to reuse."""
+    pin = model.relative_pinning
+    return [
+        (beta, [(coords, pin(coords)) for coords in basis_generators(model, beta)])
+        for beta in in_range_affine_roots(model, cfg)
+    ]
+
+
 def _conjugation(
     model: GroupModel,
-    cfg: SuiteConfig,
+    pinned: list,
     report: AxiomReport,
     prefix: str,
     h: LaurentMatrix,
@@ -190,17 +202,18 @@ def _conjugation(
     same_coords: bool = False,
 ) -> None:
     """h carries U_beta onto U_target(beta): one case per basis generator g of
-    every in-range U_beta peels h g h^-1 in U_target(beta) and, if same_coords,
-    compares its coordinates with g's.  Inputs: "<prefix> beta=... gen=..."."""
-    for beta in in_range_affine_roots(model, cfg):
+    every U_beta in `pinned` (from `_generator_pinnings`) peels h g h^-1
+    in U_target(beta) and, if same_coords, compares its coordinates with g's.
+    Inputs: "<prefix> beta=... gen=..."."""
+    conj = conjugator(h, hinv)
+    for beta, gens in pinned:
         image = target(beta)
-        for coords in basis_generators(model, beta):
-            g = model.relative_pinning(coords)
+        for coords, g in gens:
             with report.case(
                 lambda: f"{prefix} beta={beta} gen={_text(coords)}",
                 lambda: f"conjugate in U_{image}",
             ) as case:
-                got = model.peel(h @ g @ hinv, image)
+                got = model.peel(conj(g), image)
                 if same_coords and (got.c, got.d) != (coords.c, coords.d):
                     case.fail(_text(got), f"coordinates preserved in U_{image}")
 
@@ -253,6 +266,7 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """
     rng = random.Random(cfg.seed + 2)
     n_samples = max(cfg.samples, 4)
+    pinned = _generator_pinnings(model, cfg)
     for alpha in simple_affine_roots(model.system):
         reflect = functools.partial(affine_reflect, model.system, alpha)
         reps = []
@@ -277,7 +291,7 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                 continue
             # conjugation: w U_beta w^-1 = U_(reflected beta)
             _conjugation(
-                model, cfg, report, f"alpha={alpha} u={_text(u)}", w, w_inv, reflect
+                model, pinned, report, f"alpha={alpha} u={_text(u)}", w, w_inv, reflect
             )
         # different samples differ by a torus centralizer element
         for k in range(1, len(reps)):
@@ -338,11 +352,10 @@ def _rgd3(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     then exhibits, for each simple affine root, a generator of the opposite
     group violating the shared profile of the positive side.
     """
-    for alpha in in_range_affine_roots(model, cfg):
+    for alpha, gens in _generator_pinnings(model, cfg):
         profile = rgd3_case(model, alpha)
         test = _PROFILE_TESTS[profile]
-        for coords in basis_generators(model, alpha):
-            g = model.relative_pinning(coords)
+        for coords, g in gens:
             with report.case(
                 lambda: f"alpha={alpha} gen={_text(coords)}",
                 lambda: f"profile {profile}",
@@ -384,13 +397,15 @@ def _rgd5(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Torus centralizer elements normalize every affine root group."""
     rng = random.Random(cfg.seed + 5)
     torus = model.sample_centralizer_elements(rng, max(8, cfg.samples))
+    pinned = _generator_pinnings(model, cfg)
     for k, (h, hinv) in enumerate(torus):
-        _conjugation(model, cfg, report, f"h={k}", h, hinv, lambda beta: beta)
+        _conjugation(model, pinned, report, f"h={k}", h, hinv, lambda beta: beta)
 
 
 def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Conjugating U_(b, n) by the coroot of a at t^(-l/2) shifts the level
     by l * <b, a^vee> / 2 and preserves coordinates."""
+    pinned = _generator_pinnings(model, cfg)
     for a_rel in model.system.roots:
         for l in range(cfg.level_min, cfg.level_max + 1):
             if l == 0:
@@ -401,7 +416,7 @@ def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> N
             prefix = f"a={a_rel} l={l}"
             kinv = kappa.inverse()
             _conjugation(
-                model, cfg, report, prefix, kappa, kinv, shifted, same_coords=True
+                model, pinned, report, prefix, kappa, kinv, shifted, same_coords=True
             )
 
 

@@ -129,12 +129,29 @@ def test_unwritable_out_path_is_a_configuration_error(tmp_path, monkeypatch, cap
     assert not missing.exists()
     err = capsys.readouterr().err
     assert err.startswith("rgdcheck: configuration error:") and "Traceback" not in err
-    # a destination whose directory exists but which cannot be opened for
-    # writing (here a directory) fails only when the report is written
+    # a destination that is a directory is caught before any suite runs too;
+    # see test_out_directory_fails_before_any_suite_runs
     assert main([*args, str(tmp_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("rgdcheck: configuration error: --out:")
+
+
+def test_out_directory_fails_before_any_suite_runs(tmp_path, monkeypatch, capsys):
+    """--out naming an existing directory is a configuration error of the run,
+    not a failure to write a report that every suite was run for."""
+    from rgdcheck import cli
+
+    args = ["--group", "sl", "--rank", "1", *FAST, "--suites", "rgd0", "--out"]
+    monkeypatch.setattr(cli, "run_suites", lambda *a: pytest.fail("suites ran"))
+    with pytest.raises(ConfigError, match="is a directory"):
+        RunConfig(group="sl", rank=1, out=str(tmp_path))
+    for target in (tmp_path, f"{tmp_path}/", "."):
+        assert main([*args, str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rgdcheck: configuration error: --out:")
+        assert "Traceback" not in captured.err
 
 
 def test_run_config_validation():

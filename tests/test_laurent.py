@@ -16,12 +16,14 @@ from rgdcheck import (
     NotInvertibleOverRing,
     RootGroupCoords,
     affine_root,
+    basis_generators,
+    simple_affine_roots,
     special_unitary,
     split_sl,
     sqrt_of,
 )
 from rgdcheck import laurent
-from rgdcheck.laurent import EXP_SCALE
+from rgdcheck.laurent import EXP_SCALE, conjugator
 
 
 def rand_poly(rng, disc=None, span=2):
@@ -567,3 +569,108 @@ def test_triangular_det_is_the_diagonal_product():
 def test_conj_returns_rational_polynomials_themselves(p):
     assert p.conj() == LaurentPoly({e: c.conj() for e, c in p.coeffs.items()})
     assert (p.conj() is p) == all(c.is_rational for c in p.coeffs.values())
+
+
+# -- the conjugation kernel: g -> h @ g @ hinv ----------------------------------
+
+
+def _conjugating_pairs(model):
+    """(h, hinv) pairs the suites conjugate by: torus centralizer samples (an
+    SU sample with two middle slots mixes in a rotation), coroot values and
+    Weyl representatives, and some pairs whose hinv is not h's inverse."""
+    rng = random.Random(31)
+    torus = model.sample_centralizer_elements(rng, 3)
+    coroots = [
+        model.coroot(a, LaurentPoly.t_power(Q(-l, 2)))
+        for a in model.system.roots[:2]
+        for l in (-1, 1)
+    ]
+    weyl = []
+    for alpha in simple_affine_roots(model.system)[:2]:
+        nc, nd = model.coord_lengths(alpha.root)
+        u = RootGroupCoords(alpha, (Q(2),) + (Q(-1, 3),) * (nc - 1), (Q(1, 2),) * nd)
+        w, w_inv, *_ = model.w_element_parts(alpha.root, u, alpha.level)
+        weyl.append((w, w_inv))
+    pairs = torus + [(k, k.inverse()) for k in coroots] + weyl
+    wrong = [(torus[0][0], torus[1][1]), (weyl[0][0], weyl[0][0]), (coroots[0], torus[2][0])]
+    return pairs + wrong
+
+
+def _conjugated_matrices(model):
+    """Basis generator pinnings at levels -1 and 1, a random pinning per root,
+    and matrices off the unipotent shape: a diagonal entry that is 1 but not
+    the shared ONE, a non-unit one and a missing one."""
+    rng = random.Random(37)
+    gs = []
+    for a in model.system.roots:
+        for level in (-1, 1):
+            gs += [model.relative_pinning(c) for c in basis_generators(model, affine_root(a, level))]
+        nc, nd = model.coord_lengths(a)
+        draw = lambda k: tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k))
+        gs.append(model.relative_pinning(RootGroupCoords(affine_root(a, 0), draw(nc), draw(nd))))
+    n, t = model.n, LaurentPoly.t_power(1)
+    x = gs[-1]
+    gs += [
+        x @ LaurentMatrix.from_entries(n, {(0, 0): ONE}),
+        x @ LaurentMatrix.from_entries(n, {(0, 0): LaurentPoly.const(-2) * t}),
+        x @ LaurentMatrix.from_entries(n, {(n - 1, n - 1): ZERO, (n - 1, 0): t}),
+    ]
+    return gs
+
+
+@pytest.mark.parametrize(
+    "model",
+    [split_sl(n) for n in (1, 2, 3)]
+    + [special_unitary(dim, witt) for dim, witt in ((3, 1), (4, 1), (5, 2))],
+    ids=["SL2", "SL3", "SL4", "SU(3,1)", "SU(4,1)", "SU(5,2)"],
+)
+def test_conjugator_matches_the_two_products(model):
+    gs = _conjugated_matrices(model)
+    assert any(g.sparse[0].get(0) not in (None, SHARED_ONE) for g in gs)
+    assert any(g.n - 1 not in g.sparse[-1] for g in gs)
+    for h, hinv in _conjugating_pairs(model):
+        conj = conjugator(h, hinv)
+        for g in gs:
+            got = conj(g)
+            assert _stores_no_zeros(got)
+            assert got == h @ g @ hinv
+
+
+@st.composite
+def matrix_triples(draw):
+    disc = draw(st.sampled_from(DISCS))
+    n = draw(st.integers(1, 4))
+    return tuple(draw(matrices(n, disc))[2] for _ in range(3))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(matrix_triples())
+def test_conjugator_is_exact_for_any_three_matrices(triple):
+    h, k, g = triple
+    got = conjugator(h, k)(g)
+    assert _stores_no_zeros(got)
+    hg = LaurentMatrix(_dense_product(h, g))
+    assert got.rows == tuple(map(tuple, _dense_product(hg, k)))
+
+
+def test_conjugator_leaves_operands_and_results_alone():
+    sl3 = PIN_MODELS[1]
+    (h, hinv), *_ = sl3.sample_centralizer_elements(random.Random(5), 1)
+    t = LaurentPoly.t_power(1)
+    gs = [
+        sl3.relative_pinning(RootGroupCoords(affine_root((1, -1, 0), 1), (Q(2),))),
+        LaurentMatrix.from_entries(3, {(0, 0): t, (1, 1): ZERO, (0, 2): t}),
+        LaurentMatrix.identity(3),
+    ]
+    operands = [h, hinv] + gs
+    snaps = [_snapshot(m) for m in operands]
+    conj = conjugator(h, hinv)
+    # conjugating the identity returns h hinv, entries and all
+    base = conj(LaurentMatrix.identity(3))
+    assert base == h @ hinv
+    results = [conj(g) for g in gs]
+    kept = [_snapshot(m) for m in [base] + results]
+    again = [conj(g) for g in reversed(gs)]
+    assert again[::-1] == results
+    assert all(_unchanged(m, s) for m, s in zip(operands, snaps))
+    assert all(_unchanged(m, s) for m, s in zip([base] + results, kept))

@@ -20,6 +20,7 @@ from rgdcheck import (
     SUModel,
     SuiteConfig,
     affine_root,
+    basis_generators,
     coords_neg,
     run_suites,
     special_unitary,
@@ -238,15 +239,16 @@ class FlippedPairSU(SUModel):
         return lay
 
 
-def count_contains(monkeypatch, model):
+def count_calls(monkeypatch, model, method):
+    """The argument of every call of the model's method, which still runs."""
     calls = []
-    inner = model.contains
+    inner = getattr(model, method)
 
-    def counted(g):
-        calls.append(g)
-        return inner(g)
+    def counted(arg):
+        calls.append(arg)
+        return inner(arg)
 
-    monkeypatch.setattr(model, "contains", counted)
+    monkeypatch.setattr(model, method, counted)
     return calls
 
 
@@ -275,7 +277,7 @@ def test_pinnings_outside_the_group_are_recorded_by_rgd1():
 
 def test_pinnings_and_peels_never_check_membership(monkeypatch):
     su = special_unitary(3, 1)
-    calls = count_contains(monkeypatch, su)
+    calls = count_calls(monkeypatch, su, "contains")
     alpha = affine_root(vec(1), 0)
     u = RootGroupCoords(alpha, (Q(1), Q(2)), (Q(3),))
     g = su.relative_pinning(u)
@@ -289,14 +291,14 @@ def test_pinnings_and_peels_never_check_membership(monkeypatch):
 
 def test_rgd0_checks_membership_once_per_case(monkeypatch):
     model = special_unitary(3, 1)
-    calls = count_contains(monkeypatch, model)
+    calls = count_calls(monkeypatch, model, "contains")
     r = run_one("rgd0", model, SMALL)
     assert r.passed and len(calls) == r.cases
 
 
 def test_rgd1_checks_the_four_pinnings_of_each_case(monkeypatch):
     model = split_sl(1)
-    calls = count_contains(monkeypatch, model)
+    calls = count_calls(monkeypatch, model, "contains")
     r = run_one("rgd1", model, SMALL)
     assert r.passed and len(calls) == 4 * r.cases
 
@@ -409,6 +411,20 @@ def test_conjugation_mutants_are_caught(
     for f in shared:
         assert f["inputs"].startswith(prefix) and " beta=" in f["inputs"]
         assert " gen=" in f["inputs"]
+
+
+@pytest.mark.parametrize("tag", ["rgd5", "coroot-shift"])
+def test_conjugations_build_each_generator_pinning_once(monkeypatch, tag):
+    """One pinning per basis generator in the window, built once for the
+    suite call, and one more per case, the rebuild inside the peel."""
+    model = split_sl(2)
+    calls = count_calls(monkeypatch, model, "relative_pinning")
+    r = run_one(tag, model, SMALL)
+    window = verify.in_range_affine_roots(model, SMALL)
+    generators = [c for beta in window for c in basis_generators(model, beta)]
+    assert r.passed and r.cases > len(generators) == 18
+    assert len(calls) == len(generators) + r.cases
+    assert calls[: len(generators)] == generators
 
 
 # -- readable failure records ----------------------------------------------------------
