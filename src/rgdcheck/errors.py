@@ -42,7 +42,8 @@ class NotPrenilpotent(RgdcheckError):
 
 
 class NotMonomial(RgdcheckError):
-    """Coroot argument must be a unit monomial c * t^e with c != 0."""
+    """A coroot argument that is not a unit monomial c * t^e with c != 0, or
+    a form without exactly one entry per row."""
 
 
 class IndexOutOfRange(RgdcheckError):

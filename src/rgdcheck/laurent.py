@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotInvertibleOverRing
+from .errors import DimensionMismatch, NotInvertibleOverRing, NotMonomial
 from .scalars import FieldScalar
 
 Q = Fraction
@@ -181,6 +181,20 @@ def _add_product(acc: dict, a: dict, b: dict, negate=False) -> None:
                 acc[e] = cur
 
 
+def _add_into(acc: dict, a: dict) -> None:
+    """acc += a on coefficient maps, dropping a sum that cancels."""
+    for e, c in a.items():
+        cur = acc.get(e)
+        if cur is None:
+            acc[e] = c
+            continue
+        cur = cur + c
+        if cur.is_zero():
+            del acc[e]
+        else:
+            acc[e] = cur
+
+
 def _nonzero_poly(coeffs: dict[int, FieldScalar]) -> LaurentPoly:
     """Trusted constructor for coefficients that are already all nonzero."""
     p = object.__new__(LaurentPoly)
@@ -190,6 +204,7 @@ def _nonzero_poly(coeffs: dict[int, FieldScalar]) -> LaurentPoly:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
+_MINUS_ONE = LaurentPoly.const(-1)
 
 
 class LaurentMatrix:
@@ -282,18 +297,11 @@ class LaurentMatrix:
             len(r) == 1 and i in r and r[i].is_one() for i, r in enumerate(self.sparse)
         )
 
-    def _mapped_transpose(self, f) -> "LaurentMatrix":
+    def transpose(self) -> "LaurentMatrix":
         out: list[dict[int, LaurentPoly]] = [{} for _ in range(self.n)]
         for (i, j), p in self.items():
-            out[j][i] = f(p)
+            out[j][i] = p
         return _matrix(out)
-
-    def transpose(self) -> "LaurentMatrix":
-        return self._mapped_transpose(lambda p: p)
-
-    def conj_transpose(self) -> "LaurentMatrix":
-        """Transpose with the field involution applied entrywise."""
-        return self._mapped_transpose(LaurentPoly.conj)
 
     def det(self) -> LaurentPoly:
         """Division-free determinant: the diagonal's product for a triangular
@@ -361,14 +369,34 @@ class LaurentMatrix:
         return f"LaurentMatrix of size {self.n}:\n{self}"
 
 
+def _minus_identity(g: LaurentMatrix) -> list[list[tuple[int, LaurentPoly]]]:
+    """Rows of E = g - I as (column, entry) lists of nonzero entries: a
+    diagonal entry that is the shared ONE adds nothing, and a missing one
+    adds -1.  g is not written to."""
+    rows = []
+    for p, row in enumerate(g.sparse):
+        out = []
+        for q, e in row.items():
+            if q != p:
+                out.append((q, e))
+            elif e is not ONE:
+                e = e - ONE
+                if e.coeffs:
+                    out.append((q, e))
+        if p not in row:
+            out.append((p, _MINUS_ONE))
+        rows.append(out)
+    return rows
+
+
 def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
     """The map g -> h @ g @ hinv, for one h and hinv and many g near I.
 
     By distributivity h (I + E) hinv = h hinv + h E hinv, so h hinv is formed
     once and each g adds the outer product h[:, p] E[p][q] hinv[q, :] of every
-    stored entry (p, q) of E = g - I: a diagonal entry that is the shared ONE
-    adds nothing, and a missing one adds -1.  Exact for any hinv, an inverse
-    of h or not.  The operands and h hinv are never written to.
+    stored entry (p, q) of E = g - I (see `_minus_identity`).  Exact for any
+    hinv, an inverse of h or not.  The operands and h hinv are never written
+    to.
     """
     n = h.n
     base = (h @ hinv).sparse
@@ -379,14 +407,9 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
         if g.n != n:
             raise DimensionMismatch(f"{n}x{n} conjugating {g.n}x{g.n}")
         cells: list[dict] = [dict(r) for r in base]
-        for p, row in enumerate(g.sparse):
-            for q, e in row.items() if p in row else (*row.items(), (p, ZERO)):
-                if q != p:
-                    diff = e.coeffs
-                elif e is ONE:
-                    continue
-                else:
-                    diff = (e - ONE).coeffs
+        for p, row in enumerate(_minus_identity(g)):
+            for q, e in row:
+                diff = e.coeffs
                 for i, a in cols[p].items():
                     if a is ONE:
                         left = diff
@@ -408,6 +431,54 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
         return _matrix([{j: p for j, p in r.items() if p.coeffs} for r in cells])
 
     return conj
+
+
+def form_check(form: LaurentMatrix):
+    """The test g -> (g* @ form @ g == form) for a monomial form F, one
+    stored entry f_k in each row k, at column s(k); any other form raises
+    NotMonomial.
+
+    With E = g - I (see `_minus_identity`), g* F g - F = E* F + F E + E* F E
+    = E* (F g) + F E, where row k of F g is f_k g[s(k)] and row k of F E is
+    f_k E[s(k)].  So each stored entry (k, i) of E adds conj(E[k][i]) f_k
+    g[s(k)] to row i, each row k adds f_k E[s(k)], and g is in the group of
+    F when everything cancels.  Exact for any g; for a root group element,
+    a few entries off the identity, it is a few scalar products, and the
+    shared ONE, in F or on g's diagonal, is multiplied by nothing.  Neither g
+    nor F is written to.
+    """
+    n = form.n
+    entries = []
+    for k, row in enumerate(form.sparse):
+        if len(row) != 1:
+            raise NotMonomial(f"row {k} of the form holds {len(row)} entries")
+        ((s, f),) = row.items()
+        entries.append((s, f))
+
+    def check(g: LaurentMatrix) -> bool:
+        if g.n != n:
+            raise DimensionMismatch(f"{n}x{n} form checking {g.n}x{g.n}")
+        diff = _minus_identity(g)
+        rows = g.sparse
+        acc: dict[tuple[int, int], dict[int, FieldScalar]] = {}
+        for k, (s, f) in enumerate(entries):
+            for j, x in diff[s]:
+                _add_product(acc.setdefault((k, j), {}), f.coeffs, x.coeffs)
+            for i, e in diff[k]:
+                left = {x: c.conj() for x, c in e.coeffs.items()}
+                if f is not ONE:
+                    scaled: dict[int, FieldScalar] = {}
+                    _add_product(scaled, left, f.coeffs)
+                    left = scaled
+                for j, x in rows[s].items():
+                    cell = acc.setdefault((i, j), {})
+                    if x is ONE:
+                        _add_into(cell, left)
+                    else:
+                        _add_product(cell, left, x.coeffs)
+        return not any(acc.values())
+
+    return check
 
 
 def _matrix(rows: list[dict[int, LaurentPoly]]) -> LaurentMatrix:

@@ -23,7 +23,7 @@ the quadratic correction of the linear part.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .affine import AffineRoot, affine_root
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
     ReflectionLeftSystem,
     UnsupportedType,
 )
-from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _matrix, _nonzero_poly
+from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _matrix, _nonzero_poly, form_check
 from .roots import (
     RootSystem,
     Vector,
@@ -104,7 +104,7 @@ class RootLayout(NamedTuple):
     sfac: FieldScalar | None = None
 
 
-def _rational(x: FieldScalar, error: type[Exception] | None) -> Q:
+def _rational(x: FieldScalar, error: Callable[[str], Exception] | None) -> Q:
     """The rational x, or its rational part when error is None."""
     if error is not None and not x.is_rational:
         raise error(f"coefficient {x} is not rational")
@@ -221,21 +221,28 @@ class GroupModel:
                 f"expected {nc}+{nd} coordinates, got "
                 f"{len(coords.c)}+{len(coords.d)}"
             )
-        e4 = _exp4_of_level(level)
-        # the identity with each nonzero entry set, all off the diagonal
-        rows = [{i: ONE} for i in range(self.n)]
         zs = self._link_scalars(lay, coords.c)
+        corner = None
+        if nd:
+            corner = FieldScalar.coerce(coords.d[0]) + self._correction(lay, zs)
+        return self._pin(lay, _exp4_of_level(level), zs, corner)
+
+    def _pin(
+        self, lay: RootLayout, e4: int, zs: list[FieldScalar], corner: FieldScalar | None
+    ) -> LaurentMatrix:
+        """The identity with each link scalar z at its position and factor *
+        tau(z) at its partner, at exponent e4, and the corner entry at 2 * e4:
+        every entry set lies off the diagonal."""
+        rows = [{i: ONE} for i in range(self.n)]
         for ((p, q), partner, factor), z in zip(lay.links, zs):
             if not z.is_zero():
                 rows[p][q] = _nonzero_poly({e4: z})
                 if partner is not None:
                     p, q = partner
                     rows[p][q] = _nonzero_poly({e4: factor * z.conj()})
-        if nd:
-            corner = FieldScalar.coerce(coords.d[0]) + self._correction(lay, zs)
-            if not corner.is_zero():
-                p, q = lay.corner
-                rows[p][q] = _nonzero_poly({2 * e4: corner})
+        if corner is not None and not corner.is_zero():
+            p, q = lay.corner
+            rows[p][q] = _nonzero_poly({2 * e4: corner})
         return _matrix(rows)
 
     def _link_scalars(self, lay: RootLayout, c: tuple[Q, ...]) -> list[FieldScalar]:
@@ -257,7 +264,7 @@ class GroupModel:
         alpha: AffineRoot,
         zs: list[FieldScalar],
         corner: FieldScalar | None,
-        error: type[Exception] | None = None,
+        error: Callable[[str], Exception] | None = None,
     ) -> RootGroupCoords:
         """Coordinates of the element of U_alpha with link scalars zs and, on a
         multipliable root, the given corner entry.  A coordinate in k that is
@@ -275,25 +282,36 @@ class GroupModel:
         d0 = corner - self._correction(lay, zs)
         return RootGroupCoords(alpha, tuple(c), (_rational(d0, error),))
 
+    def _read_scalars(self, g: LaurentMatrix, lay: RootLayout, e4: int) -> tuple:
+        """The link scalars of g at exponent e4 and its corner entry at 2 * e4,
+        read without verification."""
+        zs = [g.entry(p, q).coeff(e4) for (p, q), _, _ in lay.links]
+        corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
+        return zs, corner
+
     def _read_coords(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
         """Raw coordinate reads at the designated entries, without verification:
         a coordinate in k is read by its rational part."""
-        a_rel, level = alpha
-        lay = self.layout(a_rel)
-        e4 = _exp4_of_level(level)
-        zs = []
-        for (p, q), _, _ in lay.links:
-            zs.append(g.entry(p, q).coeff(e4))
-        corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
+        lay = self.layout(alpha.root)
+        zs, corner = self._read_scalars(g, lay, _exp4_of_level(alpha.level))
         return self._coords(alpha, zs, corner)
 
     def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
         """Coordinates of g as an element of U_alpha, or NotInRootGroup; g is
-        compared with its rebuilt pinning, and membership in G is not checked."""
-        coords = self._read_coords(g, alpha)
-        if self.relative_pinning(coords) != g:
-            raise NotInRootGroup(f"{alpha}: matrix is not in this root group")
-        return coords
+        compared with the element rebuilt from its own link scalars and
+        corner, which are then read as coordinates, and membership in G is
+        not checked."""
+        lay = self.layout(alpha.root)
+        e4 = _exp4_of_level(alpha.level)
+        zs, corner = self._read_scalars(g, lay, e4)
+
+        def miss(_: str = "") -> NotInRootGroup:
+            return NotInRootGroup(f"{alpha}: matrix is not in this root group")
+
+        if self._pin(lay, e4, zs, corner) != g:
+            raise miss()
+        # left to check: every coordinate in k is rational
+        return self._coords(alpha, zs, corner, miss)
 
     def peel_product(
         self, g: LaurentMatrix, order: list[AffineRoot]
@@ -527,6 +545,7 @@ class SUModel(GroupModel):
             gram[(h, h)] = LaurentPoly.const(self.s)
         rows = [[gram.get((p, q), ZERO) for q in range(dim)] for p in range(dim)]
         self.gram = LaurentMatrix(rows)
+        self._preserves_form = form_check(self.gram)
         self._build_layouts()
 
     def _mirror(self, x: int) -> int:
@@ -565,9 +584,7 @@ class SUModel(GroupModel):
         return RootLayout(links, True, (p, q), sfac)
 
     def contains(self, g: LaurentMatrix) -> bool:
-        if g.n != self.n or not g.det().is_one():
-            return False
-        return g.conj_transpose() @ self.gram @ g == self.gram
+        return g.n == self.n and g.det().is_one() and self._preserves_form(g)
 
     def descriptor(self) -> dict:
         return {

@@ -14,6 +14,7 @@ from rgdcheck import (
     LaurentMatrix,
     LaurentPoly,
     NotInvertibleOverRing,
+    NotMonomial,
     RootGroupCoords,
     affine_root,
     basis_generators,
@@ -23,7 +24,7 @@ from rgdcheck import (
     sqrt_of,
 )
 from rgdcheck import laurent
-from rgdcheck.laurent import EXP_SCALE, conjugator
+from rgdcheck.laurent import EXP_SCALE, conjugator, form_check
 
 
 def rand_poly(rng, disc=None, span=2):
@@ -212,7 +213,7 @@ def test_constant_part_and_transposes():
     assert cp.entry(0, 0) == one
     assert cp.entry(0, 1) == i
     assert m.transpose().entry(1, 0) == i
-    ct = m.conj_transpose()
+    ct = _conj_transpose(m)
     assert ct.entry(1, 0) == LaurentPoly.const(FieldScalar(0, -1, -1))
     assert ct.entry(0, 0) == one + t
 
@@ -261,6 +262,11 @@ def _sympy_matrix(sympy, m, s):
     return sympy.Matrix(
         [[_to_sympy(sympy, m.entry(i, j), s) for j in range(m.n)] for i in range(m.n)]
     )
+
+
+def _conj_transpose(m):
+    """The transpose with the field involution applied to every entry: g*."""
+    return LaurentMatrix([[m.entry(j, i).conj() for j in range(m.n)] for i in range(m.n)])
 
 
 def _stores_no_zeros(m):
@@ -408,7 +414,7 @@ def test_sparse_store_invariants(drawn):
         rows[i][j] == (ONE if i == j else ZERO) for i in range(m.n) for j in range(m.n)
     )
     # transposes and constant parts keep the store free of zeros
-    for derived in (m.transpose(), m.conj_transpose(), m.constant_part()):
+    for derived in (m.transpose(), _conj_transpose(m), m.constant_part()):
         assert _stores_no_zeros(derived)
     assert m.transpose().rows == tuple(zip(*m.rows))
 
@@ -475,12 +481,12 @@ def pinnings(draw, model):
 @st.composite
 def unit_pairs(draw):
     """Two same-size matrices: pinnings of one model (with conjugate
-    transposes and the Gram matrix the hermitian check multiplies them with),
-    or a shared-unit or triangular matrix next to any drawn matrix."""
+    transposes and the Gram matrix), or a shared-unit or triangular matrix
+    next to any drawn matrix."""
     if draw(st.booleans()):
         model = draw(st.sampled_from(PIN_MODELS))
         g, h = draw(pinnings(model)), draw(pinnings(model))
-        others = [h, g.conj_transpose()] + ([] if model.gram is None else [model.gram])
+        others = [h, _conj_transpose(g)] + ([] if model.gram is None else [model.gram])
         return g, draw(st.sampled_from(others))
     disc = draw(st.sampled_from(DISCS))
     n = draw(st.integers(1, 4))
@@ -520,7 +526,7 @@ def test_unit_pass_through_matches_dense_references(pair):
 def test_products_determinants_and_conj_leave_operands_alone(pair):
     a, b = pair
     snaps = [_snapshot(a), _snapshot(b)]
-    a @ b, b @ a, a.det(), b.det(), a.conj_transpose(), b.conj_transpose()
+    a @ b, b @ a, a.det(), b.det(), _conj_transpose(a), _conj_transpose(b)
     assert _unchanged(a, snaps[0]) and _unchanged(b, snaps[1])
 
 
@@ -674,3 +680,128 @@ def test_conjugator_leaves_operands_and_results_alone():
     assert again[::-1] == results
     assert all(_unchanged(m, s) for m, s in zip(operands, snaps))
     assert all(_unchanged(m, s) for m, s in zip([base] + results, kept))
+
+
+# -- the form kernel: g -> (g* F g == F) on E = g - I ----------------------------
+
+FORM_MODELS = [special_unitary(dim, witt) for dim, witt in ((3, 1), (4, 1), (5, 2), (6, 2))]
+FORM_MODELS.append(special_unitary(4, 1, disc=-3))
+
+
+def _dense_preserves(model, g):
+    """g* J g == J, from the dense schoolbook products of this file."""
+    left = LaurentMatrix(_dense_product(_conj_transpose(g), model.gram))
+    return _dense_product(left, g) == [list(r) for r in model.gram.rows]
+
+
+def _perturbed(g, t):
+    """g with t added to its first stored entry off the diagonal: a pinning
+    stays triangular with det 1, and leaves the group when t breaks the
+    link to a partner entry or, on a long root, is not fixed by tau."""
+    rows = [list(r) for r in g.rows]
+    (p, q), _ = next(((p, q), e) for (p, q), e in g.items() if p != q)
+    rows[p][q] = rows[p][q] + t
+    return LaurentMatrix(rows)
+
+
+def _torus_det_one(model):
+    """diag(2, 1, ..., 1, 1/2), a torus element of SU, and diag(2, 1/2, 1,
+    ..., 1), which has det 1 but scales the middle or the second hyperbolic
+    pair and so is outside SU."""
+    n, two, half = model.n, LaurentPoly.const(2), LaurentPoly.const(Q(1, 2))
+    inside = [two] + [ONE] * (n - 2) + [half]
+    outside = [two, half] + [ONE] * (n - 2)
+    return LaurentMatrix.diagonal(inside), LaurentMatrix.diagonal(outside)
+
+
+@st.composite
+def form_draws(draw):
+    """(model, g): a pinning, a product of pinnings, a torus centralizer
+    sample, an RGD4 word (pinnings times a centralizer sample), a pinning
+    with one perturbed entry, or a det-1 diagonal matrix."""
+    model = draw(st.sampled_from(FORM_MODELS))
+    kind = draw(st.sampled_from(["pinning", "product", "torus", "word", "perturbed", "diagonal"]))
+    if kind in ("torus", "word"):
+        seed = draw(st.integers(0, 1000))
+        samples = model.sample_centralizer_elements(random.Random(seed), 3)
+        h = draw(st.sampled_from(samples))[0]
+    if kind == "torus":
+        return model, h
+    if kind == "diagonal":
+        return model, draw(st.sampled_from(_torus_det_one(model)))
+    g = draw(pinnings(model))
+    if kind in ("product", "word"):
+        for _ in range(draw(st.integers(1, 3))):
+            g = g @ draw(pinnings(model))
+    if kind == "word":
+        g = g @ h
+    if kind == "perturbed" and not g.is_identity():
+        c = draw(st.sampled_from([1, -2, model.s]))
+        g = _perturbed(g, LaurentPoly.term(c, draw(st.integers(-1, 1))))
+    return model, g
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(form_draws())
+def test_form_check_matches_the_dense_triple_product(drawn):
+    model, g = drawn
+    snaps = [_snapshot(g), _snapshot(model.gram)]
+    assert form_check(model.gram)(g) == _dense_preserves(model, g)
+    assert _unchanged(g, snaps[0]) and _unchanged(model.gram, snaps[1])
+
+
+@pytest.mark.parametrize("model", FORM_MODELS, ids=lambda m: f"SU({m.n},{m.witt},{m.disc})")
+def test_form_check_separates_members_from_det_one_non_members(model):
+    check = form_check(model.gram)
+    rng = random.Random(3)
+    t = LaurentPoly.term(model.s, 1)
+    for a in model.system.roots:
+        nc, nd = model.coord_lengths(a)
+        draw = lambda k: tuple(Q(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(k))
+        g = model.relative_pinning(RootGroupCoords(affine_root(a, 1), draw(nc), draw(nd)))
+        assert check(g) and _dense_preserves(model, g)
+        bad = _perturbed(g, t)
+        assert bad.det().is_one()
+        assert not check(bad) and not _dense_preserves(model, bad)
+    inside, outside = _torus_det_one(model)
+    assert check(inside) and outside.det().is_one() and not check(outside)
+    assert check(LaurentMatrix.identity(model.n))
+    # Weyl representatives miss diagonal entries, which E holds as -1
+    for alpha in simple_affine_roots(model.system):
+        nc, nd = model.coord_lengths(alpha.root)
+        u = RootGroupCoords(alpha, (Q(2),) + (Q(-1, 3),) * (nc - 1), (Q(1, 2),) * nd)
+        w, w_inv, *_ = model.w_element_parts(alpha.root, u, alpha.level)
+        assert any(i not in row for i, row in enumerate(w.sparse))
+        assert check(w) and check(w_inv) and _dense_preserves(model, w)
+        assert not check(_perturbed(w, t)) and not _dense_preserves(model, _perturbed(w, t))
+
+
+def test_form_check_takes_only_monomial_forms():
+    t = LaurentPoly.t_power(1)
+    with pytest.raises(NotMonomial):
+        form_check(LaurentMatrix([[ONE, t], [ZERO, ONE]]))
+    with pytest.raises(NotMonomial):
+        form_check(LaurentMatrix.diagonal([ONE, ZERO]))
+    check = form_check(LaurentMatrix.diagonal([ONE, -ONE]))
+    with pytest.raises(DimensionMismatch):
+        check(LaurentMatrix.identity(3))
+    # a hyperbolic rotation preserves diag(1, -1); a shear does not
+    five, three = LaurentPoly.const(Q(5, 4)), LaurentPoly.const(Q(3, 4))
+    rot = LaurentMatrix([[five, three], [three, five]])
+    assert check(rot) and not check(LaurentMatrix.from_entries(2, {(0, 1): t}))
+
+
+def test_su_membership_makes_no_matrix_product(monkeypatch):
+    products = []
+    inner = LaurentMatrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return inner(a, b)
+
+    model = special_unitary(5, 2)
+    u = RootGroupCoords(affine_root((1, 0), -1), (Q(1), Q(2)), (Q(3),))
+    g = model.relative_pinning(u)
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counted)
+    assert model.contains(g) and not model.contains(_perturbed(g, LaurentPoly.term(model.s, 1)))
+    assert products == []

@@ -1,6 +1,7 @@
 """Tests for the split and special unitary matrix models."""
 
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -274,6 +275,28 @@ def test_su_strict_read_rejects_tampering():
     bad = LaurentMatrix(rows)
     with pytest.raises(NotInRootGroup):
         su.peel(bad, affine_root(vec(1), 0))
+
+
+@pytest.mark.parametrize(
+    "alpha, entry, exponent",
+    [
+        (affine_root(vec(2), 1), (0, 2), -1),
+        (affine_root(vec(-2), 0), (2, 0), 0),
+        (affine_root(vec(1), 1), (0, 2), -2),
+    ],
+    ids=["long-root-link", "long-root-link-below", "corner"],
+)
+def test_peel_rejects_a_coordinate_in_k_that_is_not_rational(alpha, entry, exponent):
+    """The entry at a long root's link, or at a single root's corner with no
+    link set, matches its rebuild but lies in k' and not in k."""
+    su = special_unitary(3, 1)
+    g = LaurentMatrix.from_entries(3, {entry: LaurentPoly.term(1 + I, exponent)})
+    message = f"^{re.escape(str(alpha))}: matrix is not in this root group$"
+    with pytest.raises(NotInRootGroup, match=message):
+        su.peel(g, alpha)
+    # the same entry with a rational value peels
+    rational = LaurentMatrix.from_entries(3, {entry: LaurentPoly.term(2, exponent)})
+    assert su.peel(rational, alpha).alpha == alpha
 
 
 def test_membership_violation_on_wrong_coordinate_count():
