@@ -1,8 +1,9 @@
 """Command line runner: build a model, run the axiom suites, emit a report.
 
 Exit codes: 0 when every suite passes, 1 when some axiom check fails, 2 for
-configuration problems, 3 for internal errors.  Reports are reproducible: a
-fixed configuration yields identical output but for timestamp and timings.
+configuration problems and a report that cannot be written, 3 for internal
+errors.  Reports are reproducible: a fixed configuration yields identical
+output but for timestamp and timings.
 """
 
 from __future__ import annotations
@@ -205,16 +206,30 @@ def main(argv=None) -> int:
         print(f"rgdcheck: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = render_json(report) if cfg.format == "json" else render_markdown(report)
-    if not cfg.out:
-        print(text)
-        return code
     try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text, flush=True)
     except OSError as exc:
-        print(f"rgdcheck: configuration error: --out: {exc}", file=sys.stderr)
+        where = "--out" if cfg.out else "stdout"
+        print(f"rgdcheck: configuration error: {where}: {exc}", file=sys.stderr)
+        if not cfg.out:
+            _silence_stdout()
         return 2
     return code
+
+
+def _silence_stdout() -> None:
+    """Point stdout at devnull, so that the flush at exit does not meet the
+    closed pipe again."""
+    devnull = open(os.devnull, "w", encoding="utf-8")
+    try:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    except (AttributeError, OSError, ValueError):  # a stdout with no descriptor
+        pass
+    sys.stdout = devnull
 
 
 if __name__ == "__main__":

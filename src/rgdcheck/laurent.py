@@ -72,7 +72,7 @@ class LaurentPoly:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs.get(0) == _SCALAR_ONE
+        return self is ONE or (len(self.coeffs) == 1 and self.coeffs.get(0) == _SCALAR_ONE)
 
     def coeff(self, e4: int) -> FieldScalar:
         """Coefficient at scaled exponent e4 (zero if absent)."""
@@ -213,6 +213,14 @@ class LaurentMatrix:
     Stored as sparse rows, `sparse[i] = {j: entry}` over the nonzero entries
     only, so products and determinants of the mostly unipotent group elements
     walk few entries; `rows` builds the dense grid for display.
+
+    Rows are never written once `_matrix` has stored them, so matrices share
+    rows freely.  The identity's rows `{i: ONE}` are one table per size
+    (`_UNIT_ROWS`): `identity`, `from_entries` and the pinnings build through
+    `_unit_plus`, which copies only the rows it writes.  The kernels skip a
+    unit row: in `@` a left row that is the shared ONE alone, at column k,
+    becomes the right operand's row k itself, `det` leaves it out of its
+    triangularity test, and `_minus_identity` gives it an empty row of E.
     """
 
     __slots__ = ("n", "sparse")
@@ -227,20 +235,15 @@ class LaurentMatrix:
 
     @staticmethod
     def identity(n: int) -> "LaurentMatrix":
-        return _matrix([{i: ONE} for i in range(n)])
+        return _unit_plus(n, ())
 
     @staticmethod
     def from_entries(n: int, entries: dict[tuple[int, int], LaurentPoly]) -> "LaurentMatrix":
         """The identity with each given entry set to the given polynomial."""
-        rows = [{i: ONE} for i in range(n)]
-        for (i, j), p in entries.items():
+        for i, j in entries:
             if not (0 <= i < n and 0 <= j < n):
                 raise DimensionMismatch(f"entry ({i},{j}) outside {n}x{n}")
-            if p.coeffs:
-                rows[i][j] = p
-            else:
-                rows[i].pop(j, None)
-        return _matrix(rows)
+        return _unit_plus(n, entries.items())
 
     @staticmethod
     def diagonal(entries) -> "LaurentMatrix":
@@ -259,13 +262,20 @@ class LaurentMatrix:
         return (((i, j), p) for i, r in enumerate(self.sparse) for j, p in r.items())
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        """Product over stored entries; a cell reached only by a term with the
-        shared ONE as a factor reuses the other factor's polynomial object."""
+        """Product over stored entries.  A left row that is the shared ONE
+        alone, at column k, gives right row k itself; a cell reached only by
+        a term with the shared ONE as a factor reuses the other factor's
+        polynomial object."""
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n}x{self.n} @ {other.n}x{other.n}")
         right = other.sparse
         out = []
         for row in self.sparse:
+            if len(row) == 1:
+                ((k, a),) = row.items()
+                if a is ONE:
+                    out.append(right[k])
+                    continue
             cells: dict[int, LaurentPoly | dict[int, FieldScalar]] = {}
             for k, a in row.items():
                 for j, b in right[k].items():
@@ -305,14 +315,24 @@ class LaurentMatrix:
 
     def det(self) -> LaurentPoly:
         """Division-free determinant: the diagonal's product for a triangular
-        matrix, else dynamic programming over column subsets."""
+        matrix, else dynamic programming over column subsets.  One pass over
+        the rows tests triangularity; a row that is the shared ONE alone on
+        the diagonal fits either side and adds nothing to the product."""
         rows = self.sparse
-        if all(min(r, default=i) >= i for i, r in enumerate(rows)) or all(
-            max(r, default=i) <= i for i, r in enumerate(rows)
-        ):
+        upper = lower = True
+        diag = []
+        for i, r in enumerate(rows):
+            p = r.get(i, ZERO)
+            if p is ONE and len(r) == 1:
+                continue
+            upper = upper and min(r, default=i) >= i
+            lower = lower and max(r, default=i) <= i
+            if not (upper or lower):
+                break
+            diag.append(p)
+        else:
             out = ONE
-            for i, r in enumerate(rows):
-                p = r.get(i, ZERO)
+            for p in diag:
                 out = p if out is ONE else out if p is ONE else out * p
             return out
         # best[mask] = coefficients of the signed sum over ways to fill the
@@ -370,11 +390,14 @@ class LaurentMatrix:
 
 
 def _minus_identity(g: LaurentMatrix) -> list[list[tuple[int, LaurentPoly]]]:
-    """Rows of E = g - I as (column, entry) lists of nonzero entries: a
-    diagonal entry that is the shared ONE adds nothing, and a missing one
-    adds -1.  g is not written to."""
+    """Rows of E = g - I as (column, entry) lists of nonzero entries: a unit
+    row of g gives an empty row, a diagonal entry that is the shared ONE adds
+    nothing, and a missing one adds -1.  g is not written to."""
     rows = []
     for p, row in enumerate(g.sparse):
+        if len(row) == 1 and row.get(p) is ONE:
+            rows.append(())
+            continue
         out = []
         for q, e in row.items():
             if q != p:
@@ -483,8 +506,32 @@ def form_check(form: LaurentMatrix):
 
 def _matrix(rows: list[dict[int, LaurentPoly]]) -> LaurentMatrix:
     """Trusted constructor: sparse rows of in-range columns holding no zero
-    polynomial."""
+    polynomial.  The rows are stored as given and never written after."""
     m = object.__new__(LaurentMatrix)
     m.n = len(rows)
     m.sparse = tuple(rows)
     return m
+
+
+# the identity's rows {i: ONE} for each size n built so far, shared by every
+# matrix that leaves them unwritten
+_UNIT_ROWS: dict[int, tuple[dict[int, LaurentPoly], ...]] = {}
+
+
+def _unit_plus(n: int, entries) -> LaurentMatrix:
+    """Trusted builder: the n x n identity with each ((i, j), p) of entries
+    written at in-range (i, j), a zero p clearing the cell.  A row that no
+    entry writes is the shared unit row; a written row is a copy."""
+    units = _UNIT_ROWS.get(n)
+    if units is None:
+        units = _UNIT_ROWS[n] = tuple({i: ONE} for i in range(n))
+    rows = list(units)
+    for (i, j), p in entries:
+        row = rows[i]
+        if row is units[i]:
+            row = rows[i] = {i: ONE}
+        if p.coeffs:
+            row[j] = p
+        else:
+            row.pop(j, None)
+    return _matrix(rows)

@@ -37,7 +37,7 @@ from .errors import (
     ReflectionLeftSystem,
     UnsupportedType,
 )
-from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _matrix, _nonzero_poly, form_check
+from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _nonzero_poly, _unit_plus, form_check
 from .roots import (
     RootSystem,
     Vector,
@@ -104,6 +104,11 @@ class RootLayout(NamedTuple):
     sfac: FieldScalar | None = None
 
 
+def _slot_counts(lay: RootLayout) -> tuple[int, int]:
+    """Rational slots: 1 per link (2 in k') and 1 at a corner, if any."""
+    return len(lay.links) * (1 + lay.field), (0 if lay.corner is None else 1)
+
+
 def _rational(x: FieldScalar, error: Callable[[str], Exception] | None) -> Q:
     """The rational x, or its rational part when error is None."""
     if error is not None and not x.is_rational:
@@ -161,9 +166,8 @@ class GroupModel:
         return lay
 
     def coord_lengths(self, a_rel: Vector) -> tuple[int, int]:
-        """Rational slots: 1 per link (2 in k') and 1 at a corner, if any."""
-        lay = self.layout(a_rel)
-        return len(lay.links) * (1 + lay.field), (0 if lay.corner is None else 1)
+        """Rational slots (in c, in d) of the root group of a_rel."""
+        return _slot_counts(self.layout(a_rel))
 
     def _module_dims(self) -> dict[str, int]:
         """k-dimension of each root module, keyed by the root's coordinates."""
@@ -215,7 +219,7 @@ class GroupModel:
         builds, as RGD0 and RGD1 check membership on the inputs they draw."""
         a_rel, level = coords.alpha
         lay = self.layout(a_rel)
-        nc, nd = self.coord_lengths(a_rel)
+        nc, nd = _slot_counts(lay)
         if len(coords.c) != nc or len(coords.d) != nd:
             raise MembershipViolation(
                 f"expected {nc}+{nd} coordinates, got "
@@ -232,18 +236,17 @@ class GroupModel:
     ) -> LaurentMatrix:
         """The identity with each link scalar z at its position and factor *
         tau(z) at its partner, at exponent e4, and the corner entry at 2 * e4:
-        every entry set lies off the diagonal."""
-        rows = [{i: ONE} for i in range(self.n)]
-        for ((p, q), partner, factor), z in zip(lay.links, zs):
+        every entry set lies off the diagonal, and the rows it misses are the
+        shared unit rows."""
+        entries = []
+        for (pos, partner, factor), z in zip(lay.links, zs):
             if not z.is_zero():
-                rows[p][q] = _nonzero_poly({e4: z})
+                entries.append((pos, _nonzero_poly({e4: z})))
                 if partner is not None:
-                    p, q = partner
-                    rows[p][q] = _nonzero_poly({e4: factor * z.conj()})
+                    entries.append((partner, _nonzero_poly({e4: factor * z.conj()})))
         if corner is not None and not corner.is_zero():
-            p, q = lay.corner
-            rows[p][q] = _nonzero_poly({2 * e4: corner})
-        return _matrix(rows)
+            entries.append((lay.corner, _nonzero_poly({2 * e4: corner})))
+        return _unit_plus(self.n, entries)
 
     def _link_scalars(self, lay: RootLayout, c: tuple[Q, ...]) -> list[FieldScalar]:
         """The link scalars z named by the rational coordinates c."""

@@ -126,12 +126,6 @@ class FieldScalar:
         """The involution tau: sqrt(d) -> -sqrt(d), identity on Q."""
         return _make(self._a, -self._b, self._den, self.disc)
 
-    def norm(self) -> Fraction:
-        """self * conj(self) as a rational: base^2 - d * ext^2."""
-        a, b = self._a, self._b
-        n = a * a - self.disc * b * b if b else a * a
-        return Fraction(n, self._den * self._den)
-
     def inverse(self) -> "FieldScalar":
         a, b, den = self._a, self._b, self._den
         if a == 0 and b == 0:

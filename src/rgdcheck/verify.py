@@ -142,19 +142,19 @@ def _rand_q(rng: random.Random) -> Q:
     return Q(rng.randint(-6, 6), rng.randint(1, 4))
 
 
+# the values of the first draws of `sample_coords`, on every slot
+FIXED_DRAWS = (Q(1), Q(-1), Q(1, 2))
+
+
 def sample_coords(
     model: GroupModel, alpha: AffineRoot, rng: random.Random, idx: int
 ) -> RootGroupCoords:
-    """Deterministic nonzero coordinate sample; the first three draws are the
-    mandatory values 1, -1 and 1/2 on every slot."""
+    """Deterministic nonzero coordinate sample; the first draws are the
+    mandatory values of FIXED_DRAWS, which take nothing from rng."""
     nc, nd = model.coord_lengths(alpha.root)
     total = nc + nd
-    if idx == 0:
-        vals = [Q(1)] * total
-    elif idx == 1:
-        vals = [Q(-1)] * total
-    elif idx == 2:
-        vals = [Q(1, 2)] * total
+    if idx < len(FIXED_DRAWS):
+        vals = [FIXED_DRAWS[idx]] * total
     else:
         vals = [_rand_q(rng) for _ in range(total)]
         while all(v == 0 for v in vals):
@@ -238,19 +238,32 @@ def _rgd1(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Commutators of prenilpotent pairs peel over the open interval."""
     rng = random.Random(cfg.seed + 1)
     groups = in_range_affine_roots(model, cfg)
+    # (alpha, s) -> (u, -u) for the fixed draws, which take nothing from rng
+    # and so are drawn once per suite call
+    fixed: dict[tuple[AffineRoot, int], tuple[RootGroupCoords, RootGroupCoords]] = {}
+
+    def draw(alpha: AffineRoot, s: int) -> tuple[RootGroupCoords, RootGroupCoords]:
+        pair = fixed.get((alpha, s))
+        if pair is None:
+            u = sample_coords(model, alpha, rng, s)
+            pair = (u, coords_neg(u))
+            if s < len(FIXED_DRAWS):
+                fixed[alpha, s] = pair
+        return pair
+
     for i, alpha in enumerate(groups):
         for beta in groups[i + 1 :]:
             if not is_prenilpotent(alpha, beta):
                 continue
             interval = open_interval(model.system, alpha, beta)
             for s in range(cfg.samples):
-                u = sample_coords(model, alpha, rng, s)
-                v = sample_coords(model, beta, rng, s)
+                u, u_inv = draw(alpha, s)
+                v, v_inv = draw(beta, s)
                 with report.case(
                     lambda: f"alpha={alpha} beta={beta} u={_text(u)} v={_text(v)}",
                     lambda: f"commutator in product over {[str(g) for g in interval]}",
                 ) as case:
-                    draws = [u, v, coords_neg(u), coords_neg(v)]
+                    draws = [u, v, u_inv, v_inv]
                     pins = _drawn_pinnings(model, case, draws)
                     if pins is not None:
                         gu, gv, gu_inv, gv_inv = pins

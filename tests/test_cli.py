@@ -137,6 +137,31 @@ def test_unwritable_out_path_is_a_configuration_error(tmp_path, monkeypatch, cap
     assert captured.err.startswith("rgdcheck: configuration error: --out:")
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone, as under `rgdcheck ... | head -c 10`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_is_not_an_axiom_failure(monkeypatch, capsys):
+    """Every suite passes, so a report that cannot be printed exits 2, with
+    one line on stderr and no traceback, and stdout is left pointing at a
+    sink that takes the flush at exit."""
+    import sys
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    args = ["--group", "sl", "--rank", "1", "--samples", "1"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == "rgdcheck: configuration error: stdout: [Errno 32] Broken pipe\n"
+    assert not isinstance(sys.stdout, ClosedPipe)
+    print("after the pipe closed", flush=True)
+
+
 def test_out_directory_fails_before_any_suite_runs(tmp_path, monkeypatch, capsys):
     """--out naming an existing directory is a configuration error of the run,
     not a failure to write a report that every suite was run for."""

@@ -352,10 +352,11 @@ def polys(draw, disc, zero_share=0.4):
 @st.composite
 def matrices(draw, n=None, disc=None):
     """(kind, dense rows, matrix): a sparse random matrix given as dense rows
-    with explicit zero entries, a unipotent one from from_entries, or a
-    diagonal one."""
+    with explicit zero entries, a unipotent one from from_entries, one from
+    the identity builder `_unit_plus` (cells written in turn, a zero clearing
+    its cell), or a diagonal one."""
     n = n if n is not None else draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["sparse", "unipotent", "diagonal"]))
+    kind = draw(st.sampled_from(["sparse", "unipotent", "unit-plus", "diagonal"]))
     if kind == "diagonal":
         diag = [draw(polys(disc, zero_share=0.15)) for _ in range(n)]
         rows = [[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -370,6 +371,13 @@ def matrices(draw, n=None, disc=None):
         for (i, j), p in entries.items():
             rows[i][j] = p
         return kind, rows, LaurentMatrix.from_entries(n, entries)
+    if kind == "unit-plus":
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        entries = [(cell, draw(polys(disc))) for cell in draw(st.lists(cells, max_size=2 * n))]
+        rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        for (i, j), p in entries:
+            rows[i][j] = p
+        return kind, rows, laurent._unit_plus(n, entries)
     rows = [[draw(polys(disc, zero_share=0.6)) for _ in range(n)] for _ in range(n)]
     return kind, rows, LaurentMatrix(rows)
 
@@ -393,6 +401,17 @@ def test_sparse_product_and_det_match_dense_references(pair):
         det = m.det()
         assert all(not c.is_zero() for c in det.coeffs.values())
         assert det == _leibniz_det(m)
+    assert _unit_rows_intact()
+
+
+def _unit_rows_intact():
+    """Every shared unit row still holds the shared ONE alone, on the
+    diagonal."""
+    return all(
+        len(row) == 1 and row.get(i) is laurent.ONE
+        for units in laurent._UNIT_ROWS.values()
+        for i, row in enumerate(units)
+    )
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
@@ -528,6 +547,61 @@ def test_products_determinants_and_conj_leave_operands_alone(pair):
     snaps = [_snapshot(a), _snapshot(b)]
     a @ b, b @ a, a.det(), b.det(), _conj_transpose(a), _conj_transpose(b)
     assert _unchanged(a, snaps[0]) and _unchanged(b, snaps[1])
+
+
+@st.composite
+def unit_row_pairs(draw):
+    """(g, h): g with some rows the shared ONE alone, at a drawn column on
+    the diagonal or off it, and the other rows drawn; h any matrix of g's
+    size, from the builders or not."""
+    disc = draw(st.sampled_from(DISCS))
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, n - 1))
+            rows.append([SHARED_ONE if j == k else ZERO for j in range(n)])
+        else:
+            rows.append([draw(polys(disc, zero_share=0.6)) for _ in range(n)])
+    h = draw(st.one_of(matrices(n, disc).map(lambda d: d[2]), unit_matrices(n, disc)))
+    return LaurentMatrix(rows), h
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(unit_row_pairs())
+def test_a_unit_row_passes_the_right_row_through(pair):
+    g, h = pair
+    snap = _snapshot(h)
+    prod = g @ h
+    assert prod.rows == tuple(map(tuple, _dense_product(g, h)))
+    for i, row in enumerate(g.sparse):
+        if len(row) == 1 and next(iter(row.values())) is SHARED_ONE:
+            (k,) = row
+            assert prod.sparse[i] is h.sparse[k]
+    assert prod.det() == _leibniz_det(prod) and g.det() == _leibniz_det(g)
+    assert _unchanged(h, snap) and _unit_rows_intact()
+
+
+def test_the_identity_builder_copies_only_the_rows_it_writes():
+    t = LaurentPoly.t_power(1)
+    units = LaurentMatrix.identity(4).sparse
+    assert all(r is u for r, u in zip(units, laurent._UNIT_ROWS[4]))
+    m = laurent._unit_plus(4, [((0, 2), t), ((3, 3), ZERO), ((0, 1), t * t)])
+    assert m.sparse[1] is units[1] and m.sparse[2] is units[2]
+    assert m.sparse[0] == {0: SHARED_ONE, 1: t * t, 2: t} and m.sparse[0] is not units[0]
+    assert m.sparse[3] == {}
+    built = LaurentMatrix.from_entries(4, {(2, 0): t})
+    assert built.sparse[0] is units[0] and built.sparse[2] == {2: SHARED_ONE, 0: t}
+    # a pinning writes only the rows of its entries, and a product passes
+    # the rows that no factor writes through as the shared rows themselves
+    sl4 = split_sl(3)
+    x01 = sl4.relative_pinning(RootGroupCoords(affine_root((1, -1, 0, 0), 0), (Q(2),)))
+    x23 = sl4.relative_pinning(RootGroupCoords(affine_root((0, 0, 1, -1), 1), (Q(3),)))
+    assert [r is u for r, u in zip(x01.sparse, units)] == [False, True, True, True]
+    prod = x01 @ x23
+    assert [r is u for r, u in zip(prod.sparse, units)] == [False, True, False, True]
+    assert prod.sparse[2] is x23.sparse[2]
+    assert _unit_rows_intact()
 
 
 def test_reused_cell_accumulates_in_a_copy():

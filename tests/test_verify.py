@@ -26,7 +26,8 @@ from rgdcheck import (
     special_unitary,
     split_sl,
 )
-from rgdcheck import verify
+from rgdcheck import laurent, verify
+from rgdcheck.affine import is_prenilpotent
 from rgdcheck.roots import vec
 
 SMALL = SuiteConfig(level_min=-1, level_max=1, samples=3)
@@ -160,6 +161,55 @@ def test_rgd1_sees_doubled_roots_missing_from_the_interval(monkeypatch):
     r = run_one("rgd1", special_unitary(5, 2), WIDE_BC2)
     assert r.cases == 1080
     assert len(r.failures) == 180
+
+
+def test_rgd1_draws_each_fixed_sample_once(monkeypatch):
+    """The fixed draws take nothing from the rng: RGD1 draws each once per
+    (affine root, index) it uses, and a random one twice per case."""
+    model = split_sl(2)
+    cfg = SuiteConfig(level_min=-1, level_max=1, samples=5)
+    drawn = []
+    inner = verify.sample_coords
+
+    def counted(model, alpha, rng, idx):
+        drawn.append((alpha, idx))
+        return inner(model, alpha, rng, idx)
+
+    monkeypatch.setattr(verify, "sample_coords", counted)
+    r = run_one("rgd1", model, cfg)
+    window = verify.in_range_affine_roots(model, cfg)
+    pairs = [
+        (a, b) for i, a in enumerate(window) for b in window[i + 1 :] if is_prenilpotent(a, b)
+    ]
+    assert r.passed and r.cases == cfg.samples * len(pairs)
+    n_fixed = len(verify.FIXED_DRAWS)
+    fixed = [(a, s) for a, s in drawn if s < n_fixed]
+    used = {a for pair in pairs for a in pair}
+    assert sorted(fixed, key=str) == sorted(
+        ((a, s) for a in used for s in range(n_fixed)), key=str
+    )
+    assert len(drawn) - len(fixed) == 2 * len(pairs) * (cfg.samples - n_fixed)
+
+
+@pytest.mark.parametrize("model", [split_sl(2), special_unitary(4, 1)], ids=["SL3", "SU(4,1)"])
+def test_suites_leave_the_shared_unit_rows_alone(model):
+    """Rows are never written once stored: after every suite the identity's
+    shared rows still read {i: ONE}, and a pinning, and a product of two,
+    keep the rows that they do not write as those very objects."""
+    assert all(r.passed for r in run_suites(model, SMALL))
+    units = laurent._UNIT_ROWS[model.n]
+    assert all(len(row) == 1 and row.get(i) is laurent.ONE for i, row in enumerate(units))
+    pins = [
+        model.relative_pinning(coords)
+        for alpha in verify.in_range_affine_roots(model, SMALL)
+        for coords in basis_generators(model, alpha)
+    ]
+    for g, h in zip(pins, pins[1:]):
+        written = {p for (p, q), _ in g.items() if p != q}
+        assert written
+        prod = g @ h
+        for i in set(range(model.n)) - written:
+            assert g.sparse[i] is units[i] and prod.sparse[i] is h.sparse[i]
 
 
 def test_rgd3_records_profile_of_every_group():
