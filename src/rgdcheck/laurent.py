@@ -134,14 +134,22 @@ class LaurentPoly:
         return _poly({e4 * k: c**k})
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FieldScalar)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
+        # a polynomial operand first: it is the only one LaurentMatrix passes
+        if other.__class__ is not LaurentPoly:
+            if isinstance(other, (int, Fraction, FieldScalar)):
+                other = LaurentPoly.const(other)
+            elif not isinstance(other, LaurentPoly):
+                return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        """A constant hashes as its constant, which it equals."""
+        coeffs = self.coeffs
+        if not coeffs:
+            return hash(0)
+        if len(coeffs) == 1 and 0 in coeffs:
+            return hash(coeffs[0])
+        return hash(frozenset(coeffs.items()))
 
     def __str__(self):
         if not self.coeffs:
@@ -416,42 +424,78 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
     """The map g -> h @ g @ hinv, for one h and hinv and many g near I.
 
     By distributivity h (I + E) hinv = h hinv + h E hinv, so h hinv is formed
-    once and each g adds the outer product h[:, p] E[p][q] hinv[q, :] of every
-    stored entry (p, q) of E = g - I (see `_minus_identity`).  Exact for any
-    hinv, an inverse of h or not.  The operands and h hinv are never written
-    to.
+    once and each stored entry e = E[p][q] of E = g - I (see
+    `_minus_identity`) adds e h[i][p] hinv[q][j] to every cell (i, j).  The
+    outer product h[:, p] hinv[q, :] is a table built the first time an E
+    reaches (p, q) and kept for the conjugator's life, so a cell costs one
+    product, and none when its table entry is the shared ONE.  A row of
+    the result that no entry of E reaches is the row of h hinv itself (the
+    shared unit row when h hinv is the identity); only the rows E reaches
+    are copied and finalised.  Exact for any hinv, an inverse of h or not.
+    The operands and h hinv are never written to.
     """
     n = h.n
-    base = (h @ hinv).sparse
+    base = h @ hinv
+    base = (_unit_plus(n, ()) if base.is_identity() else base).sparse
     cols = h.transpose().sparse
     right = hinv.sparse
+    # (p, q) -> [(i, [(j, h[i][p] hinv[q][j])])] over the stored entries
+    table: dict[tuple[int, int], list] = {}
+
+    def outer(p: int, q: int) -> list:
+        terms = []
+        for i, a in cols[p].items():
+            cells = []
+            for j, b in right[q].items():
+                if a is ONE or b is ONE:
+                    cells.append((j, b if a is ONE else a))
+                    continue
+                prod: dict[int, FieldScalar] = {}
+                _add_product(prod, a.coeffs, b.coeffs)
+                cells.append((j, _nonzero_poly(prod)))
+            if cells:
+                terms.append((i, cells))
+        table[p, q] = terms
+        return terms
 
     def conj(g: LaurentMatrix) -> LaurentMatrix:
         if g.n != n:
             raise DimensionMismatch(f"{n}x{n} conjugating {g.n}x{g.n}")
-        cells: list[dict] = [dict(r) for r in base]
+        rows = list(base)
+        reached = []
         for p, row in enumerate(_minus_identity(g)):
             for q, e in row:
+                terms = table.get((p, q))
+                if terms is None:
+                    terms = outer(p, q)
                 diff = e.coeffs
-                for i, a in cols[p].items():
-                    if a is ONE:
-                        left = diff
-                    else:
-                        left = {}
-                        _add_product(left, a.coeffs, diff)
-                    out = cells[i]
-                    for j, b in right[q].items():
+                for i, cells in terms:
+                    out = rows[i]
+                    if out is base[i]:
+                        out = rows[i] = dict(out)
+                        reached.append(i)
+                    for j, t in cells:
                         acc = out.get(j)
                         if acc is None:
+                            if t is ONE:
+                                out[j] = e
+                                continue
                             acc = out[j] = {}
                         elif acc.__class__ is LaurentPoly:
                             acc = out[j] = dict(acc.coeffs)
-                        _add_product(acc, left, b.coeffs)
-        for r in cells:
-            for j, acc in r.items():
-                if acc.__class__ is dict:
-                    r[j] = _nonzero_poly(acc)
-        return _matrix([{j: p for j, p in r.items() if p.coeffs} for r in cells])
+                        if t is ONE:
+                            _add_into(acc, diff)
+                        else:
+                            _add_product(acc, t.coeffs, diff)
+        for i in reached:
+            # a cell is a stored polynomial or an accumulated map, which is
+            # falsy when it cancelled to zero
+            rows[i] = {
+                j: _nonzero_poly(acc) if acc.__class__ is dict else acc
+                for j, acc in rows[i].items()
+                if acc
+            }
+        return _matrix(rows)
 
     return conj
 

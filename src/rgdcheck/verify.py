@@ -282,7 +282,7 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     pinned = _generator_pinnings(model, cfg)
     for alpha in simple_affine_roots(model.system):
         reflect = functools.partial(affine_reflect, model.system, alpha)
-        reps = []
+        reps = []  # (sample index, w, w^-1) of each representative built
         for s in range(n_samples):
             u = sample_coords(model, alpha, rng, s)
             w = None
@@ -290,7 +290,7 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                 lambda: f"alpha={alpha} u={_text(u)}", "representative"
             ) as case:
                 w, w_inv, v1, v2, x = model.w_element_parts(alpha.root, u, alpha.level)
-                reps.append((w, w_inv))
+                reps.append((s, w, w_inv))
                 # membership: w = v1 x v2 with v1, v2 in U_(-alpha)
                 case.expected = "v1, v2 in U_(-alpha)"
                 p1 = model.peel(v1, -alpha)
@@ -307,12 +307,12 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                 model, pinned, report, f"alpha={alpha} u={_text(u)}", w, w_inv, reflect
             )
         # different samples differ by a torus centralizer element
-        for k in range(1, len(reps)):
+        for (s0, w0, _), (s1, _, w1_inv) in zip(reps, reps[1:]):
             with report.case(
-                lambda: f"alpha={alpha} samples {k - 1},{k}",
+                lambda: f"alpha={alpha} samples {s0},{s1}",
                 "m(u) m(u')^-1 centralizes the split torus",
             ) as case:
-                quot = reps[k - 1][0] @ reps[k][1]
+                quot = w0 @ w1_inv
                 if not model.is_centralizer_element(quot):
                     case.fail("not a torus centralizer element")
 

@@ -97,6 +97,52 @@ def test_string_format():
     assert str(LaurentPoly.term(FieldScalar(0, 1, -1), Q(1, 2))) == "(0+1*sqrt(-1))*t^1/2"
 
 
+def test_polynomials_compare_with_numbers_as_constants():
+    three, half = LaurentPoly.const(3), LaurentPoly.const(Q(1, 2))
+    i = LaurentPoly.const(sqrt_of(-1))
+    t, zero = LaurentPoly.t_power(1), LaurentPoly.zero()
+    for x in (3, Q(3), FieldScalar(3)):
+        assert three == x and x == three and not three != x
+        assert t != x and half != x
+    assert half == Q(1, 2) and half == FieldScalar(Q(1, 2)) and half != 0
+    assert zero == 0 and zero == Q(0) and zero == FieldScalar(0) and three != 0
+    assert i == sqrt_of(-1) and sqrt_of(-1) == i and i != 1 and i != FieldScalar(0, 1, -2)
+    assert t != FieldScalar(1) and LaurentPoly.t_power(0) == 1
+    assert three.__eq__("3") is NotImplemented and three != "3" and three != None  # noqa: E711
+
+
+# small numerators and denominators so that values meet, and denominators at
+# the hash modulus, where Python's numeric hash of a rational wraps
+_numerators = st.one_of(st.integers(-3, 3), st.sampled_from([2**61, -(2**62) - 1]))
+_denominators = st.sampled_from([1, 1, 2, 3, 2**61 - 1, 3 * (2**61 - 1)])
+
+
+@st.composite
+def numbers(draw):
+    """An int, a Fraction, a FieldScalar (rational or in Q(i)) or a
+    LaurentPoly (zero, a constant or not) of a few small values."""
+    kind = draw(st.sampled_from(["int", "fraction", "scalar", "poly"]))
+    r = Q(draw(_numerators), draw(_denominators))
+    if kind == "int":
+        return r.numerator
+    if kind == "fraction":
+        return r
+    ext = draw(st.sampled_from([0, 0, 1]))
+    s = FieldScalar(r, ext, -1 if ext else None)
+    if kind == "scalar":
+        return s
+    return LaurentPoly({e4: s for e4 in draw(st.sampled_from([(), (0,), (0,), (4,), (0, 4)]))})
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(numbers(), numbers())
+def test_equal_values_hash_alike_across_number_types(a, b):
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert ({a: 1}.get(b) is not None) == (a == b)
+
+
 def test_matrix_product_against_hand_example():
     t = LaurentPoly.t_power(1)
     one = LaurentPoly.one()
@@ -754,6 +800,81 @@ def test_conjugator_leaves_operands_and_results_alone():
     assert again[::-1] == results
     assert all(_unchanged(m, s) for m, s in zip(operands, snaps))
     assert all(_unchanged(m, s) for m, s in zip([base] + results, kept))
+
+
+def _reached_rows(h, hinv, g):
+    """The rows of h @ g @ hinv that some stored entry (p, q) of E = g - I
+    writes to: the rows of column p of h, when row q of hinv is not empty."""
+    e_rows = laurent._minus_identity(g)
+    return {
+        i
+        for p, row in enumerate(e_rows)
+        for q, _ in row
+        if hinv.sparse[q]
+        for i, hrow in enumerate(h.sparse)
+        if p in hrow
+    }
+
+
+def test_conjugator_shares_the_rows_that_e_does_not_reach():
+    """Rows are never written once stored.  conj copies only the rows that
+    E = g - I reaches; every other row is the row of h hinv itself, which is
+    the shared unit row when h hinv is the identity, and nothing is written
+    to: not the unit rows, the operands, h hinv or earlier results."""
+    su = special_unitary(5, 2)
+    n, t = su.n, LaurentPoly.t_power(1)
+    units = laurent._UNIT_ROWS[n]
+    (torus, torus_inv), *_ = su.sample_centralizer_elements(random.Random(7), 1)
+    (w, w_inv), *_ = _conjugating_pairs(su)[-5:]
+    assert (w @ w_inv).is_identity() and not (w @ torus_inv).is_identity()
+    gs = _conjugated_matrices(su)
+    # E reaches every row, and every entry of one column
+    gs.append(laurent._unit_plus(n, [((i, (i + 1) % n), t) for i in range(n)]))
+    gs.append(laurent._unit_plus(n, [((i, 0), t) for i in range(1, n)]))
+    pairs = [(torus, torus_inv), (w, w_inv), (w, torus_inv), (torus_inv, w)]
+    operands = [torus, torus_inv, w, w_inv] + gs
+    snaps = [_snapshot(m) for m in operands]
+    kept = []
+    for h, hinv in pairs:
+        conj = conjugator(h, hinv)
+        base = conj(LaurentMatrix.identity(n))
+        unit = (h @ hinv).is_identity()
+        assert base == h @ hinv and all(
+            (r is u) == unit for r, u in zip(base.sparse, units)
+        )
+        for _ in range(3):
+            for g in gs:
+                got = conj(g)
+                assert _stores_no_zeros(got) and got == h @ g @ hinv
+                reached = _reached_rows(h, hinv, g)
+                for i, row in enumerate(got.sparse):
+                    assert (row is base.sparse[i]) == (i not in reached)
+                kept.append((got, _snapshot(got)))
+        kept.append((base, _snapshot(base)))
+        assert all(_unchanged(m, s) for m, s in kept)
+    assert any(len(_reached_rows(w, w_inv, g)) == n for g in gs)
+    assert laurent._UNIT_ROWS[n] is units and _unit_rows_intact()
+    assert all(_unchanged(m, s) for m, s in zip(operands, snaps))
+
+
+def test_conjugator_copies_each_reached_row_of_a_repeated_row():
+    """Two rows of h that are the shared ONE alone, at the same column, give
+    h hinv one row object twice; E reaching both rows copies each."""
+    t = LaurentPoly.t_power(1)
+    h = LaurentMatrix([[SHARED_ONE, ZERO, ZERO], [SHARED_ONE, ZERO, ZERO], [ZERO, t, SHARED_ONE]])
+    k = LaurentMatrix([[t, ONE, ZERO], [ZERO, SHARED_ONE, t], [t, ZERO, SHARED_ONE]])
+    hk = h @ k
+    assert hk.sparse[0] is hk.sparse[1] is k.sparse[0]
+    snap = _snapshot(k)
+    conj = conjugator(h, k)
+    for g in (
+        LaurentMatrix.from_entries(3, {(0, 2): t}),
+        LaurentMatrix.from_entries(3, {(1, 0): t}),
+        LaurentMatrix.from_entries(3, {(0, 0): t, (2, 1): ONE}),
+    ):
+        got = conj(g)
+        assert got.rows == tuple(map(tuple, _dense_product(LaurentMatrix(_dense_product(h, g)), k)))
+    assert _unchanged(k, snap) and hk == h @ k and _unit_rows_intact()
 
 
 # -- the form kernel: g -> (g* F g == F) on E = g - I ----------------------------

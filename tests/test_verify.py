@@ -463,6 +463,26 @@ def test_conjugation_mutants_are_caught(
         assert " gen=" in f["inputs"]
 
 
+def test_rgd2_centralizer_cases_name_the_samples_they_compare(monkeypatch):
+    """A sample whose representative fails is left out of the centralizer
+    cases, which then compare samples 0 and 2: the label names the sample
+    indices, not positions in the list of representatives built."""
+    model = split_sl(1)
+    inner = model.w_element_parts
+
+    def fails_sample_1(a_rel, u, level):
+        if u.c == (verify.FIXED_DRAWS[1],):
+            raise RankOneSolveFailed("no representative")
+        return inner(a_rel, u, level)
+
+    monkeypatch.setattr(model, "w_element_parts", fails_sample_1)
+    monkeypatch.setattr(model, "is_centralizer_element", lambda g: False)
+    r = run_one("rgd2", model, SMALL)
+    torus = [f["inputs"] for f in r.failures if f["expected"].endswith("split torus")]
+    assert torus and all(f.endswith((" samples 0,2", " samples 2,3")) for f in torus)
+    assert len(torus) == 2 * len([f for f in r.failures if f["actual"] == "no representative"])
+
+
 @pytest.mark.parametrize("tag", ["rgd5", "coroot-shift"])
 def test_conjugations_build_each_generator_pinning_once(monkeypatch, tag):
     """One pinning per basis generator in the window, built once for the
