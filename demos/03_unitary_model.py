@@ -44,7 +44,7 @@ def main():
     print()
 
     u = RootGroupCoords(alpha, (Q(1), Q(0)), (Q(0),))
-    w, w_inv, _, _, _ = su.w_element_parts(eps, u, 0)
+    w, w_inv, _, _, _ = su.w_element_parts(u)
     show("Weyl representative m(u) = v1 x(u) v2", w)
     print("m(u) times its inverse v2^-1 x(u)^-1 v1^-1, built from negated")
     print("coordinates, is the identity:", (w @ w_inv).is_identity())

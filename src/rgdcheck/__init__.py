@@ -47,7 +47,6 @@ from .models import (
     SUModel,
     basis_generators,
     build_model,
-    coords_add,
     coords_neg,
     special_unitary,
     split_sl,

@@ -37,10 +37,11 @@ from .errors import (
     ReflectionLeftSystem,
     UnsupportedType,
 )
-from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _nonzero_poly, _unit_plus, form_check
+from .laurent import EXP_SCALE, ONE, ZERO, LaurentMatrix, LaurentPoly, _nonzero_poly, _unit_plus, form_check
 from .roots import (
     RootSystem,
     Vector,
+    add,
     build_root_system,
     pairing,
     reflect_vector,
@@ -78,16 +79,6 @@ def coords_neg(x: RootGroupCoords) -> RootGroupCoords:
     )
 
 
-def coords_add(x: RootGroupCoords, y: RootGroupCoords) -> RootGroupCoords:
-    if x.alpha != y.alpha:
-        raise ValueError("adding coordinates of different affine roots")
-    return RootGroupCoords(
-        x.alpha,
-        tuple(a + b for a, b in zip(x.c, y.c)),
-        tuple(a + b for a, b in zip(x.d, y.d)),
-    )
-
-
 class RootLayout(NamedTuple):
     """Matrix entry positions and module data of one relative root group.
 
@@ -117,10 +108,17 @@ def _rational(x: FieldScalar, error: Callable[[str], Exception] | None) -> Q:
 
 
 def _exp4_of_level(level) -> int:
-    """Scaled exponent -4 * level of an int or Fraction level."""
-    if 4 % level.denominator:
-        raise ValueError(f"level {level} off the quarter-exponent lattice")
-    return -(4 // level.denominator) * level.numerator
+    """Scaled exponent -EXP_SCALE * level of an int or Fraction level."""
+    if EXP_SCALE % level.denominator:
+        raise ValueError(f"level {level} off the exponent lattice 1/{EXP_SCALE}")
+    return -(EXP_SCALE // level.denominator) * level.numerator
+
+
+def _one_read(order: list[AffineRoot]) -> bool:
+    """No root of the order is the sum of two of its roots, a root taken twice
+    included: true of every open interval, whose members are p*a + q*b, p + q <= 3."""
+    sums = {(add(a.root, b.root), a.level + b.level) for a in order for b in order}
+    return sums.isdisjoint(order)
 
 
 class GroupModel:
@@ -319,32 +317,23 @@ class GroupModel:
     def peel_product(
         self, g: LaurentMatrix, order: list[AffineRoot]
     ) -> list[RootGroupCoords]:
-        """Coordinates of g as an ordered product over the given affine roots.
-
-        Entry reads alone are wrong for orders that put a sum root before its
-        summands, so this refines a coordinate vector until the product matches
-        g exactly.  The first pass reads the coordinates off g itself (all zero
-        when g is the identity); each later pass strips g by the inverse of the
-        product so far, delta = x(-c_k) ... x(-c_1) g, and reads the correction
-        off delta.  Each pass moves the discrepancy strictly deeper into the
-        unipotent filtration; there are at most 3 * len(order) + 6 passes.
-        """
+        """Coordinates of g as an ordered product over the given affine roots:
+        each is read once, off g at its own entries, and x(-c_k) ... x(-c_1) g
+        must be the identity.  A residue raises ResidueNotIdentity on an order
+        that meets the rule of `_one_read`, as every open interval does, and
+        ValueError, an internal error, on any other."""
         coords = [self._read_coords(g, alpha) for alpha in order]
         if g.is_identity():
             return coords
-        for _ in range(3 * len(order) + 5):
-            delta = g
-            for cs in coords:
-                delta = self.relative_pinning(coords_neg(cs)) @ delta
-            if delta.is_identity():
-                return coords
-            coords = [
-                coords_add(cs, self._read_coords(delta, cs.alpha))
-                for cs in coords
-            ]
-        raise ResidueNotIdentity(
-            f"residue left after peeling along {[str(a) for a in order]}"
-        )
+        delta = g
+        for cs in coords:
+            delta = self.relative_pinning(coords_neg(cs)) @ delta
+        if delta.is_identity():
+            return coords
+        where = [str(a) for a in order]
+        if not _one_read(order):
+            raise ValueError(f"{where} has a root that is the sum of two of its roots")
+        raise ResidueNotIdentity(f"residue left after peeling along {where}")
 
     def q2_additive(
         self, a_rel: Vector, v: tuple[Q, ...], w: tuple[Q, ...], level
@@ -356,10 +345,9 @@ class GroupModel:
         """
         alpha = affine_root(a_rel, level)
         _, nd = self.coord_lengths(a_rel)
-        cv = RootGroupCoords(alpha, tuple(v), (Q(0),) * nd)
-        cw = RootGroupCoords(alpha, tuple(w), (Q(0),) * nd)
-        csum = coords_add(cv, cw)
-        g = self.relative_pinning(coords_neg(csum)) @ (
+        cv, cw = (RootGroupCoords(alpha, tuple(x), (Q(0),) * nd) for x in (v, w))
+        neg_sum = RootGroupCoords(alpha, tuple(-x - y for x, y in zip(v, w)), cv.d)
+        g = self.relative_pinning(neg_sum) @ (
             self.relative_pinning(cv) @ self.relative_pinning(cw)
         )
         if not nd:
@@ -374,43 +362,36 @@ class GroupModel:
 
     # -- rank one Weyl representatives ---------------------------------------------
 
-    def w_element_parts(
-        self, a_rel: Vector, u: RootGroupCoords, level
-    ) -> tuple[LaurentMatrix, ...]:
+    def w_element_parts(self, u: RootGroupCoords) -> tuple[LaurentMatrix, ...]:
         """The Weyl representative m(u) of a nontrivial u in U_alpha, with its
         inverse and factors: returns (w, w_inv, v1, v2, x) where x = pinning(u),
         v1 and v2 lie in U_(-alpha), w = v1 x v2 induces the affine reflection
         in the wall of alpha, and w_inv = v2^-1 x^-1 v1^-1 is built from the
         negated coordinates of the three factors."""
-        level = Q(level)
-        alpha = affine_root(a_rel, level)
-        if u.alpha != alpha:
-            raise RankOneSolveFailed(f"coordinates {u.alpha} do not match {alpha}")
         if u.is_zero():
             raise RankOneSolveFailed("w_element needs a nontrivial element")
-        u0 = RootGroupCoords(affine_root(a_rel, 0), u.c, u.d)
-        c1, c2 = self._rank_one_witnesses(u0)
+        c1, c2 = self._rank_one_witnesses(u)
         pin = self.relative_pinning
-        x0, v1_0, v2_0 = pin(u0), pin(c1), pin(c2)
-        w0 = v1_0 @ x0 @ v2_0
-        self._check_reflection_shape(a_rel, w0)
-        w0_inv = pin(coords_neg(c2)) @ pin(coords_neg(u0)) @ pin(coords_neg(c1))
-        if level == 0:
-            return w0, w0_inv, v1_0, v2_0, x0
-        kappa = self.coroot(a_rel, LaurentPoly.t_power(-level / 2))
-        kinv = kappa.inverse()
-        conj = lambda m: kappa @ m @ kinv
-        return conj(w0), conj(w0_inv), conj(v1_0), conj(v2_0), pin(u)
+        x, v1, v2 = pin(u), pin(c1), pin(c2)
+        w = v1 @ x @ v2
+        for (p, q), _ in w.items():  # w vanishes off the entries s_a allows
+            if reflect_vector(u.alpha.root, self.slot_weight(q)) != self.slot_weight(p):
+                raise RankOneSolveFailed(
+                    f"entry ({p},{q}) of the representative should vanish"
+                )
+        w_inv = pin(coords_neg(c2)) @ pin(coords_neg(u)) @ pin(coords_neg(c1))
+        return w, w_inv, v1, v2, x
 
     def _rank_one_witnesses(
-        self, u0: RootGroupCoords
+        self, u: RootGroupCoords
     ) -> tuple[RootGroupCoords, RootGroupCoords]:
-        """Coordinates of level-zero v1, v2 in U_(-a) with v1 u v2 inducing the
-        reflection."""
-        a_rel = u0.alpha.root
+        """Coordinates of v1, v2 in U_(-alpha) with v1 u v2 inducing the
+        reflection.  The coordinates do not depend on the level, since
+        x_(a, l)(c, d) is X_a(c t^-l, d t^-2l) for the level-zero map X_a."""
+        a_rel, level = u.alpha
         lay = self.layout(a_rel)
-        neg = affine_root(tuple(-x for x in a_rel), 0)
-        zs = self._link_scalars(lay, u0.c)
+        neg = -u.alpha
+        zs = self._link_scalars(lay, u.c)
         if lay.corner is None:
             # one link: v1 = v2 = x(-1/z)
             (z,) = zs
@@ -421,9 +402,9 @@ class GroupModel:
         if all(z.is_zero() for z in zs):
             # pure doubled part: delegate to the corner one-parameter group,
             # whose reflection fixes the same wall
-            dbl = affine_root(scale(2, a_rel), 0)
-            return self._rank_one_witnesses(RootGroupCoords(dbl, u0.d))
-        corner = FieldScalar.coerce(u0.d[0]) + self._correction(lay, zs)
+            dbl = affine_root(scale(2, a_rel), 2 * Q(level))
+            return self._rank_one_witnesses(RootGroupCoords(dbl, u.d))
+        corner = FieldScalar.coerce(u.d[0]) + self._correction(lay, zs)
         if corner.is_zero():
             raise RankOneSolveFailed("degenerate corner on a single root group")
         cinvn = -corner.inverse()  # -1/c
@@ -440,14 +421,6 @@ class GroupModel:
             self._coords(neg, y1, cinvt, RankOneSolveFailed),
             self._coords(neg, y2, cinvt, RankOneSolveFailed),
         )
-
-    def _check_reflection_shape(self, a_rel: Vector, w0: LaurentMatrix) -> None:
-        """w0 must vanish outside the entries allowed by the reflection s_a."""
-        for (p, q), _ in w0.items():
-            if reflect_vector(a_rel, self.slot_weight(q)) != self.slot_weight(p):
-                raise RankOneSolveFailed(
-                    f"entry ({p},{q}) of the representative should vanish"
-                )
 
     # -- torus centralizer ----------------------------------------------------------
 

@@ -9,8 +9,9 @@ Every entry passes.  SU(5,2) RGD1 (236 cases at levels [-1, 0], 1 sample)
 held 32 false failures until `open_interval` indexed the commutator product
 by root groups: it returned a multipliable (a, l) together with its double
 (2a, 2l), whose coordinate the pinning of (a, l) already carries, and
-`peel_product` counted that corner twice and hit its cap.  A change that
-alters a view on purpose regenerates the file with
+`peel_product` counted that corner twice and never reached the identity
+(such an order breaks the one-read rule, and now raises ValueError).  A
+change that alters a view on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 

@@ -715,7 +715,7 @@ def _conjugating_pairs(model):
     for alpha in simple_affine_roots(model.system)[:2]:
         nc, nd = model.coord_lengths(alpha.root)
         u = RootGroupCoords(alpha, (Q(2),) + (Q(-1, 3),) * (nc - 1), (Q(1, 2),) * nd)
-        w, w_inv, *_ = model.w_element_parts(alpha.root, u, alpha.level)
+        w, w_inv, *_ = model.w_element_parts(u)
         weyl.append((w, w_inv))
     pairs = torus + [(k, k.inverse()) for k in coroots] + weyl
     wrong = [(torus[0][0], torus[1][1]), (weyl[0][0], weyl[0][0]), (coroots[0], torus[2][0])]
@@ -965,7 +965,7 @@ def test_form_check_separates_members_from_det_one_non_members(model):
     for alpha in simple_affine_roots(model.system):
         nc, nd = model.coord_lengths(alpha.root)
         u = RootGroupCoords(alpha, (Q(2),) + (Q(-1, 3),) * (nc - 1), (Q(1, 2),) * nd)
-        w, w_inv, *_ = model.w_element_parts(alpha.root, u, alpha.level)
+        w, w_inv, *_ = model.w_element_parts(u)
         assert any(i not in row for i, row in enumerate(w.sparse))
         assert check(w) and check(w_inv) and _dense_preserves(model, w)
         assert not check(_perturbed(w, t)) and not _dense_preserves(model, _perturbed(w, t))

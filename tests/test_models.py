@@ -17,18 +17,19 @@ from rgdcheck import (
     PeelFailure,
     RankOneSolveFailed,
     ReflectionLeftSystem,
+    ResidueNotIdentity,
     RootGroupCoords,
     UnsupportedType,
     affine_root,
     basis_generators,
     build_model,
-    coords_add,
     coords_neg,
     special_unitary,
     split_sl,
 )
-from rgdcheck.models import _exp4_of_level
-from rgdcheck.roots import vec
+from rgdcheck.affine import _interval_shape, open_interval
+from rgdcheck.models import _exp4_of_level, _one_read
+from rgdcheck.roots import build_root_system, vec
 from rgdcheck.verify import sample_coords
 
 I = FieldScalar(0, 1, -1)
@@ -147,7 +148,9 @@ def test_peel_product_reads_its_first_pass_off_g(monkeypatch):
 
 
 def test_peel_product_orders_out_of_filtration():
-    # g = E13(b) E12(a) E23(c); reading entries alone misassigns the sum root
+    # g = E13(b) E12(a) E23(c): the sum root's entry holds b + a c, so an order
+    # holding a root with its two summands has no single read and is refused
+    # as a misuse, whichever comes first, never as an axiom verdict
     sl3 = split_sl(2)
     a1, a2 = sl3.system.simple
     asum = vec(1, 0, -1)
@@ -158,15 +161,39 @@ def test_peel_product_orders_out_of_filtration():
         @ su_pinning(sl3, a2, 0, (c,))
     )
     order = [affine_root(asum, 0), affine_root(a1, 0), affine_root(a2, 0)]
-    got = sl3.peel_product(g, order)
-    assert [cs.c for cs in got] == [(b,), (a,), (c,)]
-    # the reversed order also converges to the matching coordinates
     order2 = [affine_root(a1, 0), affine_root(a2, 0), affine_root(asum, 0)]
-    got2 = sl3.peel_product(g, order2)
-    prod = LaurentMatrix.identity(3)
-    for cs in got2:
-        prod = prod @ sl3.relative_pinning(cs)
-    assert prod == g
+    for bad in (order, order2):
+        assert not _one_read(bad)
+        with pytest.raises(ValueError):
+            sl3.peel_product(g, bad)
+    # an interval order peels: the commutator of x_a1(a) and x_a2(c) is the
+    # single factor x_asum(a c) of the open interval between them
+    x1, x2 = affine_root(a1, 0), affine_root(a2, 0)
+    comm = (
+        su_pinning(sl3, a1, 0, (a,))
+        @ su_pinning(sl3, a2, 0, (c,))
+        @ su_pinning(sl3, a1, 0, (-a,))
+        @ su_pinning(sl3, a2, 0, (-c,))
+    )
+    interval = open_interval(sl3.system, x1, x2)
+    assert _one_read(interval)
+    assert [cs.c for cs in sl3.peel_product(comm, interval)] == [(a * c,)]
+    # a product that is not in the interval's groups is an axiom verdict
+    with pytest.raises(ResidueNotIdentity):
+        sl3.peel_product(g, interval)
+
+
+@pytest.mark.parametrize("kind, rank", [(k, r) for k in ("A", "BC") for r in (1, 2, 3, 4)])
+def test_every_interval_shape_meets_the_one_read_rule(kind, rank):
+    """No root of an interval shape is the sum of two of its roots, a root
+    counted twice: so the rule holds at every level, for every coordinate."""
+    system = build_root_system(kind, rank)
+    for a in system.roots:
+        for b in system.roots:
+            members = {c for _, _, c in _interval_shape(system, a, b)}
+            for x in members:
+                for y in members:
+                    assert tuple(p + q for p, q in zip(x, y)) not in members, (a, b)
 
 
 def test_project_root_split_is_identity():
@@ -339,20 +366,20 @@ def test_coords_neg_inverts_pinnings():
                     ginv = model.relative_pinning(coords_neg(cs))
                     assert (g @ ginv).is_identity(), (model.kind, model.n, cs)
                     assert (ginv @ g).is_identity(), (model.kind, model.n, cs)
-                    assert coords_add(cs, coords_neg(cs)).is_zero()
+                    assert coords_neg(coords_neg(cs)) == cs
 
 
 def test_w_element_split_frozen():
     sl2 = split_sl(1)
     a = sl2.system.simple[0]
     u = RootGroupCoords(affine_root(a, 0), (Q(3),), ())
-    w = sl2.w_element_parts(a, u, 0)[0]
+    w = sl2.w_element_parts(u)[0]
     assert w.entry(0, 1) == LaurentPoly.const(3)
     assert w.entry(1, 0) == LaurentPoly.const(Q(-1, 3))
     assert w.entry(0, 0).is_zero() and w.entry(1, 1).is_zero()
     # at level 1 the corners pick up t^-1 and t
     u1 = RootGroupCoords(affine_root(a, 1), (Q(1),), ())
-    w1 = sl2.w_element_parts(a, u1, 1)[0]
+    w1 = sl2.w_element_parts(u1)[0]
     assert w1.entry(0, 1) == LaurentPoly.t_power(-1)
     assert w1.entry(1, 0) == LaurentPoly.const(-1) * LaurentPoly.t_power(1)
 
@@ -360,7 +387,7 @@ def test_w_element_split_frozen():
 def test_w_element_su_frozen():
     su = special_unitary(3, 1)
     u = RootGroupCoords(affine_root(vec(1), 0), (Q(1), Q(0)), (Q(0),))
-    w, w_inv, v1, v2, x = su.w_element_parts(vec(1), u, 0)
+    w, w_inv, v1, v2, x = su.w_element_parts(u)
     assert w.entry(0, 2) == LaurentPoly.const(I * Q(1, 2))
     assert w.entry(1, 1) == LaurentPoly.const(-1)
     assert w.entry(2, 0) == LaurentPoly.const(I * Q(-2))
@@ -388,7 +415,7 @@ def test_w_element_levels_conjugate_consistently():
             d = tuple(Q(rng.randint(-2, 2)) for _ in range(nd))
             u = RootGroupCoords(affine_root(a, level), c, d)
             try:
-                w, w_inv, v1, v2, x = su.w_element_parts(a, u, level)
+                w, w_inv, v1, v2, x = su.w_element_parts(u)
             except RankOneSolveFailed:
                 continue
             assert su.contains(w)
@@ -424,22 +451,54 @@ def test_every_su_root_group_peels_back_and_reflects(model, a, level):
     for u in samples:
         x = model.relative_pinning(u)
         assert model.peel(x, alpha) == u
-        w, w_inv, v1, v2, x_again = model.w_element_parts(a, u, level)
+        w, w_inv, v1, v2, x_again = model.w_element_parts(u)
         assert x_again == x
         assert w == v1 @ x @ v2
         assert (w @ w_inv).is_identity()
         assert model.contains(w)
 
 
-def test_w_element_rejects_trivial_or_mismatched_input():
+W_MODELS = {
+    "SL2": split_sl(1),
+    "SL3": split_sl(2),
+    "SU(3,1)": special_unitary(3, 1),
+    "SU(4,1)": special_unitary(4, 1),
+    "SU(5,2)": special_unitary(5, 2),
+}
+
+
+@pytest.mark.parametrize("name", W_MODELS)
+def test_w_element_at_a_level_is_the_coroot_conjugate_of_level_zero(name):
+    """x_(a, l)(c, d) = k x_(a, 0)(c, d) k^-1 for k = a^vee(t^(-l/2)), so the
+    representative built at level l from three pinnings is the conjugate of
+    the level-zero one with the same coordinates, factor by factor."""
+    model = W_MODELS[name]
+    for a in model.system.roots:
+        nc, nd = model.coord_lengths(a)
+        coords = [((Q(2),) + (Q(-1, 3),) * (nc - 1), (Q(1, 2),) * nd)]
+        if nd:
+            # a pure doubled-root part delegates to the corner group (2a, 2l)
+            coords.append(((Q(0),) * nc, (Q(3),)))
+        for level in range(-2, 3):
+            kappa = model.coroot(a, LaurentPoly.t_power(Q(-level, 2)))
+            kinv = kappa.inverse()
+            for c, d in coords:
+                parts = model.w_element_parts(
+                    RootGroupCoords(affine_root(a, level), c, d)
+                )
+                at0 = model.w_element_parts(RootGroupCoords(affine_root(a, 0), c, d))
+                for got, base in zip(parts[:4], at0):
+                    assert got == kappa @ base @ kinv, (a, level, c, d)
+                w, w_inv = parts[:2]
+                assert (w @ w_inv).is_identity()
+
+
+def test_w_element_rejects_trivial_input():
     sl2 = split_sl(1)
     a = sl2.system.simple[0]
     zero = RootGroupCoords(affine_root(a, 0), (Q(0),), ())
     with pytest.raises(RankOneSolveFailed):
-        sl2.w_element_parts(a, zero, 0)
-    mismatched = RootGroupCoords(affine_root(a, 1), (Q(1),), ())
-    with pytest.raises(RankOneSolveFailed):
-        sl2.w_element_parts(a, mismatched, 0)
+        sl2.w_element_parts(zero)
 
 
 def test_project_root_su52_table():

@@ -334,8 +334,9 @@ def test_pinnings_and_peels_never_check_membership(monkeypatch):
     assert su.peel(g, alpha) == u
     assert su.peel_product(g, [alpha]) == [u]
     assert su.q2_additive(vec(1), (Q(1), Q(0)), (Q(0), Q(1)), 0) == (Q(1),)
-    # at level 0 no coroot value, with its own check, is involved
-    su.w_element_parts(vec(1), u, 0)
+    # a representative is built at its own level, with no coroot value and
+    # its own check
+    su.w_element_parts(u._replace(alpha=affine_root(vec(1), 1)))
     assert calls == []
 
 
@@ -428,10 +429,22 @@ class PinningTorusSL(SplitSLModel):
 class IdentityWeylSL(SplitSLModel):
     """SL whose Weyl representatives m(u) are the identity."""
 
-    def w_element_parts(self, a_rel, u, level):
-        _, _, v1, v2, x = super().w_element_parts(a_rel, u, level)
+    def w_element_parts(self, u):
+        _, _, v1, v2, x = super().w_element_parts(u)
         one = LaurentMatrix.identity(self.n)
         return one, one, v1, v2, x
+
+
+class TransposedLinkSL(SplitSLModel):
+    """SL whose root groups through slot 0 (+-a1 and +-theta on A2) put their
+    coordinate at the transposed entry, the entry of the opposite root."""
+
+    def _build_layout(self, a_rel):
+        lay = super()._build_layout(a_rel)
+        if a_rel[0]:
+            ((pos, partner, factor),) = lay.links
+            lay = lay._replace(links=((pos[::-1], partner, factor),))
+        return lay
 
 
 @pytest.mark.parametrize(
@@ -463,6 +476,19 @@ def test_conjugation_mutants_are_caught(
         assert " gen=" in f["inputs"]
 
 
+def test_rgd2_leaves_the_coroot_shift_to_its_own_suite():
+    """RGD2 builds each representative at its own level, so a model whose
+    coroot shift is broken fails RGD2 only where conjugates miss their target
+    group: every representative factors through U_(-alpha), and the shift
+    itself is CorootShift's to catch."""
+    model = TransposedLinkSL(2)
+    rgd2 = run_one("rgd2", model, SMALL)
+    assert (len(rgd2.failures), rgd2.cases) == (96, 237)
+    assert all(f["expected"].startswith("conjugate in U_") for f in rgd2.failures)
+    shift = run_one("coroot-shift", model, SMALL)
+    assert (len(shift.failures), shift.cases) == (144, 216)
+
+
 def test_rgd2_centralizer_cases_name_the_samples_they_compare(monkeypatch):
     """A sample whose representative fails is left out of the centralizer
     cases, which then compare samples 0 and 2: the label names the sample
@@ -470,10 +496,10 @@ def test_rgd2_centralizer_cases_name_the_samples_they_compare(monkeypatch):
     model = split_sl(1)
     inner = model.w_element_parts
 
-    def fails_sample_1(a_rel, u, level):
+    def fails_sample_1(u):
         if u.c == (verify.FIXED_DRAWS[1],):
             raise RankOneSolveFailed("no representative")
-        return inner(a_rel, u, level)
+        return inner(u)
 
     monkeypatch.setattr(model, "w_element_parts", fails_sample_1)
     monkeypatch.setattr(model, "is_centralizer_element", lambda g: False)
