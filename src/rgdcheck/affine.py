@@ -171,14 +171,14 @@ def simple_affine_roots(system: RootSystem) -> list[AffineRoot]:
 # can be compared in tests.
 
 
-def chamber_oracle(system: RootSystem, alpha: AffineRoot, strict: bool = True) -> bool:
+def chamber_oracle(system: RootSystem, alpha: AffineRoot) -> bool:
     """Does alpha contain the fundamental chamber point?
 
     The fundamental point v0 satisfies 0 < (a, v0) < 1 for every positive
     root a, so alpha_(a, l) contains it exactly when alpha is a positive
     affine root.
     """
-    return half_space_contains(alpha, system.fundamental_point, strict=strict)
+    return half_space_contains(alpha, system.fundamental_point, strict=True)
 
 
 def _pair_geometry(a: Vector, b: Vector) -> tuple:

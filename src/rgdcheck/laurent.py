@@ -22,10 +22,6 @@ _SCALAR_ZERO = FieldScalar(0)
 _SCALAR_ONE = FieldScalar(1)
 
 
-def _as_scalar(c) -> FieldScalar:
-    return FieldScalar.coerce(c)
-
-
 class LaurentPoly:
     """Finite sum of c * t^(e/4) terms, keyed by the scaled exponent e."""
 
@@ -35,7 +31,7 @@ class LaurentPoly:
         clean: dict[int, FieldScalar] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = _as_scalar(c)
+                c = FieldScalar.coerce(c)
                 if not c.is_zero():
                     clean[int(e)] = c
         self.coeffs = clean
@@ -52,7 +48,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: _as_scalar(c)})
+        return LaurentPoly({0: FieldScalar.coerce(c)})
 
     @staticmethod
     def term(c, exponent) -> "LaurentPoly":
@@ -60,7 +56,7 @@ class LaurentPoly:
         e4 = Q(exponent) * EXP_SCALE
         if e4.denominator != 1:
             raise ValueError(f"exponent {exponent} off the quarter lattice")
-        return LaurentPoly({int(e4): _as_scalar(c)})
+        return LaurentPoly({int(e4): FieldScalar.coerce(c)})
 
     @staticmethod
     def t_power(exponent) -> "LaurentPoly":
@@ -118,13 +114,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "LaurentPoly":
-        """Apply the field involution to every coefficient (t is fixed); tau
-        fixes Q, so a polynomial with rational coefficients is returned as is."""
-        if all(c.is_rational for c in self.coeffs.values()):
-            return self
-        return _poly({e: c.conj() for e, c in self.coeffs.items()})
-
     def monomial_inverse(self) -> "LaurentPoly":
         e4, c = self.monomial_parts()
         return _poly({-e4: c.inverse()})
@@ -141,15 +130,6 @@ class LaurentPoly:
             elif not isinstance(other, LaurentPoly):
                 return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        """A constant hashes as its constant, which it equals."""
-        coeffs = self.coeffs
-        if not coeffs:
-            return hash(0)
-        if len(coeffs) == 1 and 0 in coeffs:
-            return hash(coeffs[0])
-        return hash(frozenset(coeffs.items()))
 
     def __str__(self):
         if not self.coeffs:
@@ -306,9 +286,6 @@ class LaurentMatrix:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         return self.n == other.n and self.sparse == other.sparse
-
-    def __hash__(self):
-        return hash(tuple(frozenset(r.items()) for r in self.sparse))
 
     def is_identity(self) -> bool:
         return all(

@@ -100,9 +100,9 @@ def _slot_counts(lay: RootLayout) -> tuple[int, int]:
     return len(lay.links) * (1 + lay.field), (0 if lay.corner is None else 1)
 
 
-def _rational(x: FieldScalar, error: Callable[[str], Exception] | None) -> Q:
-    """The rational x, or its rational part when error is None."""
-    if error is not None and not x.is_rational:
+def _rational(x: FieldScalar, error: Callable[[str], Exception]) -> Q:
+    """The rational x; raises error when x is not rational."""
+    if not x.is_rational:
         raise error(f"coefficient {x} is not rational")
     return x.base
 
@@ -115,10 +115,21 @@ def _exp4_of_level(level) -> int:
 
 
 def _one_read(order: list[AffineRoot]) -> bool:
-    """No root of the order is the sum of two of its roots, a root taken twice
-    included: true of every open interval, whose members are p*a + q*b, p + q <= 3."""
-    sums = {(add(a.root, b.root), a.level + b.level) for a in order for b in order}
-    return sums.isdisjoint(order)
+    """One read of a product over the order is exact: no member, and no corner
+    2c of a member c, is a sum over two or more distinct members, each adding
+    its root or twice its root (levels summed alike), and no member is twice
+    another.  A corner is counted on every member, which is conservative; every
+    open interval meets the rule, since its members are p*a + q*b, p + q <= 3."""
+    some: set = set()  # sums over one or more members
+    multi: set = set()  # sums over two or more members
+    for a in order:
+        terms = {(a.root, a.level), (scale(2, a.root), 2 * a.level)}
+        sums = {(add(r, s), l + m) for r, l in some for s, m in terms}
+        multi |= sums
+        some |= sums | terms
+    members = {(a.root, a.level) for a in order}
+    doubles = {(scale(2, a.root), 2 * a.level) for a in order}
+    return multi.isdisjoint(members | doubles) and members.isdisjoint(doubles)
 
 
 class GroupModel:
@@ -265,12 +276,11 @@ class GroupModel:
         alpha: AffineRoot,
         zs: list[FieldScalar],
         corner: FieldScalar | None,
-        error: Callable[[str], Exception] | None = None,
+        error: Callable[[str], Exception],
     ) -> RootGroupCoords:
         """Coordinates of the element of U_alpha with link scalars zs and, on a
         multipliable root, the given corner entry.  A coordinate in k that is
-        not rational raises error, or is read by its rational part when error
-        is None."""
+        not rational raises error."""
         lay = self.layout(alpha.root)
         c: list[Q] = []
         for z in zs:
@@ -283,57 +293,61 @@ class GroupModel:
         d0 = corner - self._correction(lay, zs)
         return RootGroupCoords(alpha, tuple(c), (_rational(d0, error),))
 
-    def _read_scalars(self, g: LaurentMatrix, lay: RootLayout, e4: int) -> tuple:
-        """The link scalars of g at exponent e4 and its corner entry at 2 * e4,
-        read without verification."""
-        zs = [g.entry(p, q).coeff(e4) for (p, q), _, _ in lay.links]
-        corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
-        return zs, corner
-
-    def _read_coords(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
-        """Raw coordinate reads at the designated entries, without verification:
-        a coordinate in k is read by its rational part."""
-        lay = self.layout(alpha.root)
-        zs, corner = self._read_scalars(g, lay, _exp4_of_level(alpha.level))
-        return self._coords(alpha, zs, corner)
+    def _read(
+        self,
+        g: LaurentMatrix,
+        order: list[AffineRoot],
+        error: Callable[[str], Exception],
+    ) -> list[RootGroupCoords]:
+        """Coordinates of g as the ordered product over order, read once: each
+        member's link scalars and corner come off g at its own entries, the
+        product of their pinnings is rebuilt by `_pin` and compared with g, and
+        only then are the scalars read as coordinates.  A mismatch, or a
+        coordinate in k that is not rational, raises error.  A member read as
+        zero pins the identity and is not built, so the identity builds
+        nothing."""
+        reads, built = [], None
+        for alpha in order:
+            lay = self.layout(alpha.root)
+            e4 = _exp4_of_level(alpha.level)
+            zs = [g.entry(p, q).coeff(e4) for (p, q), _, _ in lay.links]
+            corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
+            reads.append((alpha, zs, corner))
+            zero = all(map(FieldScalar.is_zero, zs)) and (corner is None or corner.is_zero())
+            if not zero:
+                x = self._pin(lay, e4, zs, corner)
+                built = x if built is None else built @ x
+        if not (g.is_identity() if built is None else built == g):
+            raise error("mismatch")
+        return [self._coords(alpha, zs, corner, error) for alpha, zs, corner in reads]
 
     def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
-        """Coordinates of g as an element of U_alpha, or NotInRootGroup; g is
-        compared with the element rebuilt from its own link scalars and
-        corner, which are then read as coordinates, and membership in G is
-        not checked."""
-        lay = self.layout(alpha.root)
-        e4 = _exp4_of_level(alpha.level)
-        zs, corner = self._read_scalars(g, lay, e4)
+        """Coordinates of g as an element of U_alpha, read once (see `_read`),
+        or NotInRootGroup; membership in G is not checked."""
 
-        def miss(_: str = "") -> NotInRootGroup:
+        def miss(_: str) -> NotInRootGroup:
             return NotInRootGroup(f"{alpha}: matrix is not in this root group")
 
-        if self._pin(lay, e4, zs, corner) != g:
-            raise miss()
-        # left to check: every coordinate in k is rational
-        return self._coords(alpha, zs, corner, miss)
+        (coords,) = self._read(g, [alpha], miss)
+        return coords
 
     def peel_product(
         self, g: LaurentMatrix, order: list[AffineRoot]
     ) -> list[RootGroupCoords]:
-        """Coordinates of g as an ordered product over the given affine roots:
-        each is read once, off g at its own entries, and x(-c_k) ... x(-c_1) g
-        must be the identity.  A residue raises ResidueNotIdentity on an order
-        that meets the rule of `_one_read`, as every open interval does, and
-        ValueError, an internal error, on any other."""
-        coords = [self._read_coords(g, alpha) for alpha in order]
-        if g.is_identity():
-            return coords
-        delta = g
-        for cs in coords:
-            delta = self.relative_pinning(coords_neg(cs)) @ delta
-        if delta.is_identity():
-            return coords
-        where = [str(a) for a in order]
-        if not _one_read(order):
-            raise ValueError(f"{where} has a root that is the sum of two of its roots")
-        raise ResidueNotIdentity(f"residue left after peeling along {where}")
+        """Coordinates of g as an ordered product over the given affine roots,
+        read once (see `_read`).  A mismatch raises ResidueNotIdentity on an
+        order that meets the rule of `_one_read`, as every open interval does,
+        and ValueError, an internal error, on any other."""
+
+        def residue(_: str) -> Exception:
+            where = [str(a) for a in order]
+            if not _one_read(order):
+                return ValueError(
+                    f"{where} has a member or corner that is a sum of two or more members"
+                )
+            return ResidueNotIdentity(f"residue left after peeling along {where}")
+
+        return self._read(g, order, residue)
 
     def q2_additive(
         self, a_rel: Vector, v: tuple[Q, ...], w: tuple[Q, ...], level
@@ -354,11 +368,7 @@ class GroupModel:
             if not g.is_identity():
                 raise PeelFailure(f"additivity fails on non-multipliable {a_rel}")
             return ()
-        try:
-            rest = self.peel(g, affine_root(scale(2, a_rel), 2 * Q(level)))
-        except NotInRootGroup as exc:
-            raise PeelFailure(str(exc)) from exc
-        return rest.c
+        return self.peel(g, affine_root(scale(2, a_rel), 2 * Q(level))).c
 
     # -- rank one Weyl representatives ---------------------------------------------
 

@@ -12,15 +12,12 @@ arithmetic never builds a Fraction.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import gcd
 
 from .errors import DivisionByZero, FieldMismatch
 
 Q = Fraction
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 
 def is_squarefree(d: int) -> bool:
@@ -176,22 +173,6 @@ class FieldScalar:
                 and self._den == other.denominator
             )
         return NotImplemented
-
-    def __hash__(self):
-        """Equal values hash alike: a rational hashes as the int or Fraction
-        it equals, by Python's numeric hash of a / den, built here without a
-        Fraction."""
-        a, den = self._a, self._den
-        if self._b:
-            return hash((a, self._b, den, self.disc))
-        if den == 1:
-            return hash(a)
-        try:
-            h = hash(hash(abs(a)) * pow(den, -1, _HASH_MODULUS))
-        except ValueError:  # den is a multiple of the modulus
-            h = sys.hash_info.inf
-        h = h if a >= 0 else -h
-        return -2 if h == -1 else h
 
     def __repr__(self):
         return f"FieldScalar({self})"

@@ -71,14 +71,6 @@ def test_ring_axioms_hold_on_random_samples():
         assert a * LaurentPoly.one() == a
 
 
-def test_conj_fixes_t_and_conjugates_coefficients():
-    p = LaurentPoly({0: FieldScalar(1, 2, -1), EXP_SCALE: FieldScalar(0, 1, -1)})
-    pc = p.conj()
-    assert pc.coeff(0) == FieldScalar(1, -2, -1)
-    assert pc.coeff(EXP_SCALE) == FieldScalar(0, -1, -1)
-    assert pc.conj() == p
-
-
 def test_monomial_inverse_and_powers():
     m = LaurentPoly.term(FieldScalar(2, 1, -1), -1)
     assert m * m.monomial_inverse() == LaurentPoly.one()
@@ -111,8 +103,7 @@ def test_polynomials_compare_with_numbers_as_constants():
     assert three.__eq__("3") is NotImplemented and three != "3" and three != None  # noqa: E711
 
 
-# small numerators and denominators so that values meet, and denominators at
-# the hash modulus, where Python's numeric hash of a rational wraps
+# small numerators and denominators so that values meet, and a few large ones
 _numerators = st.one_of(st.integers(-3, 3), st.sampled_from([2**61, -(2**62) - 1]))
 _denominators = st.sampled_from([1, 1, 2, 3, 2**61 - 1, 3 * (2**61 - 1)])
 
@@ -136,11 +127,14 @@ def numbers(draw):
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(numbers(), numbers())
-def test_equal_values_hash_alike_across_number_types(a, b):
+def test_scalars_polynomials_and_matrices_are_unhashable(a, b):
+    """Equality is symmetric across number types, and FieldScalar, LaurentPoly
+    and LaurentMatrix, which define equality and no hash, are unhashable."""
     assert (a == b) == (b == a)
-    if a == b:
-        assert hash(a) == hash(b)
-    assert ({a: 1}.get(b) is not None) == (a == b)
+    for x in (a, b, LaurentMatrix.identity(2)):
+        if isinstance(x, (FieldScalar, LaurentPoly, LaurentMatrix)):
+            with pytest.raises(TypeError):
+                hash(x)
 
 
 def test_matrix_product_against_hand_example():
@@ -268,7 +262,8 @@ def test_matrix_equality_and_hash():
     a = LaurentMatrix.identity(2)
     b = LaurentMatrix.diagonal([LaurentPoly.one(), LaurentPoly.one()])
     assert a == b
-    assert hash(a) == hash(b)
+    with pytest.raises(TypeError):
+        hash(a)
     assert a.is_identity()
 
 
@@ -310,9 +305,14 @@ def _sympy_matrix(sympy, m, s):
     )
 
 
+def _conj(p):
+    """p with the field involution applied to every coefficient; t is fixed."""
+    return LaurentPoly({e: c.conj() for e, c in p.coeffs.items()})
+
+
 def _conj_transpose(m):
     """The transpose with the field involution applied to every entry: g*."""
-    return LaurentMatrix([[m.entry(j, i).conj() for j in range(m.n)] for i in range(m.n)])
+    return LaurentMatrix([[_conj(m.entry(j, i)) for j in range(m.n)] for i in range(m.n)])
 
 
 def _stores_no_zeros(m):
@@ -467,7 +467,7 @@ def test_sparse_store_invariants(drawn):
     # the builders agree with the dense constructor, zeros and all
     dense = LaurentMatrix(rows)
     assert _stores_no_zeros(m) and _stores_no_zeros(dense)
-    assert m == dense and hash(m) == hash(dense)
+    assert m == dense
     assert m.sparse == dense.sparse
     # rows round-trips through the constructor
     assert m.rows == tuple(map(tuple, rows))
@@ -494,7 +494,7 @@ def test_identity_however_built():
             LaurentMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)]),
         ]
         for m in built:
-            assert m.is_identity() and m == ident and hash(m) == hash(ident)
+            assert m.is_identity() and m == ident
     t = LaurentPoly.t_power(1)
     # entries that cancel completely leave nothing stored
     u = LaurentMatrix.from_entries(3, {(0, 1): t, (0, 2): t * t, (1, 2): t})
@@ -688,13 +688,6 @@ def test_triangular_det_is_the_diagonal_product():
     # a missing diagonal entry makes a triangular determinant zero
     singular = LaurentMatrix([[t, ONE], [ZERO, ZERO]])
     assert singular.det().is_zero() and singular.transpose().det().is_zero()
-
-
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.sampled_from(DISCS).flatmap(polys))
-def test_conj_returns_rational_polynomials_themselves(p):
-    assert p.conj() == LaurentPoly({e: c.conj() for e, c in p.coeffs.items()})
-    assert (p.conj() is p) == all(c.is_rational for c in p.coeffs.values())
 
 
 # -- the conjugation kernel: g -> h @ g @ hinv ----------------------------------

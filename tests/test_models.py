@@ -27,7 +27,8 @@ from rgdcheck import (
     special_unitary,
     split_sl,
 )
-from rgdcheck.affine import _interval_shape, open_interval
+from rgdcheck.affine import is_prenilpotent, open_interval
+from rgdcheck.laurent import EXP_SCALE
 from rgdcheck.models import _exp4_of_level, _one_read
 from rgdcheck.roots import build_root_system, vec
 from rgdcheck.verify import sample_coords
@@ -122,29 +123,75 @@ def test_su_coroot_normalization():
 
 
 def test_peel_product_reads_its_first_pass_off_g(monkeypatch):
+    """One read: each member's scalars come off g once and are rebuilt by
+    `_pin`, never by `relative_pinning`, and the identity builds nothing."""
     su = special_unitary(3, 1)
     alpha = affine_root(vec(1), 1)
     u = RootGroupCoords(alpha, (Q(1), Q(2)), (Q(3),))
     g = su.relative_pinning(u)
-    built = []
-    inner = su.relative_pinning
+    pinned, pins = [], []
+    inner_pin = su._pin
 
-    def counted(coords):
-        built.append(coords)
-        return inner(coords)
+    def counted_pin(lay, e4, zs, corner):
+        pins.append((lay, e4, zs, corner))
+        return inner_pin(lay, e4, zs, corner)
 
-    monkeypatch.setattr(su, "relative_pinning", counted)
-    # the first pass reads u off g, the second strips g by x(-u)
+    monkeypatch.setattr(su, "relative_pinning", lambda coords: pinned.append(coords))
+    monkeypatch.setattr(su, "_pin", counted_pin)
     assert su.peel_product(g, [alpha]) == [u]
-    assert built == [coords_neg(u)]
-    # the identity peels to zero coordinates without building a pinning
-    built.clear()
+    assert pinned == [] and len(pins) == 1
+    # the rebuild is made of the scalars read off g at alpha's entries
+    lay, e4, zs, corner = pins[0]
+    assert lay == su.layout(vec(1)) and e4 == -EXP_SCALE
+    assert zs == [g.entry(*pos).coeff(e4) for pos, _, _ in lay.links]
+    assert corner == g.entry(*lay.corner).coeff(2 * e4)
+    # a member read as zero pins the identity and is not built
+    pins.clear()
     order = [alpha, affine_root(vec(-2), 0)]
+    assert su.peel_product(g, order) == [u, RootGroupCoords(order[1], (Q(0),))]
+    assert len(pins) == 1
+    # the identity peels to zero coordinates without building anything
+    pins.clear()
     got = su.peel_product(LaurentMatrix.identity(3), order)
     assert [cs.alpha for cs in got] == order
     assert all(cs.is_zero() for cs in got)
     assert [(len(cs.c), len(cs.d)) for cs in got] == [(2, 1), (1, 0)]
-    assert built == []
+    assert pinned == [] and pins == []
+
+
+def _k_entries(model, alpha):
+    """(entry, exponent key) of every slot of U_alpha whose coordinate lies in k."""
+    lay = model.layout(alpha.root)
+    e4 = _exp4_of_level(alpha.level)
+    links = [] if lay.field else [(pos, e4) for pos, _, _ in lay.links]
+    return links + ([] if lay.corner is None else [(lay.corner, 2 * e4)])
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: split_sl(2), lambda: special_unitary(5, 2)], ids=["SL3", "SU(5,2)"]
+)
+def test_peel_is_peel_product_along_one_root(make):
+    """peel(g, alpha) and peel_product(g, [alpha]) are one reader: the same
+    coordinates on every root group at levels -1..1, and a coordinate in k
+    that is not rational is NotInRootGroup from peel and ResidueNotIdentity
+    from peel_product."""
+    model = make()
+    rng = random.Random(7)
+    for a in model.system.roots:
+        for level in (-1, 0, 1):
+            alpha = affine_root(a, level)
+            draws = basis_generators(model, alpha) + [
+                sample_coords(model, alpha, rng, s) for s in range(5)
+            ]
+            for coords in draws:
+                g = model.relative_pinning(coords)
+                assert model.peel(g, alpha) == model.peel_product(g, [alpha])[0] == coords
+            for entry, e4 in _k_entries(model, alpha):
+                bad = LaurentMatrix.from_entries(model.n, {entry: LaurentPoly({e4: 1 + I})})
+                with pytest.raises(NotInRootGroup):
+                    model.peel(bad, alpha)
+                with pytest.raises(ResidueNotIdentity):
+                    model.peel_product(bad, [alpha])
 
 
 def test_peel_product_orders_out_of_filtration():
@@ -183,17 +230,38 @@ def test_peel_product_orders_out_of_filtration():
         sl3.peel_product(g, interval)
 
 
+def test_an_order_with_a_sum_of_three_members_is_refused():
+    # e14 = e12 + e23 + e34: its entry in the product also holds the product
+    # of the other three coordinates, so one read is not exact, and the
+    # mismatch is an internal error, not an axiom verdict
+    sl4 = split_sl(3)
+    roots = [vec(1, -1, 0, 0), vec(0, 1, -1, 0), vec(0, 0, 1, -1), vec(1, 0, 0, -1)]
+    order = [affine_root(a, 0) for a in roots]
+    g = LaurentMatrix.identity(4)
+    for a in roots:
+        g = g @ su_pinning(sl4, a, 0, (2,))
+    assert not _one_read(order)
+    with pytest.raises(ValueError, match="two or more"):
+        sl4.peel_product(g, order)
+    # on BC1: a member twice another breaks the rule, and so does a sum of two
+    # members at the corner 2 (e1, 1) of a third; a doubled root at an odd
+    # level, as intervals keep it, does not
+    x = affine_root(vec(1), 0)
+    assert not _one_read([x, affine_root(vec(2), 0)])
+    assert not _one_read([x, affine_root(vec(1), 1), affine_root(vec(1), 2)])
+    assert _one_read([x, affine_root(vec(2), 1)])
+
+
 @pytest.mark.parametrize("kind, rank", [(k, r) for k in ("A", "BC") for r in (1, 2, 3, 4)])
 def test_every_interval_shape_meets_the_one_read_rule(kind, rank):
-    """No root of an interval shape is the sum of two of its roots, a root
-    counted twice: so the rule holds at every level, for every coordinate."""
+    """Every open interval of a prenilpotent pair at levels -1..1 meets the
+    one-read rule, so a residue along it is an axiom verdict."""
     system = build_root_system(kind, rank)
-    for a in system.roots:
-        for b in system.roots:
-            members = {c for _, _, c in _interval_shape(system, a, b)}
-            for x in members:
-                for y in members:
-                    assert tuple(p + q for p, q in zip(x, y)) not in members, (a, b)
+    window = [affine_root(a, l) for a in system.roots for l in (-1, 0, 1)]
+    pairs = [(x, y) for x in window for y in window if x != y and is_prenilpotent(x, y)]
+    assert pairs
+    for x, y in pairs:
+        assert _one_read(open_interval(system, x, y)), (x, y)
 
 
 def test_project_root_split_is_identity():

@@ -456,9 +456,10 @@ class TransposedLinkSL(SplitSLModel):
         ("coroot-shift", DoubledCorootSU(3, 1), 192, 192, "a=", "coordinates", 192),
         # x_a(1) moves 3 of the 6 root directions of A2
         ("rgd5", PinningTorusSL(2), 72, 144, "h=", "conjugate in U_", 72),
-        # 12 representatives fail to factor and 216 conjugates do not
-        # reflect; the 9 quotients of identities still centralize the torus
-        ("rgd2", IdentityWeylSL(2), 228, 237, "alpha=", "conjugate in U_", 216),
+        # 216 conjugates do not reflect; the 12 representative cases pass, as
+        # RGD2 leaves how m(u) is built to w_element_parts, and the 9
+        # quotients of identities still centralize the torus
+        ("rgd2", IdentityWeylSL(2), 216, 237, "alpha=", "conjugate in U_", 216),
     ],
     ids=["coroot-identity", "coroot-doubled", "rgd5-pinning", "rgd2-identity"],
 )
@@ -479,8 +480,7 @@ def test_conjugation_mutants_are_caught(
 def test_rgd2_leaves_the_coroot_shift_to_its_own_suite():
     """RGD2 builds each representative at its own level, so a model whose
     coroot shift is broken fails RGD2 only where conjugates miss their target
-    group: every representative factors through U_(-alpha), and the shift
-    itself is CorootShift's to catch."""
+    group, and the shift itself is CorootShift's to catch."""
     model = TransposedLinkSL(2)
     rgd2 = run_one("rgd2", model, SMALL)
     assert (len(rgd2.failures), rgd2.cases) == (96, 237)
