@@ -15,6 +15,7 @@ from rgdcheck import (
     affine_root,
     special_unitary,
 )
+from rgdcheck import slots
 from rgdcheck.roots import vec
 
 
@@ -36,11 +37,11 @@ def main():
     print("membership g*Fg = F and det = 1:", su.contains(x))
     print()
 
-    q2 = su.q2_additive(eps, (Q(1), Q(0)), (Q(0), Q(1)), 0)
-    print("additivity defect q2((1,0), (0,1)) lands in the doubled group:",
-          tuple(str(x) for x in q2))
-    q2swap = su.q2_additive(eps, (Q(0), Q(1)), (Q(1), Q(0)), 0)
-    print("swapping the arguments flips the sign:", tuple(str(x) for x in q2swap))
+    # x(-(u+v)) x(u) x(v) on slot variables u = u0 + u1 sqrt(-1), v alike
+    q2 = su.q2_additive(eps)
+    print("additivity defect x(-(u+v)) x(u) x(v) lands in the doubled group,")
+    print("certified for every coordinate and level: q2 =", slots.text(q2, 2))
+    print("swapping u and v flips the sign:", slots.text(slots.swap(q2, 2), 2))
     print()
 
     u = RootGroupCoords(alpha, (Q(1), Q(0)), (Q(0),))

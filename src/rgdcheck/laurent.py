@@ -114,6 +114,10 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def conj(self) -> "LaurentPoly":
+        """tau on every coefficient; t and slot variables (`slots`) are fixed."""
+        return _nonzero_poly({e: c.conj() for e, c in self.coeffs.items()})
+
     def monomial_inverse(self) -> "LaurentPoly":
         e4, c = self.monomial_parts()
         return _poly({-e4: c.inverse()})
@@ -288,9 +292,8 @@ class LaurentMatrix:
         return self.n == other.n and self.sparse == other.sparse
 
     def is_identity(self) -> bool:
-        return all(
-            len(r) == 1 and i in r and r[i].is_one() for i, r in enumerate(self.sparse)
-        )
+        # a shared unit row compares equal to itself by identity
+        return self.sparse == (_UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse)
 
     def transpose(self) -> "LaurentMatrix":
         out: list[dict[int, LaurentPoly]] = [{} for _ in range(self.n)]

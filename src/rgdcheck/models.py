@@ -48,11 +48,11 @@ from .roots import (
     scale,
     sub,
 )
+from . import slots
 from .scalars import FieldScalar, from_parts, is_squarefree, sqrt_of
 
 Q = Fraction
 
-_SCALAR_ZERO = FieldScalar(0)
 _MINUS_HALF = FieldScalar(Q(-1, 2))
 
 
@@ -240,34 +240,38 @@ class GroupModel:
             corner = FieldScalar.coerce(coords.d[0]) + self._correction(lay, zs)
         return self._pin(lay, _exp4_of_level(level), zs, corner)
 
-    def _pin(
-        self, lay: RootLayout, e4: int, zs: list[FieldScalar], corner: FieldScalar | None
-    ) -> LaurentMatrix:
-        """The identity with each link scalar z at its position and factor *
-        tau(z) at its partner, at exponent e4, and the corner entry at 2 * e4:
-        every entry set lies off the diagonal, and the rows it misses are the
-        shared unit rows."""
+    def _pin(self, lay: RootLayout, e4: int | None, zs: list, corner) -> LaurentMatrix:
+        """The identity with each link scalar z at its position, factor * tau(z)
+        at its partner and the corner: field scalars at exponents e4 and 2 * e4,
+        or, for e4 None, polynomials in slot variables (see `slots`) as they
+        are.  Entries lie off the diagonal; unset rows are shared unit rows."""
         entries = []
         for (pos, partner, factor), z in zip(lay.links, zs):
             if not z.is_zero():
-                entries.append((pos, _nonzero_poly({e4: z})))
+                entries.append((pos, z if e4 is None else _nonzero_poly({e4: z})))
                 if partner is not None:
-                    entries.append((partner, _nonzero_poly({e4: factor * z.conj()})))
+                    w = z.conj() * factor
+                    entries.append((partner, w if e4 is None else _nonzero_poly({e4: w})))
         if corner is not None and not corner.is_zero():
-            entries.append((lay.corner, _nonzero_poly({2 * e4: corner})))
+            entry = corner if e4 is None else _nonzero_poly({2 * e4: corner})
+            entries.append((lay.corner, entry))
         return _unit_plus(self.n, entries)
 
-    def _link_scalars(self, lay: RootLayout, c: tuple[Q, ...]) -> list[FieldScalar]:
-        """The link scalars z named by the rational coordinates c."""
+    def _link_scalars(self, lay: RootLayout, c: tuple) -> list:
+        """The link scalars z named by rational or slot variable coordinates c."""
+        if c[0].__class__ is LaurentPoly:
+            if lay.field:
+                return [c[k] + c[k + 1] * self.s for k in range(0, len(c), 2)]
+            return list(c)
         if not lay.field:
             return list(map(FieldScalar.coerce, c))
         return [from_parts(c[k], c[k + 1], self.disc) for k in range(0, len(c), 2)]
 
     @staticmethod
-    def _correction(lay: RootLayout, zs: list[FieldScalar]) -> FieldScalar:
+    def _correction(lay: RootLayout, zs: list):
         """The corner shift -sfac/2 * sum z tau(z) fixed by the linear part."""
-        p2 = _SCALAR_ZERO
-        for z in zs:
+        p2 = zs[0] * zs[0].conj()
+        for z in zs[1:]:
             p2 = p2 + z * z.conj()
         return p2 * lay.sfac * _MINUS_HALF
 
@@ -349,26 +353,42 @@ class GroupModel:
 
         return self._read(g, order, residue)
 
-    def q2_additive(
-        self, a_rel: Vector, v: tuple[Q, ...], w: tuple[Q, ...], level
-    ) -> tuple[Q, ...]:
-        """Failure of additivity: x(v) x(w) = x(v + w) x_double(q2).
+    def q2_additive(self, a_rel: Vector) -> LaurentPoly | None:
+        """Certificate of the additive law of U_a for all coordinates and levels:
+        on disjoint tau-fixed slot variables u and v (see `slots`), `_pin`
+        builds g = X(-(u + v)) X(u) X(v) from the level-zero map X of a_rel.  On
+        a root that is not multipliable g is the identity; None is returned.
+        On one, g is the doubled root's element with link q2, which is returned:
+        rational, skew and of bidegree (1, 1).  As x_(a, l)(c, d) is X(c t^-l,
+        d t^-2l), u -> u t^-l gives every level.  Else PeelFailure is raised."""
+        lay = self.layout(a_rel)
+        nc, nd = _slot_counts(lay)
 
-        Returns the coordinates of the doubled-root factor; empty when the
-        root is not multipliable, in which case additivity must be strict.
-        """
-        alpha = affine_root(a_rel, level)
-        _, nd = self.coord_lengths(a_rel)
-        cv, cw = (RootGroupCoords(alpha, tuple(x), (Q(0),) * nd) for x in (v, w))
-        neg_sum = RootGroupCoords(alpha, tuple(-x - y for x, y in zip(v, w)), cv.d)
-        g = self.relative_pinning(neg_sum) @ (
-            self.relative_pinning(cv) @ self.relative_pinning(cw)
-        )
-        if not nd:
+        def pin(c: list) -> LaurentMatrix:
+            zs = self._link_scalars(lay, c)
+            return self._pin(lay, None, zs, self._correction(lay, zs) if nd else None)
+
+        u, v = [slots.var(k) for k in range(nc)], [slots.var(nc + k) for k in range(nc)]
+        g = pin([-(x + y) for x, y in zip(u, v)]) @ (pin(u) @ pin(v))
+        if not self.system.is_multipliable(a_rel):
             if not g.is_identity():
                 raise PeelFailure(f"additivity fails on non-multipliable {a_rel}")
-            return ()
-        return self.peel(g, affine_root(scale(2, a_rel), 2 * Q(level))).c
+            return None
+        double = self.layout(scale(2, a_rel))
+        q2 = g.entry(*double.links[0][0])
+        bidegrees = set()
+        for key in q2.coeffs:
+            d = slots.degrees(key, 2 * nc)
+            bidegrees.add((slots.t_exponent(key), sum(d[:nc]), sum(d[nc:])))
+        for holds, why in (
+            (g == self._pin(double, None, [q2], None), "is not all of g: g leaves U_2a"),
+            (all(c.is_rational for c in q2.coeffs.values()), "has a coefficient outside k"),
+            (bidegrees <= {(0, 1, 1)}, "is not of bidegree (1, 1)"),
+            (slots.swap(q2, nc) == -q2, "is not skew"),
+        ):
+            if not holds:
+                raise PeelFailure(f"q2 = {slots.text(q2, nc)} {why}")
+        return q2
 
     # -- rank one Weyl representatives ---------------------------------------------
 

@@ -27,6 +27,7 @@ from rgdcheck import (
     special_unitary,
     split_sl,
 )
+from rgdcheck import slots
 from rgdcheck.affine import is_prenilpotent, open_interval
 from rgdcheck.laurent import EXP_SCALE
 from rgdcheck.models import _exp4_of_level, _one_read
@@ -400,18 +401,68 @@ def test_membership_violation_on_wrong_coordinate_count():
         su.relative_pinning(RootGroupCoords(affine_root(vec(1), 0), (Q(1),), ()))
 
 
+def q2_at(q2, u, v):
+    """The certified q2 evaluated at rational u and v."""
+    point = (*u, *v)
+    total = Q(0)
+    for key, c in q2.coeffs.items():
+        term = c.base
+        for x, d in zip(point, slots.degrees(key, len(point))):
+            term *= Q(x) ** d
+        total += term
+    return total
+
+
 def test_q2_frozen_value_and_skewness():
     su = special_unitary(3, 1)
-    assert su.q2_additive(vec(1), (Q(1), Q(0)), (Q(0), Q(1)), 0) == (Q(1),)
-    assert su.q2_additive(vec(1), (Q(0), Q(1)), (Q(1), Q(0)), 0) == (Q(-1),)
+    q2 = su.q2_additive(vec(1))
+    assert slots.text(q2, 2) == "u0*v1 - u1*v0"
+    assert q2_at(q2, (1, 0), (0, 1)) == 1
+    assert q2_at(q2, (0, 1), (1, 0)) == -1
+    assert slots.swap(q2, 2) == -q2
     # q2(v, v) = 0 so equal arguments are strictly additive
-    assert su.q2_additive(vec(1), (Q(2), Q(3)), (Q(2), Q(3)), 0) == (Q(0),)
+    assert q2_at(q2, (2, 3), (2, 3)) == 0
 
 
 def test_q2_empty_on_pair_roots():
+    # pair and long roots are not multipliable: the certificate is strict
+    # additivity, and no doubled-root factor is returned
     su = special_unitary(5, 2)
-    got = su.q2_additive(vec(1, -1), (Q(1), Q(2)), (Q(3), Q(-1)), 0)
-    assert got == ()
+    assert su.q2_additive(vec(1, -1)) is None
+    assert su.q2_additive(vec(2, 0)) is None
+    assert all(split_sl(2).q2_additive(a) is None for a in split_sl(2).system.roots)
+
+
+@pytest.mark.parametrize(
+    "dim, witt, disc", [(3, 1, -1), (4, 1, -1), (5, 2, -1), (5, 2, -3)]
+)
+def test_symbolic_q2_matches_the_sampled_product(dim, witt, disc):
+    """The certified q2 at seeded rational points is the doubled-root
+    coordinate of the numeric x(-(v + w)) x(v) x(w), peeled at (2a, 2l), at
+    every level of the default window; off the multipliable roots the numeric
+    product is the identity."""
+    model = special_unitary(dim, witt, disc)
+    rng = random.Random(dim * 100 + witt * 10 - disc)
+    for a in model.system.roots:
+        q2 = model.q2_additive(a)
+        nc, nd = model.coord_lengths(a)
+        for level in range(-2, 3):
+            alpha = affine_root(a, level)
+            for _ in range(2):
+                v, w = (
+                    tuple(Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(nc))
+                    for _ in "vw"
+                )
+                pins = [
+                    model.relative_pinning(RootGroupCoords(alpha, c, (Q(0),) * nd))
+                    for c in (tuple(-x - y for x, y in zip(v, w)), v, w)
+                ]
+                g = pins[0] @ pins[1] @ pins[2]
+                if q2 is None:
+                    assert g.is_identity()
+                    continue
+                got = model.peel(g, affine_root(vec(*(2 * x for x in a)), 2 * level))
+                assert got.c == (q2_at(q2, v, w),)
 
 
 def test_coords_neg_inverts_pinnings():

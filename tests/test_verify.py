@@ -26,7 +26,7 @@ from rgdcheck import (
     special_unitary,
     split_sl,
 )
-from rgdcheck import laurent, verify
+from rgdcheck import cli, laurent, slots, verify
 from rgdcheck.affine import is_prenilpotent
 from rgdcheck.roots import vec
 
@@ -231,9 +231,56 @@ def test_coroot_shift_reports_case_volume():
 
 def test_q2_additive_rank_one():
     r = run_one("q2-additive", special_unitary(3, 1), SMALL)
-    assert r.passed
+    assert r.passed and r.cases == 4  # one certified case per relative root
     r2 = run_one("q2-additive", split_sl(2), SMALL)
-    assert r2.passed  # strict additivity on every root of a split model
+    assert r2.passed and r2.cases == 6  # strict additivity on every root of A2
+    # the certificate draws nothing: samples, seed and window leave it alone
+    other = SuiteConfig(level_min=-3, level_max=0, samples=7, seed=11)
+    again = run_one("q2-additive", special_unitary(3, 1), other)
+    assert (again.cases, again.failures) == (r.cases, r.failures)
+
+
+class FlippedCornerSU(SUModel):
+    """SU whose corner correction has the wrong sign, so X(-(u+v)) X(u) X(v)
+    keeps symmetric terms in its corner on every multipliable root."""
+
+    def _correction(self, lay, zs):
+        return -super()._correction(lay, zs)
+
+
+class SquaredLinkSL(SplitSLModel):
+    """SL whose first root links z + z^2 in place of z: that pinning is not
+    additive, and the others are."""
+
+    def _link_scalars(self, lay, c):
+        zs = super()._link_scalars(lay, c)
+        if lay is self.layout(self.system.roots[0]):
+            return [z + z * z for z in zs]
+        return zs
+
+
+@pytest.mark.parametrize("dim, witt, failed", [(5, 2, 4), (3, 1, 2)])
+def test_a_flipped_corner_correction_fails_exactly_the_multipliable_roots(
+    monkeypatch, tmp_path, dim, witt, failed
+):
+    model = FlippedCornerSU(dim, witt)
+    r = run_one("q2-additive", model, SMALL)
+    multipliable = [a for a in model.system.roots if model.system.is_multipliable(a)]
+    assert (len(r.failures), r.cases) == (failed, len(model.system.roots))
+    assert [f["inputs"] for f in r.failures] == [f"a={a}" for a in multipliable]
+    # the whole run, through the command line, exits 1
+    monkeypatch.setattr(cli, "_make_model", lambda cfg: model)
+    argv = ["--group", "su", "--dim", str(dim), "--witt", str(witt)]
+    argv += ["--level-min", "0", "--level-max", "0", "--samples", "1"]
+    assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 1
+
+
+def test_a_pinning_that_is_not_additive_fails_its_root():
+    model = SquaredLinkSL(2)
+    r = run_one("q2-additive", model, SMALL)
+    assert r.cases == 6
+    assert [f["inputs"] for f in r.failures] == [f"a={model.system.roots[0]}"]
+    assert "additivity fails" in r.failures[0]["actual"]
 
 
 def test_combinatorics_matches_oracles():
@@ -333,7 +380,12 @@ def test_pinnings_and_peels_never_check_membership(monkeypatch):
     g = su.relative_pinning(u)
     assert su.peel(g, alpha) == u
     assert su.peel_product(g, [alpha]) == [u]
-    assert su.q2_additive(vec(1), (Q(1), Q(0)), (Q(0), Q(1)), 0) == (Q(1),)
+    # the certificate builds on slot variables, which never pass through
+    # relative_pinning (the benchmark's tracer hashes its coordinates)
+    pins = count_calls(monkeypatch, su, "relative_pinning")
+    u0, u1, v0, v1 = map(slots.var, range(4))
+    assert su.q2_additive(vec(1)) == u0 * v1 - u1 * v0
+    assert pins == []
     # a representative is built at its own level, with no coroot value and
     # its own check
     su.w_element_parts(u._replace(alpha=affine_root(vec(1), 1)))
