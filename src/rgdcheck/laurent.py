@@ -94,13 +94,11 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            cur = out.get(e)
-            out[e] = c if cur is None else cur + c
-        return _poly(out)
+        _add_into(out, other.coeffs)
+        return _nonzero_poly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return _poly({e: -c for e, c in self.coeffs.items()})
+        return _nonzero_poly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -118,13 +116,9 @@ class LaurentPoly:
         """tau on every coefficient; t and slot variables (`slots`) are fixed."""
         return _nonzero_poly({e: c.conj() for e, c in self.coeffs.items()})
 
-    def monomial_inverse(self) -> "LaurentPoly":
-        e4, c = self.monomial_parts()
-        return _poly({-e4: c.inverse()})
-
     def monomial_pow(self, k: int) -> "LaurentPoly":
         e4, c = self.monomial_parts()
-        return _poly({e4 * k: c**k})
+        return _nonzero_poly({e4 * k: c**k})
 
     def __eq__(self, other):
         # a polynomial operand first: it is the only one LaurentMatrix passes
@@ -147,12 +141,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
-
-
-def _poly(coeffs: dict[int, FieldScalar]) -> LaurentPoly:
-    """Trusted constructor: integer keys and FieldScalar values; only drops
-    zero coefficients."""
-    return _nonzero_poly({e: c for e, c in coeffs.items() if not c.is_zero()})
 
 
 def _add_product(acc: dict, a: dict, b: dict, negate=False) -> None:
@@ -354,7 +342,7 @@ class LaurentMatrix:
         if any(j != i for (i, j), _ in self.items()):
             raise NotInvertibleOverRing("only diagonal matrices are inverted")
         return LaurentMatrix.diagonal(
-            [self.entry(i, i).monomial_inverse() for i in range(self.n)]
+            [self.entry(i, i).monomial_pow(-1) for i in range(self.n)]
         )
 
     def constant_part(self) -> "LaurentMatrix":

@@ -4,7 +4,8 @@ Levels [0, 0] with one sample keep each run short while still reaching the
 code paths of every model: anisotropic middle blocks of one and two slots,
 the non-reduced BC2 and BC3 intervals and 4x4 to 7x7 matrices.  The
 coroot-shift suite conjugates by coroot values at nonzero levels only, so it
-gets [-1, 0].
+gets [-1, 1]: l = -1 and l = 1 shift levels down and up, to the half-integer
+levels of the images above the window as well as below it.
 On A1 a single level holds no prenilpotent pair, so SL2's RGD1 has no case.
 """
 
@@ -32,7 +33,7 @@ CASES = [
 
 @pytest.mark.parametrize("name,suite", CASES)
 def test_suite_passes_on_the_smallest_window(name, suite):
-    level_min = -1 if suite == "coroot-shift" else 0
-    cfg = SuiteConfig(level_min=level_min, level_max=0, samples=1, suites=(suite,))
+    window = 1 if suite == "coroot-shift" else 0
+    cfg = SuiteConfig(level_min=-window, level_max=window, samples=1, suites=(suite,))
     (report,) = run_suites(MODELS[name](), cfg)
     assert report.passed, report.failures[:2]

@@ -1,5 +1,6 @@
 """Tests for the axiom verification suites."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -28,7 +29,7 @@ from rgdcheck import (
 )
 from rgdcheck import cli, laurent, slots, verify
 from rgdcheck.affine import is_prenilpotent
-from rgdcheck.roots import vec
+from rgdcheck.roots import pairing, vec
 
 SMALL = SuiteConfig(level_min=-1, level_max=1, samples=3)
 
@@ -337,13 +338,13 @@ class FlippedPairSU(SUModel):
 
 
 def count_calls(monkeypatch, model, method):
-    """The argument of every call of the model's method, which still runs."""
+    """The first argument of every call of the model's method, which still runs."""
     calls = []
     inner = getattr(model, method)
 
-    def counted(arg):
+    def counted(arg, *rest):
         calls.append(arg)
-        return inner(arg)
+        return inner(arg, *rest)
 
     monkeypatch.setattr(model, method, counted)
     return calls
@@ -450,7 +451,7 @@ def test_other_errors_propagate_out_of_run_suites(monkeypatch):
         run_suites(split_sl(1), replace(SMALL, suites=("rgd0",)))
 
 
-# -- the shared conjugation check: RGD2, RGD5 and CorootShift ---------------------
+# -- conjugation: the shared check of RGD2 and RGD5, and CorootShift's equation ----
 
 
 class IdentityCorootSL(SplitSLModel):
@@ -466,6 +467,21 @@ class DoubledCorootSU(SUModel):
 
     def coroot(self, a_rel, lam):
         return super().coroot(a_rel, LaurentPoly.const(2) * lam)
+
+
+class FlippedCorootSL(SplitSLModel):
+    """SL whose coroot is evaluated at t^(l/2): every level that should shift
+    shifts the other way."""
+
+    def coroot(self, a_rel, lam):
+        return super().coroot(a_rel, lam.monomial_pow(-1))
+
+
+class FlippedCorootSU(SUModel):
+    """SU whose coroot is evaluated at t^(l/2), as FlippedCorootSL."""
+
+    def coroot(self, a_rel, lam):
+        return super().coroot(a_rel, lam.monomial_pow(-1))
 
 
 class PinningTorusSL(SplitSLModel):
@@ -503,9 +519,9 @@ class TransposedLinkSL(SplitSLModel):
     "tag, model, failed, cases, prefix, expected, conjugations",
     [
         # A2 has no pair of orthogonal roots: every case shifts its level
-        ("coroot-shift", IdentityCorootSL(2), 216, 216, "a=", "conjugate in U_", 216),
+        ("coroot-shift", IdentityCorootSL(2), 216, 216, "a=", "same coordinates", 216),
         # the level shifts as it should, the coordinates do not survive
-        ("coroot-shift", DoubledCorootSU(3, 1), 192, 192, "a=", "coordinates", 192),
+        ("coroot-shift", DoubledCorootSU(3, 1), 192, 192, "a=", "same coordinates", 192),
         # x_a(1) moves 3 of the 6 root directions of A2
         ("rgd5", PinningTorusSL(2), 72, 144, "h=", "conjugate in U_", 72),
         # 216 conjugates do not reflect; the 12 representative cases pass, as
@@ -521,12 +537,14 @@ def test_conjugation_mutants_are_caught(
     r = run_one(tag, model, SMALL)
     assert (len(r.failures), r.cases) == (failed, cases)
     assert len(r.failures) <= r.cases
-    # the records the shared conjugation check wrote
+    # the records the conjugation check wrote
     shared = [f for f in r.failures if f["expected"].startswith(expected)]
     assert len(shared) == conjugations
     for f in shared:
         assert f["inputs"].startswith(prefix) and " beta=" in f["inputs"]
         assert " gen=" in f["inputs"]
+        if tag == "coroot-shift":
+            assert f["actual"] == "conjugate differs"
 
 
 def test_rgd2_leaves_the_coroot_shift_to_its_own_suite():
@@ -539,6 +557,27 @@ def test_rgd2_leaves_the_coroot_shift_to_its_own_suite():
     assert all(f["expected"].startswith("conjugate in U_") for f in rgd2.failures)
     shift = run_one("coroot-shift", model, SMALL)
     assert (len(shift.failures), shift.cases) == (144, 216)
+
+
+@pytest.mark.parametrize(
+    "model, failed, cases",
+    [(FlippedCorootSL(2), 216, 216), (FlippedCorootSU(5, 2), 1248, 1728)],
+    ids=["SL3", "SU(5,2)"],
+)
+def test_flipped_coroot_shift_fails_exactly_where_the_level_moves(model, failed, cases):
+    """A coroot evaluated at t^(l/2) moves U_(b, n) to n - l <b, a^vee> / 2, so
+    CorootShift fails every case with <b, a^vee> != 0 and no other."""
+    r = run_one("coroot-shift", model, SMALL)
+    moved = Counter(
+        f"a={a} l={l} beta={beta}"
+        for a in model.system.roots
+        for l in (-1, 1)
+        for beta in verify.in_range_affine_roots(model, SMALL)
+        for _ in basis_generators(model, beta)
+        if pairing(beta.root, a) != 0
+    )
+    assert (len(r.failures), r.cases) == (failed, cases)
+    assert Counter(f["inputs"].split(" gen=")[0] for f in r.failures) == moved
 
 
 def test_rgd2_centralizer_cases_name_the_samples_they_compare(monkeypatch):
@@ -564,14 +603,27 @@ def test_rgd2_centralizer_cases_name_the_samples_they_compare(monkeypatch):
 @pytest.mark.parametrize("tag", ["rgd5", "coroot-shift"])
 def test_conjugations_build_each_generator_pinning_once(monkeypatch, tag):
     """One pinning per basis generator in the window, built once for the
-    suite call; the peel in each case rebuilds without `relative_pinning`."""
+    suite call.  RGD5 peels each conjugate, and the peel rebuilds without
+    `relative_pinning`; CorootShift never peels and builds one pinning per
+    case, of the generator's coordinates at the shifted level."""
     model = split_sl(2)
     calls = count_calls(monkeypatch, model, "relative_pinning")
+    peeled = count_calls(monkeypatch, model, "peel")
     r = run_one(tag, model, SMALL)
     window = verify.in_range_affine_roots(model, SMALL)
     generators = [c for beta in window for c in basis_generators(model, beta)]
     assert r.passed and r.cases > len(generators) == 18
-    assert calls == generators
+    if tag == "rgd5":
+        assert calls == generators and len(peeled) == r.cases
+        return
+
+    def image(c, a, l):
+        level = c.alpha.level + Q(l * pairing(c.alpha.root, a), 2)
+        return c._replace(alpha=affine_root(c.alpha.root, level))
+
+    images = [image(c, a, l) for a in model.system.roots for l in (-1, 1) for c in generators]
+    assert calls == generators + images and len(images) == r.cases
+    assert not peeled
 
 
 # -- readable failure records ----------------------------------------------------------
