@@ -51,7 +51,7 @@ def main():
     print("coordinates, is the identity:", (w @ w_inv).is_identity())
     print()
     g = w @ x @ w_inv
-    peeled = su.peel(g, affine_root(vec(-1), 0))
+    (peeled,) = su.peel_product(g, [affine_root(vec(-1), 0)])
     print("conjugating x by m(u) lands in the opposite group with coords",
           tuple(str(x) for x in peeled.c))
     print()
@@ -59,7 +59,7 @@ def main():
     kappa = su.coroot(eps, LaurentPoly.t_power(Q(-1, 2)))
     show("coroot value a^vee(t^(-1/2))", kappa)
     shifted = kappa @ x @ kappa.inverse()
-    peeled_shift = su.peel(shifted, affine_root(eps, 1))
+    (peeled_shift,) = su.peel_product(shifted, [affine_root(eps, 1)])
     print("conjugation shifts the level 0 group to level 1, coords preserved:",
           tuple(str(x) for x in peeled_shift.c), tuple(str(x) for x in peeled_shift.d))
 

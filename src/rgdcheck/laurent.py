@@ -389,18 +389,18 @@ def _minus_identity(g: LaurentMatrix) -> list[list[tuple[int, LaurentPoly]]]:
 
 
 def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
-    """The map g -> h @ g @ hinv, for one h and hinv and many g near I.
+    """The map E -> h @ g @ hinv for one h and hinv and many g near I, each
+    given as the rows of E = g - I that `_minus_identity(g)` returns.
 
     By distributivity h (I + E) hinv = h hinv + h E hinv, so h hinv is formed
-    once and each stored entry e = E[p][q] of E = g - I (see
-    `_minus_identity`) adds e h[i][p] hinv[q][j] to every cell (i, j).  The
-    outer product h[:, p] hinv[q, :] is a table built the first time an E
-    reaches (p, q) and kept for the conjugator's life, so a cell costs one
-    product, and none when its table entry is the shared ONE.  A row of
-    the result that no entry of E reaches is the row of h hinv itself (the
-    shared unit row when h hinv is the identity); only the rows E reaches
+    once and each stored entry e = E[p][q] adds e h[i][p] hinv[q][j] to every
+    cell (i, j).  The outer product h[:, p] hinv[q, :] is a table built the
+    first time an E reaches (p, q) and kept for the conjugator's life, so a
+    cell costs one product, and none when its table entry is the shared ONE.
+    A row of the result that no entry of E reaches is the row of h hinv itself
+    (the shared unit row when h hinv is the identity); only the rows E reaches
     are copied and finalised.  Exact for any hinv, an inverse of h or not.
-    The operands and h hinv are never written to.
+    The operands, E and h hinv are never written to.
     """
     n = h.n
     base = h @ hinv
@@ -426,12 +426,12 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
         table[p, q] = terms
         return terms
 
-    def conj(g: LaurentMatrix) -> LaurentMatrix:
-        if g.n != n:
-            raise DimensionMismatch(f"{n}x{n} conjugating {g.n}x{g.n}")
+    def conj(e_rows: list) -> LaurentMatrix:
+        if len(e_rows) != n:
+            raise DimensionMismatch(f"{n}x{n} conjugating {len(e_rows)}x{len(e_rows)}")
         rows = list(base)
         reached = []
-        for p, row in enumerate(_minus_identity(g)):
+        for p, row in enumerate(e_rows):
             for q, e in row:
                 terms = table.get((p, q))
                 if terms is None:

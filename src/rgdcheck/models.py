@@ -100,13 +100,6 @@ def _slot_counts(lay: RootLayout) -> tuple[int, int]:
     return len(lay.links) * (1 + lay.field), (0 if lay.corner is None else 1)
 
 
-def _rational(x: FieldScalar, error: Callable[[str], Exception]) -> Q:
-    """The rational x; raises error when x is not rational."""
-    if not x.is_rational:
-        raise error(f"coefficient {x} is not rational")
-    return x.base
-
-
 def _exp4_of_level(level) -> int:
     """Scaled exponent -EXP_SCALE * level of an int or Fraction level."""
     if EXP_SCALE % level.denominator:
@@ -226,8 +219,16 @@ class GroupModel:
     def relative_pinning(self, coords: RootGroupCoords) -> LaurentMatrix:
         """The canonical element of U_alpha with the given coordinates; it only
         builds, as RGD0 and RGD1 check membership on the inputs they draw."""
-        a_rel, level = coords.alpha
-        lay = self.layout(a_rel)
+        lay, zs, corner = self._pin_scalars(coords)
+        return self._pin(lay, _exp4_of_level(coords.alpha.level), zs, corner)
+
+    def _pin_scalars(
+        self, coords: RootGroupCoords
+    ) -> tuple[RootLayout, list, FieldScalar | None]:
+        """(layout, link scalars, corner entry) from which `_pin` builds the
+        element of U_alpha with the given coordinates, at any level: the corner
+        is d shifted by the correction of the links, None off a corner."""
+        lay = self.layout(coords.alpha.root)
         nc, nd = _slot_counts(lay)
         if len(coords.c) != nc or len(coords.d) != nd:
             raise MembershipViolation(
@@ -238,7 +239,7 @@ class GroupModel:
         corner = None
         if nd:
             corner = FieldScalar.coerce(coords.d[0]) + self._correction(lay, zs)
-        return self._pin(lay, _exp4_of_level(level), zs, corner)
+        return lay, zs, corner
 
     def _pin(self, lay: RootLayout, e4: int | None, zs: list, corner) -> LaurentMatrix:
         """The identity with each link scalar z at its position, factor * tau(z)
@@ -275,65 +276,63 @@ class GroupModel:
             p2 = p2 + z * z.conj()
         return p2 * lay.sfac * _MINUS_HALF
 
-    def _coords(
-        self,
-        alpha: AffineRoot,
-        zs: list[FieldScalar],
-        corner: FieldScalar | None,
-        error: Callable[[str], Exception],
-    ) -> RootGroupCoords:
+    def _check_scalars(
+        self, lay: RootLayout, zs: list, corner, error: Callable[[str], Exception]
+    ) -> FieldScalar | None:
+        """The doubled-root scalar d0 = corner - correction of zs, or None off a
+        corner, once every coordinate in k is checked rational: each link of a
+        layout in k, and d0.  One that is not raises error."""
+        d0 = None if lay.corner is None else corner - self._correction(lay, zs)
+        for x in ([] if lay.field else zs) + ([] if d0 is None else [d0]):
+            if not x.is_rational:
+                raise error(f"coefficient {x} is not rational")
+        return d0
+
+    def _coords(self, alpha: AffineRoot, zs: list, d0) -> RootGroupCoords:
         """Coordinates of the element of U_alpha with link scalars zs and, on a
-        multipliable root, the given corner entry.  A coordinate in k that is
-        not rational raises error."""
-        lay = self.layout(alpha.root)
-        c: list[Q] = []
-        for z in zs:
-            if lay.field:
-                c += (z.base, z.ext)
-            else:
-                c.append(_rational(z, error))
-        if lay.corner is None:
-            return RootGroupCoords(alpha, tuple(c))
-        d0 = corner - self._correction(lay, zs)
-        return RootGroupCoords(alpha, tuple(c), (_rational(d0, error),))
+        multipliable root, doubled-root scalar d0, as `_check_scalars` passes
+        them."""
+        field = self.layout(alpha.root).field
+        c = tuple(x for z in zs for x in ((z.base, z.ext) if field else (z.base,)))
+        return RootGroupCoords(alpha, c, () if d0 is None else (d0.base,))
 
     def _read(
         self,
         g: LaurentMatrix,
         order: list[AffineRoot],
         error: Callable[[str], Exception],
-    ) -> list[RootGroupCoords]:
-        """Coordinates of g as the ordered product over order, read once: each
-        member's link scalars and corner come off g at its own entries, the
-        product of their pinnings is rebuilt by `_pin` and compared with g, and
-        only then are the scalars read as coordinates.  A mismatch, or a
-        coordinate in k that is not rational, raises error.  A member read as
-        zero pins the identity and is not built, so the identity builds
-        nothing."""
+    ) -> list[tuple]:
+        """(alpha, link scalars, d0) for each member of order, read off g once
+        as the ordered product over order: each member's link scalars and corner
+        come off g at its own entries, the product of their pinnings is rebuilt
+        by `_pin` and compared with g, and only then are the scalars checked
+        by `_check_scalars`, which gives d0.  A mismatch, or a coordinate in k
+        that is not rational, raises error.  A member read as zero pins the
+        identity and is not built, so the identity builds nothing."""
         reads, built = [], None
         for alpha in order:
             lay = self.layout(alpha.root)
             e4 = _exp4_of_level(alpha.level)
             zs = [g.entry(p, q).coeff(e4) for (p, q), _, _ in lay.links]
             corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
-            reads.append((alpha, zs, corner))
+            reads.append((alpha, lay, zs, corner))
             zero = all(map(FieldScalar.is_zero, zs)) and (corner is None or corner.is_zero())
             if not zero:
                 x = self._pin(lay, e4, zs, corner)
                 built = x if built is None else built @ x
         if not (g.is_identity() if built is None else built == g):
             raise error("mismatch")
-        return [self._coords(alpha, zs, corner, error) for alpha, zs, corner in reads]
+        return [(a, zs, self._check_scalars(lay, zs, c, error)) for a, lay, zs, c in reads]
 
-    def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> RootGroupCoords:
-        """Coordinates of g as an element of U_alpha, read once (see `_read`),
-        or NotInRootGroup; membership in G is not checked."""
+    def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> None:
+        """Check that g lies in U_alpha, read once (see `_read`), or raise
+        NotInRootGroup; no coordinates are built, and membership in G is not
+        checked.  `peel_product(g, [alpha])` reads the coordinates."""
 
         def miss(_: str) -> NotInRootGroup:
             return NotInRootGroup(f"{alpha}: matrix is not in this root group")
 
-        (coords,) = self._read(g, [alpha], miss)
-        return coords
+        self._read(g, [alpha], miss)
 
     def peel_product(
         self, g: LaurentMatrix, order: list[AffineRoot]
@@ -351,7 +350,7 @@ class GroupModel:
                 )
             return ResidueNotIdentity(f"residue left after peeling along {where}")
 
-        return self._read(g, order, residue)
+        return [self._coords(*read) for read in self._read(g, order, residue)]
 
     def q2_additive(self, a_rel: Vector) -> LaurentPoly | None:
         """Certificate of the additive law of U_a for all coordinates and levels:
@@ -422,12 +421,17 @@ class GroupModel:
         lay = self.layout(a_rel)
         neg = -u.alpha
         zs = self._link_scalars(lay, u.c)
+
+        def witness(ys: list, corner) -> RootGroupCoords:
+            d0 = self._check_scalars(self.layout(neg.root), ys, corner, RankOneSolveFailed)
+            return self._coords(neg, ys, d0)
+
         if lay.corner is None:
             # one link: v1 = v2 = x(-1/z)
             (z,) = zs
             if z.is_zero():
                 raise RankOneSolveFailed("zero coordinate on a one-parameter group")
-            v = self._coords(neg, [-z.inverse()], None, RankOneSolveFailed)
+            v = witness([-z.inverse()], None)
             return v, v
         if all(z.is_zero() for z in zs):
             # pure doubled part: delegate to the corner one-parameter group,
@@ -447,10 +451,7 @@ class GroupModel:
         else:
             y1 = [-w * cinvt for w in ws]
             y2 = [w * cinvn for w in ws]
-        return (
-            self._coords(neg, y1, cinvt, RankOneSolveFailed),
-            self._coords(neg, y2, cinvt, RankOneSolveFailed),
-        )
+        return witness(y1, cinvt), witness(y2, cinvt)
 
     # -- torus centralizer ----------------------------------------------------------
 

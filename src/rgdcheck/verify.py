@@ -39,8 +39,8 @@ from .errors import (
     RankOneSolveFailed,
     ResidueNotIdentity,
 )
-from .laurent import EXP_SCALE, LaurentMatrix, LaurentPoly, conjugator
-from .models import GroupModel, RootGroupCoords, basis_generators, coords_neg
+from .laurent import EXP_SCALE, LaurentMatrix, LaurentPoly, _minus_identity, conjugator
+from .models import GroupModel, RootGroupCoords, _exp4_of_level, basis_generators, coords_neg
 from .roots import dot, integral, pairing, vec
 
 Q = Fraction
@@ -168,21 +168,20 @@ def _in_group(
     return False
 
 
-def _generator_pinnings(
-    model: GroupModel, cfg: SuiteConfig
-) -> list[tuple[AffineRoot, list[tuple[RootGroupCoords, LaurentMatrix]]]]:
-    """(beta, [(coords, pinning)]) for every in-range U_beta: each basis
-    generator with its pinning, built once for one suite call to reuse."""
+def _generator_pinnings(model: GroupModel, cfg: SuiteConfig, keep=lambda coords, g: g) -> list:
+    """(beta, [(coords, keep(coords, g))]) for every in-range U_beta: each
+    basis generator with what the suite keeps of its pinning g (g itself, or
+    E = g - I for `laurent.conjugator`), built once for one suite call."""
     pin = model.relative_pinning
     return [
-        (beta, [(coords, pin(coords)) for coords in basis_generators(model, beta)])
+        (beta, [(c, keep(c, pin(c))) for c in basis_generators(model, beta)])
         for beta in in_range_affine_roots(model, cfg)
     ]
 
 
 def _conjugation(
     model: GroupModel,
-    pinned: list,
+    conjugands: list,
     report: AxiomReport,
     prefix: str,
     h: LaurentMatrix,
@@ -190,17 +189,17 @@ def _conjugation(
     target,
 ) -> None:
     """h carries U_beta onto U_target(beta): one case per basis generator g of
-    every U_beta in `pinned` (from `_generator_pinnings`) peels h g h^-1 in
-    U_target(beta).  Inputs: "<prefix> beta=... gen=..."."""
+    every U_beta in `conjugands`, given as E = g - I (see `_generator_pinnings`),
+    peels h g h^-1 in U_target(beta).  Inputs: "<prefix> beta=... gen=..."."""
     conj = conjugator(h, hinv)
-    for beta, gens in pinned:
+    for beta, gens in conjugands:
         image = target(beta)
-        for coords, g in gens:
+        for coords, e in gens:
             with report.case(
                 lambda: f"{prefix} beta={beta} gen={_text(coords)}",
                 lambda: f"conjugate in U_{image}",
             ):
-                model.peel(conj(g), image)
+                model.peel(conj(e), image)
 
 
 # -- the suites ------------------------------------------------------------------
@@ -264,7 +263,7 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """
     rng = random.Random(cfg.seed + 2)
     n_samples = max(cfg.samples, 4)
-    pinned = _generator_pinnings(model, cfg)
+    conjugands = _generator_pinnings(model, cfg, lambda c, g: _minus_identity(g))
     for alpha in simple_affine_roots(model.system):
         reflect = functools.partial(affine_reflect, model.system, alpha)
         reps = []  # (sample index, w, w^-1) of each representative built
@@ -278,7 +277,7 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                 continue
             # conjugation: w U_beta w^-1 = U_(reflected beta)
             _conjugation(
-                model, pinned, report, f"alpha={alpha} u={_text(u)}", w, w_inv, reflect
+                model, conjugands, report, f"alpha={alpha} u={_text(u)}", w, w_inv, reflect
             )
         # different samples differ by a torus centralizer element
         for (s0, w0, _), (s1, _, w1_inv) in zip(reps, reps[1:]):
@@ -384,17 +383,19 @@ def _rgd5(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Torus centralizer elements normalize every affine root group."""
     rng = random.Random(cfg.seed + 5)
     torus = model.sample_centralizer_elements(rng, max(8, cfg.samples))
-    pinned = _generator_pinnings(model, cfg)
+    conjugands = _generator_pinnings(model, cfg, lambda c, g: _minus_identity(g))
     for k, (h, hinv) in enumerate(torus):
-        _conjugation(model, pinned, report, f"h={k}", h, hinv, lambda beta: beta)
+        _conjugation(model, conjugands, report, f"h={k}", h, hinv, lambda beta: beta)
 
 
 def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """kappa = a^vee(t^(-l/2)) moves x_(b, n)(c) to x_(b, n + l <b, a^vee> / 2)(c):
-    one matrix equation per basis generator g, kappa g kappa^-1 against the
-    pinning of g's coordinates at the shifted level."""
-    pinned = _generator_pinnings(model, cfg)
-    pin = model.relative_pinning
+    one matrix equation per basis generator g, kappa g kappa^-1 against `_pin`
+    at the shifted level of the layout, link scalars and corner of g's
+    coordinates, which do not depend on the level."""
+    shifted = _generator_pinnings(
+        model, cfg, lambda c, g: (_minus_identity(g), model._pin_scalars(c))
+    )
     for a_rel in model.system.roots:
         for l in range(cfg.level_min, cfg.level_max + 1):
             if l == 0:
@@ -402,14 +403,15 @@ def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> N
             kappa = model.coroot(a_rel, LaurentPoly.t_power(Q(-l, 2)))
             conj = conjugator(kappa, kappa.inverse())
             shift = {b: Q(l) * pairing(b, a_rel) / 2 for b in model.system.roots}
-            for beta, gens in pinned:
+            for beta, gens in shifted:
                 image = affine_root(beta.root, beta.level + shift[beta.root])
-                for coords, g in gens:
+                e4 = _exp4_of_level(image.level)
+                for coords, (e, (lay, zs, corner)) in gens:
                     with report.case(
                         lambda: f"a={a_rel} l={l} beta={beta} gen={_text(coords)}",
                         lambda: f"same coordinates in U_{image}",
                     ) as case:
-                        if conj(g) != pin(coords._replace(alpha=image)):
+                        if conj(e) != model._pin(lay, e4, zs, corner):
                             case.fail("conjugate differs")
 
 

@@ -750,7 +750,7 @@ def test_conjugator_matches_the_two_products(model):
     for h, hinv in _conjugating_pairs(model):
         conj = conjugator(h, hinv)
         for g in gs:
-            got = conj(g)
+            got = conj(laurent._minus_identity(g))
             assert _stores_no_zeros(got)
             assert got == h @ g @ hinv
 
@@ -766,7 +766,7 @@ def matrix_triples(draw):
 @given(matrix_triples())
 def test_conjugator_is_exact_for_any_three_matrices(triple):
     h, k, g = triple
-    got = conjugator(h, k)(g)
+    got = conjugator(h, k)(laurent._minus_identity(g))
     assert _stores_no_zeros(got)
     hg = LaurentMatrix(_dense_product(h, g))
     assert got.rows == tuple(map(tuple, _dense_product(hg, k)))
@@ -785,12 +785,16 @@ def test_conjugator_leaves_operands_and_results_alone():
     snaps = [_snapshot(m) for m in operands]
     conj = conjugator(h, hinv)
     # conjugating the identity returns h hinv, entries and all
-    base = conj(LaurentMatrix.identity(3))
+    base = conj(laurent._minus_identity(LaurentMatrix.identity(3)))
     assert base == h @ hinv
-    results = [conj(g) for g in gs]
+    # each E is taken apart once and conjugated twice
+    es = [laurent._minus_identity(g) for g in gs]
+    e_snaps = [repr(e) for e in es]
+    results = [conj(e) for e in es]
     kept = [_snapshot(m) for m in [base] + results]
-    again = [conj(g) for g in reversed(gs)]
+    again = [conj(e) for e in reversed(es)]
     assert again[::-1] == results
+    assert [repr(e) for e in es] == e_snaps
     assert all(_unchanged(m, s) for m, s in zip(operands, snaps))
     assert all(_unchanged(m, s) for m, s in zip([base] + results, kept))
 
@@ -830,14 +834,14 @@ def test_conjugator_shares_the_rows_that_e_does_not_reach():
     kept = []
     for h, hinv in pairs:
         conj = conjugator(h, hinv)
-        base = conj(LaurentMatrix.identity(n))
+        base = conj(laurent._minus_identity(LaurentMatrix.identity(n)))
         unit = (h @ hinv).is_identity()
         assert base == h @ hinv and all(
             (r is u) == unit for r, u in zip(base.sparse, units)
         )
         for _ in range(3):
             for g in gs:
-                got = conj(g)
+                got = conj(laurent._minus_identity(g))
                 assert _stores_no_zeros(got) and got == h @ g @ hinv
                 reached = _reached_rows(h, hinv, g)
                 for i, row in enumerate(got.sparse):
@@ -865,7 +869,7 @@ def test_conjugator_copies_each_reached_row_of_a_repeated_row():
         LaurentMatrix.from_entries(3, {(1, 0): t}),
         LaurentMatrix.from_entries(3, {(0, 0): t, (2, 1): ONE}),
     ):
-        got = conj(g)
+        got = conj(laurent._minus_identity(g))
         assert got.rows == tuple(map(tuple, _dense_product(LaurentMatrix(_dense_product(h, g)), k)))
     assert _unchanged(k, snap) and hk == h @ k and _unit_rows_intact()
 

@@ -72,7 +72,7 @@ def test_split_peel_round_trip():
                 c = Q(1)
             alpha = affine_root(a, level)
             g = sl3.relative_pinning(RootGroupCoords(alpha, (c,), ()))
-            back = sl3.peel(g, alpha)
+            (back,) = sl3.peel_product(g, [alpha])
             assert back.c == (c,)
             assert back.alpha == alpha
 
@@ -172,8 +172,9 @@ def _k_entries(model, alpha):
     "make", [lambda: split_sl(2), lambda: special_unitary(5, 2)], ids=["SL3", "SU(5,2)"]
 )
 def test_peel_is_peel_product_along_one_root(make):
-    """peel(g, alpha) and peel_product(g, [alpha]) are one reader: the same
-    coordinates on every root group at levels -1..1, and a coordinate in k
+    """peel(g, alpha) and peel_product(g, [alpha]) are one reader: peel
+    passes, and builds nothing, exactly where peel_product returns the
+    coordinates, on every root group at levels -1..1, and a coordinate in k
     that is not rational is NotInRootGroup from peel and ResidueNotIdentity
     from peel_product."""
     model = make()
@@ -186,7 +187,14 @@ def test_peel_is_peel_product_along_one_root(make):
             ]
             for coords in draws:
                 g = model.relative_pinning(coords)
-                assert model.peel(g, alpha) == model.peel_product(g, [alpha])[0] == coords
+                assert model.peel(g, alpha) is None
+                assert model.peel_product(g, [alpha]) == [coords]
+                # the same element one level up is in neither reading
+                above = model.relative_pinning(coords._replace(alpha=affine_root(a, level + 1)))
+                with pytest.raises(NotInRootGroup):
+                    model.peel(above, alpha)
+                with pytest.raises(ResidueNotIdentity):
+                    model.peel_product(above, [alpha])
             for entry, e4 in _k_entries(model, alpha):
                 bad = LaurentMatrix.from_entries(model.n, {entry: LaurentPoly({e4: 1 + I})})
                 with pytest.raises(NotInRootGroup):
@@ -336,7 +344,7 @@ def test_su_pinning_membership_all_types():
                 alpha = affine_root(a, level)
                 g = model.relative_pinning(RootGroupCoords(alpha, c, d))
                 assert model.contains(g)
-                back = model.peel(g, alpha)
+                (back,) = model.peel_product(g, [alpha])
                 assert back.c == c and back.d == d
 
 
@@ -373,26 +381,51 @@ def test_su_strict_read_rejects_tampering():
         su.peel(bad, affine_root(vec(1), 0))
 
 
-@pytest.mark.parametrize(
-    "alpha, entry, exponent",
-    [
-        (affine_root(vec(2), 1), (0, 2), -1),
-        (affine_root(vec(-2), 0), (2, 0), 0),
-        (affine_root(vec(1), 1), (0, 2), -2),
-    ],
-    ids=["long-root-link", "long-root-link-below", "corner"],
-)
-def test_peel_rejects_a_coordinate_in_k_that_is_not_rational(alpha, entry, exponent):
-    """The entry at a long root's link, or at a single root's corner with no
-    link set, matches its rebuild but lies in k' and not in k."""
+def _one_entry(entry, exponent, value):
+    """The identity of SU(3,1) with value t^exponent at entry."""
+    return LaurentMatrix.from_entries(3, {entry: LaurentPoly.term(value, exponent)})
+
+
+def _corner_off_its_correction(value):
+    """x_(e1, 1)(z = 1 + 2 sqrt(-1), d = 0) in SU(3,1), nonzero links and all,
+    with value t^-2 added to its corner entry, so d0 = value."""
     su = special_unitary(3, 1)
-    g = LaurentMatrix.from_entries(3, {entry: LaurentPoly.term(1 + I, exponent)})
-    message = f"^{re.escape(str(alpha))}: matrix is not in this root group$"
-    with pytest.raises(NotInRootGroup, match=message):
-        su.peel(g, alpha)
-    # the same entry with a rational value peels
-    rational = LaurentMatrix.from_entries(3, {entry: LaurentPoly.term(2, exponent)})
-    assert su.peel(rational, alpha).alpha == alpha
+    g = su_pinning(su, vec(1), 1, (1, 2), (0,))
+    rows = [list(r) for r in g.rows]
+    rows[0][2] = rows[0][2] + LaurentPoly.term(value, -2)
+    return LaurentMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "alpha, make",
+    [
+        (affine_root(vec(2), 1), lambda v: _one_entry((0, 2), -1, v)),
+        (affine_root(vec(-2), 0), lambda v: _one_entry((2, 0), 0, v)),
+        (affine_root(vec(1), 1), lambda v: _one_entry((0, 2), -2, v)),
+        (affine_root(vec(1), 1), _corner_off_its_correction),
+    ],
+    ids=["long-root-link", "long-root-link-below", "corner", "corner-off-its-correction"],
+)
+def test_peel_rejects_a_coordinate_in_k_that_is_not_rational(alpha, make):
+    """The entry at a long root's link, or d0 = corner - correction at a
+    single root's corner, with or without links set, matches its rebuild but
+    lies in k' and not in k.  The check runs on d0, not on the corner entry,
+    which is not rational once a link is set."""
+    su = special_unitary(3, 1)
+    bad = make(1 + I)
+    miss = f"^{re.escape(str(alpha))}: matrix is not in this root group$"
+    with pytest.raises(NotInRootGroup, match=miss):
+        su.peel(bad, alpha)
+    residue = f"^residue left after peeling along {re.escape(str([str(alpha)]))}$"
+    with pytest.raises(ResidueNotIdentity, match=residue):
+        su.peel_product(bad, [alpha])
+    with pytest.raises(ValueError, match=r"^coefficient 1\+1\*sqrt\(-1\) is not rational$"):
+        su._read(bad, [alpha], ValueError)
+    # the same entry with a rational value peels, and reads back as 3
+    good = make(3)
+    su.peel(good, alpha)
+    (coords,) = su.peel_product(good, [alpha])
+    assert coords.alpha == alpha and Q(3) in coords.c + coords.d
 
 
 def test_membership_violation_on_wrong_coordinate_count():
@@ -461,7 +494,7 @@ def test_symbolic_q2_matches_the_sampled_product(dim, witt, disc):
                 if q2 is None:
                     assert g.is_identity()
                     continue
-                got = model.peel(g, affine_root(vec(*(2 * x for x in a)), 2 * level))
+                (got,) = model.peel_product(g, [affine_root(vec(*(2 * x for x in a)), 2 * level)])
                 assert got.c == (q2_at(q2, v, w),)
 
 
@@ -518,7 +551,7 @@ def test_w_element_su_frozen():
     # conjugation by w reflects the positive generator to the negative side
     g = su_pinning(su, vec(1), 0, (1, 0), (0,))
     conj = w @ g @ w_inv
-    got = su.peel(conj, neg)
+    (got,) = su.peel_product(conj, [neg])
     assert got.c == (Q(-2), Q(0))
 
 
@@ -569,7 +602,7 @@ def test_every_su_root_group_peels_back_and_reflects(model, a, level):
         samples.append(RootGroupCoords(alpha, (Q(0),) * nc, (Q(rng.randint(1, 3)),)))
     for u in samples:
         x = model.relative_pinning(u)
-        assert model.peel(x, alpha) == u
+        assert model.peel_product(x, [alpha]) == [u]
         w, w_inv, v1, v2, x_again = model.w_element_parts(u)
         assert x_again == x
         assert w == v1 @ x @ v2
@@ -783,7 +816,7 @@ def test_pinning_builder_round_trips_through_peel(make):
             one_slot = (Q(0),) * (nc - 1) + (Q(-3, 2),)
             draws.append(RootGroupCoords(alpha, one_slot, (Q(0),) * nd))
             for coords in draws:
-                assert model.peel(model.relative_pinning(coords), alpha) == coords
+                assert model.peel_product(model.relative_pinning(coords), [alpha]) == [coords]
 
 
 def test_exp4_of_level_takes_int_and_fraction_levels():

@@ -379,7 +379,7 @@ def test_pinnings_and_peels_never_check_membership(monkeypatch):
     alpha = affine_root(vec(1), 0)
     u = RootGroupCoords(alpha, (Q(1), Q(2)), (Q(3),))
     g = su.relative_pinning(u)
-    assert su.peel(g, alpha) == u
+    su.peel(g, alpha)
     assert su.peel_product(g, [alpha]) == [u]
     # the certificate builds on slot variables, which never pass through
     # relative_pinning (the benchmark's tracer hashes its coordinates)
@@ -603,9 +603,10 @@ def test_rgd2_centralizer_cases_name_the_samples_they_compare(monkeypatch):
 @pytest.mark.parametrize("tag", ["rgd5", "coroot-shift"])
 def test_conjugations_build_each_generator_pinning_once(monkeypatch, tag):
     """One pinning per basis generator in the window, built once for the
-    suite call.  RGD5 peels each conjugate, and the peel rebuilds without
-    `relative_pinning`; CorootShift never peels and builds one pinning per
-    case, of the generator's coordinates at the shifted level."""
+    suite call, and none per case.  RGD5 peels each conjugate, and the peel
+    rebuilds without `relative_pinning`; CorootShift never peels and builds
+    the expected side of each case with `_pin`, from the generator's
+    scalars at the shifted level."""
     model = split_sl(2)
     calls = count_calls(monkeypatch, model, "relative_pinning")
     peeled = count_calls(monkeypatch, model, "peel")
@@ -613,17 +614,51 @@ def test_conjugations_build_each_generator_pinning_once(monkeypatch, tag):
     window = verify.in_range_affine_roots(model, SMALL)
     generators = [c for beta in window for c in basis_generators(model, beta)]
     assert r.passed and r.cases > len(generators) == 18
-    if tag == "rgd5":
-        assert calls == generators and len(peeled) == r.cases
-        return
+    assert calls == generators
+    assert len(peeled) == (r.cases if tag == "rgd5" else 0)
 
-    def image(c, a, l):
-        level = c.alpha.level + Q(l * pairing(c.alpha.root, a), 2)
-        return c._replace(alpha=affine_root(c.alpha.root, level))
 
-    images = [image(c, a, l) for a in model.system.roots for l in (-1, 1) for c in generators]
-    assert calls == generators + images and len(images) == r.cases
-    assert not peeled
+@pytest.mark.parametrize("tag", ["rgd2", "rgd5"])
+def test_conjugation_cases_build_no_fraction_and_one_e_per_generator(monkeypatch, tag):
+    """A passing SU(5,2) suite call takes each generator pinning apart into
+    E = g - I once, and its conjugation cases build no E and no Fraction:
+    `peel` checks the conjugate and reads no coordinates."""
+    model = special_unitary(5, 2)
+    inside = []  # nonempty while `_conjugation` runs
+    built, e_suite, e_cases = [], [], []
+    new, minus_identity, conjugation = Q.__new__, laurent._minus_identity, verify._conjugation
+
+    def counting_new(cls, *args, **kw):
+        if inside:
+            built.append(args)
+        return new(cls, *args, **kw)
+
+    def suite_e(g):
+        e_suite.append(g)
+        return minus_identity(g)
+
+    def kernel_e(g):
+        if inside:
+            e_cases.append(g)
+        return minus_identity(g)
+
+    def conjugating(*args):
+        inside.append(True)
+        try:
+            return conjugation(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Q, "__new__", counting_new)
+    monkeypatch.setattr(verify, "_minus_identity", suite_e)
+    monkeypatch.setattr(laurent, "_minus_identity", kernel_e)
+    monkeypatch.setattr(verify, "_conjugation", conjugating)
+    r = run_one(tag, model, SMALL)
+    window = verify.in_range_affine_roots(model, SMALL)
+    generators = [c for beta in window for c in basis_generators(model, beta)]
+    assert r.passed and r.cases > len(generators)
+    assert len(e_suite) == len(generators) and not e_cases
+    assert built == []
 
 
 # -- readable failure records ----------------------------------------------------------
