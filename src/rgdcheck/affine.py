@@ -8,10 +8,16 @@ interval members built from integral levels stay in integer arithmetic.  The
 reflection in the wall of alpha_(a, l) acts on points by
 v -> s_a(v) - l * a^vee and on affine roots by
 alpha_(b, m) -> alpha_(s_a(b), m - l * <b, a^vee>).
+
+What depends on the gradients alone is computed once and kept, each table
+filling on first use: per pair of roots, (s_a(b), <b, a^vee>) and the
+interval shape on the `RootSystem`, prenilpotency and the oracle's pair
+geometry in `functools.cache` tables; per root, `roots.neg` and `coroot`.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,14 +29,12 @@ from .errors import (
 from .roots import (
     RootSystem,
     Vector,
-    add,
     coroot,
     dot,
     neg,
     pairing,
     proportionality,
     scale,
-    sub,
     vec,
 )
 
@@ -71,16 +75,14 @@ def half_space_contains(alpha: AffineRoot, v: Vector, strict: bool = False) -> b
 
 def reflect_point(alpha: AffineRoot, v: Vector) -> Vector:
     """Reflection of an ambient point in the wall of alpha."""
-    a, l = alpha.root, alpha.level
-    return sub(v, scale(dot(a, v) + l, coroot(a)))
+    a = alpha.root
+    c = dot(a, v) + alpha.level
+    return tuple(x - c * y for x, y in zip(v, coroot(a)))
 
 
 def affine_reflect(system: RootSystem, alpha: AffineRoot, beta: AffineRoot) -> AffineRoot:
-    """Image of beta under the reflection in the wall of alpha.
-
-    (s_a(b), <b, a^vee>) is computed once per pair of roots and kept on the
-    system, so the level is the only arithmetic per call.
-    """
+    """Image of beta under the reflection in the wall of alpha; the level is
+    the only arithmetic once the pair's (s_a(b), <b, a^vee>) is kept."""
     key = (alpha.root, beta.root)
     hit = system.reflections.get(key)
     if hit is None:
@@ -89,7 +91,8 @@ def affine_reflect(system: RootSystem, alpha: AffineRoot, beta: AffineRoot) -> A
             pairing(beta.root, alpha.root),
         )
     c, k = hit
-    return AffineRoot(c, _level(beta.level - alpha.level * k))
+    level = beta.level - alpha.level * k
+    return AffineRoot(c, level if type(level) is int else _level(level))
 
 
 def is_positive(system: RootSystem, alpha: AffineRoot) -> bool:
@@ -110,8 +113,13 @@ def is_prenilpotent(alpha: AffineRoot, beta: AffineRoot) -> bool:
     Positive multiples of the gradients collide exactly when the gradients
     are proportional with a negative ratio: when (a, b) < 0 and the
     Cauchy-Schwarz inequality (a, b)^2 <= (a, a)(b, b) is an equality.
+    The answer depends on the gradients alone and is kept per pair of them.
     """
-    a, b = alpha.root, beta.root
+    return _prenilpotent_gradients(alpha.root, beta.root)
+
+
+@functools.cache
+def _prenilpotent_gradients(a: Vector, b: Vector) -> bool:
     ab = dot(a, b)
     return ab >= 0 or ab * ab != dot(a, a) * dot(b, b)
 
@@ -181,25 +189,23 @@ def chamber_oracle(system: RootSystem, alpha: AffineRoot) -> bool:
     return half_space_contains(alpha, system.fundamental_point, strict=True)
 
 
+@functools.cache
 def _pair_geometry(a: Vector, b: Vector) -> tuple:
-    """proportionality(a, b) and the Gram dots (a,a), (a,b), (b,b); negating
-    both gradients changes none of them."""
+    """proportionality(a, b) and the Gram dots (a,a), (a,b), (b,b), kept per
+    pair of gradients."""
     return proportionality(a, b), dot(a, a), dot(a, b), dot(b, b)
 
 
-def _interior_point(
-    alpha: AffineRoot, beta: AffineRoot, geometry: tuple | None = None
-) -> tuple[Vector, int] | None:
+def _interior_point(alpha: AffineRoot, beta: AffineRoot) -> tuple[Vector, int] | None:
     """(V, D) with V an integer vector and D > 0 such that V / D is interior to
     both half-spaces, or None if no point is.
 
     Works on the doubled levels 2l and 2m, integers even on doubled roots.
-    geometry is _pair_geometry of the two gradients, computed when not given.
     """
     a, b = alpha.root, beta.root
     # 2 * a half-integer level is an integral int or Fraction; int() is exact
     l2, m2 = int(2 * alpha.level), int(2 * beta.level)
-    r, aa, ab, bb = geometry or _pair_geometry(a, b)
+    r, aa, ab, bb = _pair_geometry(a, b)
     if r is None:
         # independent gradients: solve (a,v) = 1 - l, (b,v) = 1 - m exactly
         # on the 2-plane spanned by a and b, v = (x a + y b) / (2 det)
@@ -208,7 +214,7 @@ def _interior_point(
         ta, tb = 2 - l2, 2 - m2
         x = ta * bb - tb * ab
         y = tb * aa - ta * ab
-        return add(scale(x, a), scale(y, b)), 2 * det
+        return tuple(x * p + y * q for p, q in zip(a, b)), 2 * det
     # parallel walls, b = r a with r = n/d: (a,v) must exceed -l and
     # r*(a,v) must exceed -m; both bounds below are on 2|n| (a,v)
     n, d = r.numerator, r.denominator
@@ -233,17 +239,14 @@ def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
     integers: it is interior to alpha_(a, l) iff V is interior to
     alpha_(a, D l).
     """
-    geometry = _pair_geometry(alpha.root, beta.root)
-    for pair in ((alpha, beta), (-alpha, -beta)):
-        point = _interior_point(*pair, geometry)
+    for g, h in ((alpha, beta), (-alpha, -beta)):
+        point = _interior_point(g, h)
         if point is None:
             return False
         v, d = point
-        if not all(
+        if not (
             half_space_contains(AffineRoot(g.root, d * g.level), v, strict=True)
-            for g in pair
+            and half_space_contains(AffineRoot(h.root, d * h.level), v, strict=True)
         ):
-            raise RgdcheckError(
-                f"computed point is not interior to both {pair[0]} and {pair[1]}"
-            )
+            raise RgdcheckError(f"computed point is not interior to both {g} and {h}")
     return True

@@ -9,6 +9,7 @@ on the rational points (sample points, the fundamental point) as well.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from operator import mul
 
@@ -44,6 +45,7 @@ def sub(u: Vector, v: Vector) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
+@functools.cache
 def neg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
@@ -66,6 +68,7 @@ def pairing(b: Vector, a: Vector) -> int | Q:
     return _quotient(2 * dot(a, b), aa)
 
 
+@functools.cache
 def coroot(a: Vector) -> Vector:
     """a^vee = 2a / (a,a); an integer vector for every A_n and BC_n root."""
     aa = dot(a, a)
@@ -103,6 +106,9 @@ class RootSystem:
         filled on first use by `affine.open_interval`
       reflections: per pair of roots (a, b), the pair (s_a(b), <b, a^vee>);
         filled on first use by `affine.affine_reflect`
+      Helpers that take no system keep `functools.cache` tables, also filled
+        on first use: `neg` and `coroot` per root, and `affine`'s
+        prenilpotency and pair geometry per pair of gradients.
     """
 
     __slots__ = (

@@ -431,6 +431,8 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
     intervals.  Point tests run in integers: v is in alpha_(a, l) iff D v is
     in alpha_(a, D l), and for D twice the common denominator of the points,
     D v, D l and (coroots being integral) the reflected points are integers.
+    Cases read the per-pair and per-root tables of `affine` and `roots`
+    (filled on first use) and format a point that changed side only on failure.
     """
     system = model.system
     rng = random.Random(cfg.seed + 7)
@@ -455,13 +457,14 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
         """(a, v) for every root a and point v, one integer dot each."""
         return {a: [dot(a, v) for v in pts] for a in system.roots}
 
-    def sides(h: dict, alpha: AffineRoot) -> list[bool]:
-        """Which of the points with heights h lie in the half-space alpha."""
-        shift = integral(scale_d * alpha.level)
-        return [x + shift >= 0 for x in h[alpha.root]]
-
     drawn = heights(scaled)
-    side = functools.cache(functools.partial(sides, drawn))
+
+    @functools.cache
+    def side(alpha: AffineRoot) -> list[bool]:
+        """Which of the drawn points lie in the half-space alpha."""
+        shift = integral(scale_d * alpha.level)
+        return [x + shift >= 0 for x in drawn[alpha.root]]
+
     for alpha in groups:
         wall = AffineRoot(alpha.root, integral(scale_d * alpha.level))
         refl = [reflect_point(wall, v) for v in scaled]
@@ -479,12 +482,11 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                     case.fail(f"{rbeta}")
                     continue
                 # half-space equivariance: v in beta iff s(v) in s(beta)
-                before, after = side(beta), sides(reflected, rbeta)
-                moved = [v for v, x, y in zip(points, before, after) if x != y]
-                if moved:
-                    case.fail(
-                        f"v={_text(moved[0])} changes side", "membership equivariance"
-                    )
+                before, shift = side(beta), scale_d * rbeta.level
+                after = [x + shift >= 0 for x in reflected[rbeta.root]]
+                if before != after:
+                    moved = next(v for v, x, y in zip(points, before, after) if x != y)
+                    case.fail(f"v={_text(moved)} changes side", "membership equivariance")
 
     for i, alpha in enumerate(groups):
         for beta in groups[i:]:
@@ -508,10 +510,11 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
             ) as case:
                 # a point in alpha and beta lies in every member gamma, and a
                 # point in -alpha and -beta in every -gamma
+                nalpha, nbeta = -alpha, -beta
                 escapes = (
                     f"gamma={member} v={_text(v)} escapes"
                     for gamma in interval
-                    for a, b, member in ((alpha, beta, gamma), (-alpha, -beta, -gamma))
+                    for a, b, member in ((alpha, beta, gamma), (nalpha, nbeta, -gamma))
                     for v, x, y, z in zip(points, side(a), side(b), side(member))
                     if x and y and not z
                 )

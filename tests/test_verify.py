@@ -28,7 +28,7 @@ from rgdcheck import (
     split_sl,
 )
 from rgdcheck import cli, laurent, slots, verify
-from rgdcheck.affine import is_prenilpotent
+from rgdcheck.affine import AffineRoot, affine_reflect, is_prenilpotent
 from rgdcheck.roots import pairing, vec
 
 SMALL = SuiteConfig(level_min=-1, level_max=1, samples=3)
@@ -287,6 +287,84 @@ def test_a_pinning_that_is_not_additive_fails_its_root():
 def test_combinatorics_matches_oracles():
     r = run_one("combinatorics", special_unitary(3, 1), SMALL)
     assert r.passed
+
+
+# the Combinatorics window of the CLI defaults: seed 0, levels [-2, 2], 8 points
+COMBINATORICS = SuiteConfig(level_min=-2, level_max=2, samples=8, seed=0)
+COMBINATORICS_MODELS = {
+    "SL3": (lambda: split_sl(2), 1575),
+    "SU(3,1)": (lambda: special_unitary(3, 1), 670),
+    "SU(5,2)": (lambda: special_unitary(5, 2), 6190),
+    "SL4": (lambda: split_sl(3), 6150),
+}
+
+
+def run_combinatorics(label):
+    build, cases = COMBINATORICS_MODELS[label]
+    r = run_one("combinatorics", build(), COMBINATORICS)
+    assert r.cases == cases
+    return r
+
+
+@pytest.mark.parametrize("label", ["SL4", "SU(5,2)"])
+def test_combinatorics_case_counts_of_the_benchmark_window(label):
+    """The affine-combinatorics workload runs this window on SL4 and SU(5,2):
+    6,150 + 6,190 = 12,340 cases per pass."""
+    assert run_combinatorics(label).passed
+
+
+def reflect_with_flipped_level(system, alpha, beta):
+    """affine_reflect with +l <b, a^vee> in place of -l <b, a^vee>: still an
+    involution, but no longer the reflection of the half-spaces."""
+    image = affine_reflect(system, alpha, beta)
+    return AffineRoot(image.root, image.level + 2 * alpha.level * pairing(beta.root, alpha.root))
+
+
+def positive_from_level_one(system, alpha):
+    """is_positive asking level >= 1 of positive gradients as well."""
+    system.is_positive_root(alpha.root)
+    return alpha.level >= 1
+
+
+@pytest.mark.parametrize(
+    "name, mutant, expected, failed",
+    [
+        (
+            "affine_reflect",
+            reflect_with_flipped_level,
+            "membership equivariance",
+            {"SL3": 584, "SU(3,1)": 304, "SU(5,2)": 1756, "SL4": 1884},
+        ),
+        (
+            "is_prenilpotent",
+            lambda alpha, beta: True,
+            "prenilpotent oracle True",
+            {"SL3": 75, "SU(3,1)": 100, "SU(5,2)": 250, "SL4": 150},
+        ),
+        (
+            "prenilpotent_oracle",
+            lambda alpha, beta: True,
+            "prenilpotent oracle False",
+            {"SL3": 75, "SU(3,1)": 100, "SU(5,2)": 250, "SL4": 150},
+        ),
+        (
+            "is_positive",
+            positive_from_level_one,
+            "sign matches chamber oracle",
+            # the positive roots at level 0
+            {"SL3": 3, "SU(3,1)": 2, "SU(5,2)": 6, "SL4": 6},
+        ),
+    ],
+    ids=["reflect-level-sign", "prenilpotent-always", "oracle-always", "positive-from-1"],
+)
+def test_combinatorics_mutants_fail_exact_case_counts(
+    monkeypatch, name, mutant, expected, failed
+):
+    monkeypatch.setattr(verify, name, mutant)
+    for label, count in failed.items():
+        r = run_combinatorics(label)
+        assert len(r.failures) == count, label
+        assert {f["expected"] for f in r.failures} == {expected}
 
 
 def test_report_dict_shape():
