@@ -90,6 +90,11 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(e == 0 for e in self.coeffs)
 
+    @property
+    def is_rational(self) -> bool:
+        """Every coefficient lies in Q, as `FieldScalar.is_rational` asks of one."""
+        return all(c.is_rational for c in self.coeffs.values())
+
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -202,8 +202,7 @@ class GroupModel:
             raise ReflectionLeftSystem(f"{a_rel} is not a relative root")
         if not lam.is_monomial():
             raise NotMonomial(f"coroot argument {lam} is not a unit monomial")
-        _, cval = lam.monomial_parts()
-        if not cval.is_rational:
+        if not lam.is_rational:
             raise NotMonomial("coroot argument must have a rational coefficient")
         diag = []
         for p in range(self.n):
@@ -220,28 +219,26 @@ class GroupModel:
         """The canonical element of U_alpha with the given coordinates; it only
         builds, as RGD0 and RGD1 check membership on the inputs they draw."""
         lay, zs, corner = self._pin_scalars(coords)
-        return self._pin(lay, _exp4_of_level(coords.alpha.level), zs, corner)
+        return self._pin(lay, zs, corner, _exp4_of_level(coords.alpha.level))
 
     def _pin_scalars(
         self, coords: RootGroupCoords
     ) -> tuple[RootLayout, list, FieldScalar | None]:
         """(layout, link scalars, corner entry) from which `_pin` builds the
-        element of U_alpha with the given coordinates, at any level: the corner
-        is d shifted by the correction of the links, None off a corner."""
+        element of U_alpha with the given coordinates, rational or in slot
+        variables, at any level: the corner is the links' correction plus d."""
         lay = self.layout(coords.alpha.root)
         nc, nd = _slot_counts(lay)
         if len(coords.c) != nc or len(coords.d) != nd:
-            raise MembershipViolation(
-                f"expected {nc}+{nd} coordinates, got "
-                f"{len(coords.c)}+{len(coords.d)}"
-            )
+            got = f"{len(coords.c)}+{len(coords.d)}"
+            raise MembershipViolation(f"expected {nc}+{nd} coordinates, got {got}")
         zs = self._link_scalars(lay, coords.c)
         corner = None
         if nd:
-            corner = FieldScalar.coerce(coords.d[0]) + self._correction(lay, zs)
+            corner = self._correction(lay, zs) + coords.d[0]
         return lay, zs, corner
 
-    def _pin(self, lay: RootLayout, e4: int | None, zs: list, corner) -> LaurentMatrix:
+    def _pin(self, lay: RootLayout, zs: list, corner, e4: int | None = None) -> LaurentMatrix:
         """The identity with each link scalar z at its position, factor * tau(z)
         at its partner and the corner: field scalars at exponents e4 and 2 * e4,
         or, for e4 None, polynomials in slot variables (see `slots`) as they
@@ -277,15 +274,17 @@ class GroupModel:
         return p2 * lay.sfac * _MINUS_HALF
 
     def _check_scalars(
-        self, lay: RootLayout, zs: list, corner, error: Callable[[str], Exception]
+        self, lay: RootLayout, zs: list, corner, error: Callable[[str], Exception], width=None
     ) -> FieldScalar | None:
         """The doubled-root scalar d0 = corner - correction of zs, or None off a
         corner, once every coordinate in k is checked rational: each link of a
-        layout in k, and d0.  One that is not raises error."""
+        layout in k, and d0.  One that is not raises error, which prints it by
+        `slots.text` at width if width is set (a polynomial in slot variables)."""
         d0 = None if lay.corner is None else corner - self._correction(lay, zs)
         for x in ([] if lay.field else zs) + ([] if d0 is None else [d0]):
             if not x.is_rational:
-                raise error(f"coefficient {x} is not rational")
+                text = x if width is None else slots.text(x, width)
+                raise error(f"coefficient {text} is not rational")
         return d0
 
     def _coords(self, alpha: AffineRoot, zs: list, d0) -> RootGroupCoords:
@@ -301,28 +300,34 @@ class GroupModel:
         g: LaurentMatrix,
         order: list[AffineRoot],
         error: Callable[[str], Exception],
+        width: int | None = None,
     ) -> list[tuple]:
         """(alpha, link scalars, d0) for each member of order, read off g once
         as the ordered product over order: each member's link scalars and corner
-        come off g at its own entries, the product of their pinnings is rebuilt
-        by `_pin` and compared with g, and only then are the scalars checked
-        by `_check_scalars`, which gives d0.  A mismatch, or a coordinate in k
-        that is not rational, raises error.  A member read as zero pins the
-        identity and is not built, so the identity builds nothing."""
+        come off g at its own entries, at its exponent, or whole for width set
+        (level-zero members on slot variables, as `_pin` puts them with no e4);
+        the product of their pinnings is rebuilt by `_pin` and compared with g,
+        and only then does `_check_scalars` check the scalars and give d0.  A
+        mismatch, or a coordinate in k that is not rational, raises error.  A
+        member read as zero pins the identity and is not built."""
         reads, built = [], None
+        zero = FieldScalar.is_zero if width is None else LaurentPoly.is_zero
         for alpha in order:
             lay = self.layout(alpha.root)
-            e4 = _exp4_of_level(alpha.level)
-            zs = [g.entry(p, q).coeff(e4) for (p, q), _, _ in lay.links]
-            corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
+            if width is None:
+                e4 = _exp4_of_level(alpha.level)
+                zs = [g.entry(p, q).coeff(e4) for (p, q), _, _ in lay.links]
+                corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
+            else:
+                e4, zs = None, [g.entry(p, q) for (p, q), _, _ in lay.links]
+                corner = None if lay.corner is None else g.entry(*lay.corner)
             reads.append((alpha, lay, zs, corner))
-            zero = all(map(FieldScalar.is_zero, zs)) and (corner is None or corner.is_zero())
-            if not zero:
-                x = self._pin(lay, e4, zs, corner)
+            if not (all(map(zero, zs)) and (corner is None or zero(corner))):
+                x = self._pin(lay, zs, corner, e4)
                 built = x if built is None else built @ x
         if not (g.is_identity() if built is None else built == g):
             raise error("mismatch")
-        return [(a, zs, self._check_scalars(lay, zs, c, error)) for a, lay, zs, c in reads]
+        return [(a, zs, self._check_scalars(lay, zs, c, error, width)) for a, lay, zs, c in reads]
 
     def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> None:
         """Check that g lies in U_alpha, read once (see `_read`), or raise
@@ -354,39 +359,32 @@ class GroupModel:
 
     def q2_additive(self, a_rel: Vector) -> LaurentPoly | None:
         """Certificate of the additive law of U_a for all coordinates and levels:
-        on disjoint tau-fixed slot variables u and v (see `slots`), `_pin`
-        builds g = X(-(u + v)) X(u) X(v) from the level-zero map X of a_rel.  On
-        a root that is not multipliable g is the identity; None is returned.
-        On one, g is the doubled root's element with link q2, which is returned:
-        rational, skew and of bidegree (1, 1).  As x_(a, l)(c, d) is X(c t^-l,
-        d t^-2l), u -> u t^-l gives every level.  Else PeelFailure is raised."""
-        lay = self.layout(a_rel)
-        nc, nd = _slot_counts(lay)
+        g = X(-(u + v)) X(u) X(v), X the level-zero map of a_rel on disjoint
+        tau-fixed slot variables u, v (see `slots`), is read whole by `_read`
+        along [(2a, 0)], or along [] with None returned if a is not multipliable;
+        else its rational link q2 is returned once skew and of bidegree (1, 1).
+        A failed claim raises PeelFailure.  As x_(a, l)(c, d) is X(c t^-l,
+        d t^-2l), u -> u t^-l gives every level."""
+        nc, nd = self.coord_lengths(a_rel)
+        order = [affine_root(scale(2, a_rel), 0)] if self.system.is_multipliable(a_rel) else []
+        level0 = affine_root(a_rel, 0)
 
         def pin(c: list) -> LaurentMatrix:
-            zs = self._link_scalars(lay, c)
-            return self._pin(lay, None, zs, self._correction(lay, zs) if nd else None)
+            return self._pin(*self._pin_scalars(RootGroupCoords(level0, tuple(c), (ZERO,) * nd)))
+
+        def fails(why: str) -> PeelFailure:
+            return PeelFailure(f"additivity fails on {a_rel} along {list(map(str, order))}: {why}")
 
         u, v = [slots.var(k) for k in range(nc)], [slots.var(nc + k) for k in range(nc)]
         g = pin([-(x + y) for x, y in zip(u, v)]) @ (pin(u) @ pin(v))
-        if not self.system.is_multipliable(a_rel):
-            if not g.is_identity():
-                raise PeelFailure(f"additivity fails on non-multipliable {a_rel}")
+        reads = self._read(g, order, fails, nc)
+        if not reads:
             return None
-        double = self.layout(scale(2, a_rel))
-        q2 = g.entry(*double.links[0][0])
-        bidegrees = set()
-        for key in q2.coeffs:
-            d = slots.degrees(key, 2 * nc)
-            bidegrees.add((slots.t_exponent(key), sum(d[:nc]), sum(d[nc:])))
-        for holds, why in (
-            (g == self._pin(double, None, [q2], None), "is not all of g: g leaves U_2a"),
-            (all(c.is_rational for c in q2.coeffs.values()), "has a coefficient outside k"),
-            (bidegrees <= {(0, 1, 1)}, "is not of bidegree (1, 1)"),
-            (slots.swap(q2, nc) == -q2, "is not skew"),
-        ):
-            if not holds:
-                raise PeelFailure(f"q2 = {slots.text(q2, nc)} {why}")
+        ((_, (q2,), _),) = reads
+        if not slots.bidegrees(q2, nc) <= {(0, 1, 1)}:
+            raise fails(f"q2 = {slots.text(q2, nc)} is not of bidegree (1, 1)")
+        if slots.swap(q2, nc) != -q2:
+            raise fails(f"q2 = {slots.text(q2, nc)} is not skew")
         return q2
 
     # -- rank one Weyl representatives ---------------------------------------------
@@ -418,12 +416,11 @@ class GroupModel:
         reflection.  The coordinates do not depend on the level, since
         x_(a, l)(c, d) is X_a(c t^-l, d t^-2l) for the level-zero map X_a."""
         a_rel, level = u.alpha
-        lay = self.layout(a_rel)
+        lay, zs, corner = self._pin_scalars(u)
         neg = -u.alpha
-        zs = self._link_scalars(lay, u.c)
 
-        def witness(ys: list, corner) -> RootGroupCoords:
-            d0 = self._check_scalars(self.layout(neg.root), ys, corner, RankOneSolveFailed)
+        def witness(ys: list, at_corner) -> RootGroupCoords:
+            d0 = self._check_scalars(self.layout(neg.root), ys, at_corner, RankOneSolveFailed)
             return self._coords(neg, ys, d0)
 
         if lay.corner is None:
@@ -438,7 +435,6 @@ class GroupModel:
             # whose reflection fixes the same wall
             dbl = affine_root(scale(2, a_rel), 2 * Q(level))
             return self._rank_one_witnesses(RootGroupCoords(dbl, u.d))
-        corner = FieldScalar.coerce(u.d[0]) + self._correction(lay, zs)
         if corner.is_zero():
             raise RankOneSolveFailed("degenerate corner on a single root group")
         cinvn = -corner.inverse()  # -1/c

@@ -45,6 +45,13 @@ def degrees(key: int, count: int) -> tuple[int, ...]:
     return tuple(out[1:])
 
 
+def bidegrees(p: LaurentPoly, width: int) -> set[tuple[int, int, int]]:
+    """(t-exponent, degree in u0 .. u(width - 1), degree in v0 .. v(width - 1))
+    of each term of p."""
+    terms = [(t_exponent(key), degrees(key, 2 * width)) for key in p.coeffs]
+    return {(e, sum(d[:width]), sum(d[width:])) for e, d in terms}
+
+
 def var(k: int) -> LaurentPoly:
     """The slot variable x_k, fixed by tau."""
     return _nonzero_poly({pack((0,) * k + (1,)): FieldScalar(1)})

@@ -49,6 +49,17 @@ def test_constructors_and_predicates():
     assert LaurentPoly.t_power(-1).in_inv_poly_ring()
 
 
+def test_is_rational_asks_every_coefficient():
+    assert LaurentPoly.zero().is_rational and LaurentPoly.const(Q(-3, 2)).is_rational
+    p = LaurentPoly.term(Q(1, 2), -1) + LaurentPoly.const(7)
+    assert p.is_rational
+    # one coefficient outside Q is enough, at any exponent
+    assert not (p + LaurentPoly.term(FieldScalar(0, 1, -1), 2)).is_rational
+    assert not LaurentPoly.const(FieldScalar(1, 1, -1)).is_rational
+    # a rational coefficient stored with a field is still rational
+    assert LaurentPoly.term(FieldScalar(2, 0, -1), Q(1, 2)).is_rational
+
+
 def test_term_rejects_exponents_off_the_quarter_lattice():
     with pytest.raises(ValueError):
         LaurentPoly.term(1, Q(1, 3))

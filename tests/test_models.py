@@ -133,9 +133,9 @@ def test_peel_product_reads_its_first_pass_off_g(monkeypatch):
     pinned, pins = [], []
     inner_pin = su._pin
 
-    def counted_pin(lay, e4, zs, corner):
+    def counted_pin(lay, zs, corner, e4=None):
         pins.append((lay, e4, zs, corner))
-        return inner_pin(lay, e4, zs, corner)
+        return inner_pin(lay, zs, corner, e4)
 
     monkeypatch.setattr(su, "relative_pinning", lambda coords: pinned.append(coords))
     monkeypatch.setattr(su, "_pin", counted_pin)
@@ -271,6 +271,70 @@ def test_every_interval_shape_meets_the_one_read_rule(kind, rank):
     assert pairs
     for x, y in pairs:
         assert _one_read(open_interval(system, x, y)), (x, y)
+
+
+def _symbolic_product(model, order):
+    """The product over order of each member's element at level zero on its
+    own slot variables, a corner variable included, with the link scalars and
+    d of each member and the number of variables used."""
+    g, built, k = LaurentMatrix.identity(model.n), [], 0
+    for alpha in order:
+        nc, nd = model.coord_lengths(alpha.root)
+        c = tuple(slots.var(k + i) for i in range(nc))
+        d = tuple(slots.var(k + nc + i) for i in range(nd))
+        k += nc + nd
+        lay, zs, corner = model._pin_scalars(RootGroupCoords(alpha, c, d))
+        g = g @ model._pin(lay, zs, corner)
+        built.append((alpha, zs, d[0] if d else None))
+    return g, built, k
+
+
+class CallersError(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "model, orders, members",
+    [(split_sl(2), 12, 12), (special_unitary(5, 2), 48, 80)],
+    ids=["SL3", "SU(5,2)"],
+)
+def test_every_interval_at_level_zero_reads_back_whole(model, orders, members):
+    """For every nonempty open interval of a prenilpotent pair at level 0, the
+    product of the members' elements on disjoint slot variables reads back
+    whole, with exactly the link scalars built and d as d0.  Along the order
+    without its last member the read raises the caller's error."""
+    window = [affine_root(a, 0) for a in model.system.roots]
+    intervals = [
+        open_interval(model.system, x, y)
+        for x in window
+        for y in window
+        if x != y and is_prenilpotent(x, y)
+    ]
+    intervals = [order for order in intervals if order]
+    assert (len(intervals), sum(map(len, intervals))) == (orders, members)
+    for order in intervals:
+        g, built, k = _symbolic_product(model, order)
+        width = (k + 1) // 2
+        assert model._read(g, order, CallersError, width) == built
+        with pytest.raises(CallersError, match="^mismatch$"):
+            model._read(g, order[:-1], CallersError, width)
+
+
+def test_the_whole_read_checks_rationality():
+    """On SU(3,1) an element of U_(2a) on slot variables whose link has a
+    coefficient outside k is refused, printed in slot variables; the same link
+    times 2 in place of sqrt(-1) reads back."""
+    su = special_unitary(3, 1)
+    double = affine_root(vec(2), 0)
+    u0, u1, v0, v1 = map(slots.var, range(4))
+    q2 = u0 * v1 - u1 * v0
+    lay = su.layout(double.root)
+    bad = su._pin(lay, [q2 * I], None)
+    text = re.escape(slots.text(q2 * I, 2))
+    with pytest.raises(ValueError, match=f"^coefficient {text} is not rational$"):
+        su._read(bad, [double], ValueError, 2)
+    good = su._pin(lay, [q2 * FieldScalar(2)], None)
+    assert su._read(good, [double], ValueError, 2) == [(double, [q2 * FieldScalar(2)], None)]
 
 
 def test_project_root_split_is_identity():

@@ -82,9 +82,10 @@ def test_swap_exchanges_u_and_v():
 
 def test_t_exponent_methods_never_see_a_packed_key(monkeypatch):
     """A certified SU(5,2) run gives no key that holds a slot variable to the
-    LaurentPoly methods that read keys as t-exponents."""
+    LaurentPoly methods that read keys as t-exponents, `coeff` among them,
+    through which every numeric read goes."""
     seen, packed = [], []
-    for name in ("in_inv_poly_ring", "is_constant", "monomial_parts", "__str__"):
+    for name in ("in_inv_poly_ring", "is_constant", "monomial_parts", "coeff", "__str__"):
         inner = getattr(LaurentPoly, name)
 
         def watched(self, *args, _inner=inner, _name=name):
@@ -99,5 +100,5 @@ def test_t_exponent_methods_never_see_a_packed_key(monkeypatch):
     (q2,) = [r for r in reports if r.axiom == "Q2Additive"]
     assert q2.cases == len(model.system.roots) == 12
     # the watched methods ran, on unpacked keys only
-    assert {"in_inv_poly_ring", "is_constant", "monomial_parts"} <= set(seen)
+    assert {"in_inv_poly_ring", "is_constant", "monomial_parts", "coeff"} <= set(seen)
     assert packed == []

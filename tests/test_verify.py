@@ -276,6 +276,18 @@ def test_a_flipped_corner_correction_fails_exactly_the_multipliable_roots(
     assert cli.main([*argv, "--out", str(tmp_path / "report.json")]) == 1
 
 
+def test_q2_failures_print_the_link_in_slot_variables():
+    """A flipped corner leaves the link of U_(2a) outside k: the failure names
+    the root and the order read, and prints the link in u and v."""
+    r = run_one("q2-additive", FlippedCornerSU(3, 1), SMALL)
+    sym = "u0^2 + {i}*u0*v0 + u0*v1 + {i}*u1^2 - u1*v0 + {i}*u1*v1 + {i}*v0^2 + {i}*v1^2"
+    assert [f["actual"] for f in r.failures] == [
+        f"additivity fails on {a} along ['a[({2 * a[0]}), 0]']: coefficient "
+        + f"{i}*" + sym.format(i=i) + " is not rational"
+        for a, i in (((-1,), "(0+2*sqrt(-1))"), ((1,), "(0+-2*sqrt(-1))"))
+    ]
+
+
 def test_a_pinning_that_is_not_additive_fails_its_root():
     model = SquaredLinkSL(2)
     r = run_one("q2-additive", model, SMALL)
