@@ -11,8 +11,9 @@ alpha_(b, m) -> alpha_(s_a(b), m - l * <b, a^vee>).
 
 What depends on the gradients alone is computed once and kept, each table
 filling on first use: per pair of roots, (s_a(b), <b, a^vee>) and the
-interval shape on the `RootSystem`, prenilpotency and the oracle's pair
-geometry in `functools.cache` tables; per root, `roots.neg` and `coroot`.
+interval shape on the `RootSystem`, prenilpotency and the oracles' pair
+geometry in `functools.cache` tables, as are the interval oracle's
+combinations per triple; per root, `roots.neg` and `coroot`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
 from .roots import (
     RootSystem,
     Vector,
+    _quotient,
     coroot,
     dot,
     neg,
@@ -174,9 +176,9 @@ def simple_affine_roots(system: RootSystem) -> list[AffineRoot]:
 
 # -- independent oracles ------------------------------------------------------
 #
-# These re-derive positivity and prenilpotency from the half-space geometry
-# alone, with no reference to the sign conventions above, so the two routes
-# can be compared in tests.
+# These re-derive positivity, prenilpotency and open interval members from
+# the half-space geometry alone, with no reference to the sign conventions or
+# interval shapes above, so the two routes can be compared in tests.
 
 
 def chamber_oracle(system: RootSystem, alpha: AffineRoot) -> bool:
@@ -196,15 +198,13 @@ def _pair_geometry(a: Vector, b: Vector) -> tuple:
     return proportionality(a, b), dot(a, a), dot(a, b), dot(b, b)
 
 
-def _interior_point(alpha: AffineRoot, beta: AffineRoot) -> tuple[Vector, int] | None:
+def _interior_point(g: tuple, h: tuple) -> tuple[Vector, int] | None:
     """(V, D) with V an integer vector and D > 0 such that V / D is interior to
     both half-spaces, or None if no point is.
 
-    Works on the doubled levels 2l and 2m, integers even on doubled roots.
+    g and h are (gradient, 2 * level) pairs, integers even on doubled roots.
     """
-    a, b = alpha.root, beta.root
-    # 2 * a half-integer level is an integral int or Fraction; int() is exact
-    l2, m2 = int(2 * alpha.level), int(2 * beta.level)
+    (a, l2), (b, m2) = g, h
     r, aa, ab, bb = _pair_geometry(a, b)
     if r is None:
         # independent gradients: solve (a,v) = 1 - l, (b,v) = 1 - m exactly
@@ -236,17 +236,56 @@ def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
 
     The pair is prenilpotent exactly when alpha and beta share an interior
     point and so do their negatives.  The point V / D is checked in
-    integers: it is interior to alpha_(a, l) iff V is interior to
-    alpha_(a, D l).
+    integers: it is interior to alpha_(a, l) iff 2 (a, V) + D 2l > 0.
     """
-    for g, h in ((alpha, beta), (-alpha, -beta)):
+    a, b = alpha.root, beta.root
+    # 2 * a half-integer level is an integral int or Fraction; int() is exact
+    l2, m2 = int(2 * alpha.level), int(2 * beta.level)
+    for g, h in (((a, l2), (b, m2)), ((neg(a), -l2), (neg(b), -m2))):
         point = _interior_point(g, h)
         if point is None:
             return False
         v, d = point
-        if not (
-            half_space_contains(AffineRoot(g.root, d * g.level), v, strict=True)
-            and half_space_contains(AffineRoot(h.root, d * h.level), v, strict=True)
-        ):
+        if not all(2 * dot(c, v) + d * k2 > 0 for c, k2 in (g, h)):
             raise RgdcheckError(f"computed point is not interior to both {g} and {h}")
     return True
+
+
+@functools.cache
+def _combination(a: Vector, b: Vector, c: Vector) -> tuple | None:
+    """(p, q, 0) with c = p a + q b, from the Gram dots of independent a and
+    b; (s, 0, r) for b = r a and c = s a, whose solutions are the line
+    (s - r t, t); None off the span.  Kept per triple of gradients."""
+    r, aa, ab, bb = _pair_geometry(a, b)
+    if r is not None:
+        s = proportionality(a, c)
+        return None if s is None else (s, 0, r)
+    det = aa * bb - ab * ab
+    ac, bc = dot(a, c), dot(b, c)
+    p, q = _quotient(ac * bb - bc * ab, det), _quotient(bc * aa - ac * ab, det)
+    if any(p * x + q * y != z for x, y, z in zip(a, b, c)):
+        return None
+    return p, q, 0
+
+
+def interval_oracle(alpha: AffineRoot, beta: AffineRoot, gamma: AffineRoot) -> bool:
+    """Is gamma = p alpha + q beta as affine functionals, for some p, q > 0?
+
+    Exactly then (Farkas) gamma contains the intersection of alpha and beta,
+    and -gamma that of -alpha and -beta, at every point.  The gradient
+    c = p a + q b is solved apart from `open_interval`; the level is p l + q m.
+    """
+    solution = _combination(alpha.root, beta.root, gamma.root)
+    if solution is None:
+        return False
+    p, q, r = solution
+    l, m, level = alpha.level, beta.level, gamma.level
+    if r:
+        # on the line (p - r t, t) the level p l + t (m - r l) fixes t
+        # unless m = r l; then every t > 0 with p - r t > 0 will do
+        k = m - r * l
+        if not k:
+            return level == p * l and (p > 0 or r < 0)
+        q = Q(level - p * l) / k
+        p -= r * q
+    return p > 0 and q > 0 and p * l + q * m == level

@@ -4,7 +4,7 @@ Type A_n lives in the sum-zero hyperplane of Z^(n+1) as the vectors e_i - e_j.
 Type BC_n lives in Z^n and contains +-e_i, +-2e_i and +-e_i +- e_j, so some
 roots have proportional doubles; pairings and reflections use the standard
 dot product and 2(a,b)/(a,a).  Roots are int tuples; the helpers stay exact
-on the rational points (sample points, the fundamental point) as well.
+on a rational point (the fundamental point) as well.
 """
 
 from __future__ import annotations

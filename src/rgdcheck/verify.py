@@ -14,7 +14,6 @@ counts it; `run_suites` creates, times and returns the reports.
 from __future__ import annotations
 
 import functools
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,6 +24,7 @@ from .affine import (
     affine_reflect,
     affine_root,
     chamber_oracle,
+    interval_oracle,
     is_positive,
     is_prenilpotent,
     open_interval,
@@ -41,7 +41,7 @@ from .errors import (
 )
 from .laurent import EXP_SCALE, LaurentMatrix, LaurentPoly, _minus_identity, conjugator
 from .models import GroupModel, RootGroupCoords, _exp4_of_level, basis_generators, coords_neg
-from .roots import dot, integral, pairing, vec
+from .roots import dot, pairing
 
 Q = Fraction
 
@@ -418,22 +418,20 @@ def _q2_additive(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> No
 
 
 def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
-    """Affine root combinatorics cross-checked against half-space geometry.
+    """Affine root combinatorics cross-checked against half-space geometry,
+    each case by an identity that holds at every point.
 
-    Covers the reflection involution, point-set equivariance of reflections,
+    Covers the reflection involution, equivariance of reflections,
     positivity against the fundamental chamber point, prenilpotency against
-    the interior-point oracle, and the half-space containments of open
-    intervals.  Point tests run in integers: v is in alpha_(a, l) iff D v is
-    in alpha_(a, D l), and for D twice the common denominator of the points,
-    D v, D l and (coroots being integral) the reflected points are integers.
-    Cases read the per-pair and per-root tables of `affine` and `roots`
-    (filled on first use) and format a point that changed side only on failure.
+    the interior-point oracle, and open interval members against
+    `interval_oracle`.  A reflection is affine, so f_beta(v) = (b, v) + m
+    equal to f_s(beta)(s(v)) at 0 and the e_i is equal everywhere: v lies in
+    beta iff s(v) lies in s(beta).  Cases read the per-pair and per-root
+    tables of `affine` and `roots` (filled on first use).
     """
     system = model.system
-    rng = random.Random(cfg.seed + 7)
     groups = in_range_affine_roots(model, cfg)
     dim = len(system.roots[0])
-    n_points = max(cfg.samples, 8)
 
     # positivity against the chamber oracle
     for alpha in groups:
@@ -441,33 +439,15 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
             if is_positive(system, alpha) != chamber_oracle(system, alpha):
                 case.fail("mismatch")
 
-    points = [
-        tuple(Q(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(dim))
-        for _ in range(n_points)
-    ]
-    scale_d = 2 * math.lcm(*(x.denominator for v in points for x in v))
-    scaled = [vec(*(scale_d * x for x in v)) for v in points]
-
-    def heights(pts) -> dict:
-        """(a, v) for every root a and point v, one integer dot each."""
-        return {a: [dot(a, v) for v in pts] for a in system.roots}
-
-    drawn = heights(scaled)
-
-    @functools.cache
-    def side(alpha: AffineRoot) -> list[bool]:
-        """Which of the drawn points lie in the half-space alpha."""
-        shift = integral(scale_d * alpha.level)
-        return [x + shift >= 0 for x in drawn[alpha.root]]
-
+    # integer points: the levels and the coroots are integral
+    basis = [(0,) * dim] + [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     for alpha in groups:
-        wall = AffineRoot(alpha.root, integral(scale_d * alpha.level))
-        refl = [reflect_point(wall, v) for v in scaled]
+        refl = [reflect_point(alpha, v) for v in basis]
         # reflection is an involution on points
         with report.case(lambda: f"alpha={alpha}", "point involution") as case:
-            if any(reflect_point(wall, rv) != v for v, rv in zip(scaled, refl)):
+            if any(reflect_point(alpha, rv) != v for v, rv in zip(basis, refl)):
                 case.fail("mismatch")
-        reflected = heights(refl)
+        reflected = {a: [dot(a, v) for v in refl] for a in system.roots}
         for beta in groups:
             rbeta = affine_reflect(system, alpha, beta)
             with report.case(
@@ -476,12 +456,16 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                 if affine_reflect(system, alpha, rbeta) != beta:
                     case.fail(f"{rbeta}")
                     continue
-                # half-space equivariance: v in beta iff s(v) in s(beta)
-                before, shift = side(beta), scale_d * rbeta.level
-                after = [x + shift >= 0 for x in reflected[rbeta.root]]
+                # equivariance: f_beta(v) = f_s(beta)(s(v)) on the basis, where
+                # f_beta is m at 0 and b_i + m at e_i
+                before = [x + beta.level for x in (0, *beta.root)]
+                after = [x + rbeta.level for x in reflected[rbeta.root]]
                 if before != after:
-                    moved = next(v for v, x, y in zip(points, before, after) if x != y)
-                    case.fail(f"v={_text(moved)} changes side", "membership equivariance")
+                    v, x, y = next(t for t in zip(basis, before, after) if t[1] != t[2])
+                    case.fail(
+                        f"v={_text(v)}: f_beta(v)={x}, f_s(beta)(s(v))={y}",
+                        "membership equivariance",
+                    )
 
     for i, alpha in enumerate(groups):
         for beta in groups[i:]:
@@ -503,19 +487,9 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                 lambda: f"alpha={alpha} beta={beta}",
                 "interval members contain the intersection",
             ) as case:
-                # a point in alpha and beta lies in every member gamma, and a
-                # point in -alpha and -beta in every -gamma
-                nalpha, nbeta = -alpha, -beta
-                escapes = (
-                    f"gamma={member} v={_text(v)} escapes"
-                    for gamma in interval
-                    for a, b, member in ((alpha, beta, gamma), (nalpha, nbeta, -gamma))
-                    for v, x, y, z in zip(points, side(a), side(b), side(member))
-                    if x and y and not z
-                )
-                escape = next(escapes, None)
-                if escape:
-                    case.fail(escape)
+                stray = next((g for g in interval if not interval_oracle(alpha, beta, g)), None)
+                if stray is not None:
+                    case.fail(f"gamma={stray} is not p alpha + q beta with p, q > 0")
 
 
 # -- the suite table, its configuration and runner ---------------------------------

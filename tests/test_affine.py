@@ -22,7 +22,7 @@ from rgdcheck import (
     simple_affine_roots,
 )
 from rgdcheck import affine
-from rgdcheck.affine import half_space_contains
+from rgdcheck.affine import half_space_contains, interval_oracle
 from rgdcheck.roots import vec
 
 
@@ -207,7 +207,10 @@ def test_prenilpotency_matches_geometric_oracle():
                     alpha, beta
                 ), (alpha, beta)
                 for pair in ((alpha, beta), (-alpha, -beta)):
-                    point = affine._interior_point(*pair)
+                    # (gradient, doubled level) pairs, as the oracle passes them
+                    point = affine._interior_point(
+                        *((g.root, int(2 * g.level)) for g in pair)
+                    )
                     if point is not None:
                         points += 1
                         assert _strictly_inside(pair, point), (pair, point)
@@ -218,7 +221,8 @@ def test_prenilpotent_oracle_raises_when_its_point_is_not_interior(monkeypatch):
     # the self-check survives python -O: it is a raise, not an assert
     a2 = build_root_system("A", 2)
     a, b = a2.simple
-    monkeypatch.setattr(affine, "half_space_contains", lambda *args, **kw: False)
+    # the origin lies on both walls at level 0, interior to neither
+    monkeypatch.setattr(affine, "_interior_point", lambda g, h: ((0, 0, 0), 1))
     with pytest.raises(RgdcheckError, match="not interior to both"):
         prenilpotent_oracle(affine_root(a, 0), affine_root(b, 0))
 
@@ -340,6 +344,49 @@ def test_interval_members_contain_the_intersection():
                 if half_space_contains(alpha, v) and half_space_contains(beta, v):
                     assert all(half_space_contains(g, v) for g in members)
     assert checked > 50
+
+
+@pytest.mark.parametrize("kind, rank", [(k, r) for k in ("A", "BC") for r in (1, 2, 3, 4)])
+def test_interval_oracle_accepts_every_member(kind, rank):
+    system = build_root_system(kind, rank)
+    affs = [affine_root(a, l) for a in system.roots for l in (-1, 0, 1)]
+    members = 0
+    for alpha in affs:
+        for beta in affs:
+            if alpha == beta or not is_prenilpotent(alpha, beta):
+                continue
+            for gamma in open_interval(system, alpha, beta):
+                members += 1
+                assert interval_oracle(alpha, beta, gamma), (alpha, beta, gamma)
+    # A1 has no two roots with a root for a sum
+    assert (members > 0) == ((kind, rank) != ("A", 1))
+
+
+def test_interval_oracle_refuses_what_is_no_positive_combination():
+    a2 = build_root_system("A", 2)
+    a, b = a2.simple
+    alpha, beta = affine_root(a, 0), affine_root(b, 1)
+    assert interval_oracle(alpha, beta, affine_root(vec(1, 0, -1), 1))
+    # a member one level off
+    for level in (0, 2):
+        assert not interval_oracle(alpha, beta, affine_root(vec(1, 0, -1), level))
+    # p = 0: beta itself is no member
+    assert not interval_oracle(alpha, beta, beta)
+    # a gradient outside the span of a and b
+    a3 = build_root_system("A", 3)
+    a, b, c = a3.simple
+    assert not interval_oracle(affine_root(a, 0), affine_root(b, 0), affine_root(c, 0))
+    # same gradient: (2e, l + m) is the member; one level off is refused
+    # while |m - l| < 2, and p = 0 or q = 0 (2e at 2m or 2l) always
+    e, e2 = vec(1), vec(2)
+    assert interval_oracle(affine_root(e, 0), affine_root(e, 1), affine_root(e2, 1))
+    for level in (0, 2):
+        assert not interval_oracle(affine_root(e, 0), affine_root(e, 1), affine_root(e2, level))
+    assert interval_oracle(affine_root(e, -1), affine_root(e, 1), affine_root(e2, 1))
+    assert not interval_oracle(affine_root(e, -1), affine_root(e, 1), affine_root(e2, 2))
+    assert not interval_oracle(affine_root(e, 0), affine_root(e, 0), affine_root(e2, 1))
+    # one half-space twice: 2e at 2l is alpha + alpha
+    assert interval_oracle(affine_root(e, 0), affine_root(e, 0), affine_root(e2, 0))
 
 
 def test_simple_affine_roots_shape():

@@ -28,8 +28,14 @@ from rgdcheck import (
     split_sl,
 )
 from rgdcheck import cli, laurent, slots, verify
-from rgdcheck.affine import AffineRoot, affine_reflect, is_prenilpotent
-from rgdcheck.roots import pairing, vec
+from rgdcheck.affine import (
+    AffineRoot,
+    affine_reflect,
+    is_positive,
+    is_prenilpotent,
+    open_interval,
+)
+from rgdcheck.roots import dot, pairing, vec
 
 SMALL = SuiteConfig(level_min=-1, level_max=1, samples=3)
 
@@ -301,7 +307,8 @@ def test_combinatorics_matches_oracles():
     assert r.passed
 
 
-# the Combinatorics window of the CLI defaults: seed 0, levels [-2, 2], 8 points
+# the Combinatorics window of the CLI defaults: levels [-2, 2]; the seed and
+# the sample count reach no case
 COMBINATORICS = SuiteConfig(level_min=-2, level_max=2, samples=8, seed=0)
 COMBINATORICS_MODELS = {
     "SL3": (lambda: split_sl(2), 1575),
@@ -311,9 +318,9 @@ COMBINATORICS_MODELS = {
 }
 
 
-def run_combinatorics(label):
+def run_combinatorics(label, model=None):
     build, cases = COMBINATORICS_MODELS[label]
-    r = run_one("combinatorics", build(), COMBINATORICS)
+    r = run_one("combinatorics", model or build(), COMBINATORICS)
     assert r.cases == cases
     return r
 
@@ -332,21 +339,45 @@ def reflect_with_flipped_level(system, alpha, beta):
     return AffineRoot(image.root, image.level + 2 * alpha.level * pairing(beta.root, alpha.root))
 
 
+def level_term_pairs(model):
+    """The (alpha, beta) of the window with l <b, a^vee> != 0: the pairs whose
+    reflected level the flipped sign moves."""
+    groups = verify.in_range_affine_roots(model, COMBINATORICS)
+    return sum(a.level * pairing(b.root, a.root) != 0 for a in groups for b in groups)
+
+
 def positive_from_level_one(system, alpha):
     """is_positive asking level >= 1 of positive gradients as well."""
     system.is_positive_root(alpha.root)
     return alpha.level >= 1
 
 
+def shifted_interval(shift):
+    """open_interval with every member `shift` levels off."""
+
+    def interval(system, alpha, beta):
+        return [AffineRoot(g.root, g.level + shift) for g in open_interval(system, alpha, beta)]
+
+    return interval
+
+
+def shifted_member_cases(model):
+    """The containment cases a shifted member fails: all but the same-gradient
+    pairs with |m - l| >= 2, whose member (2a, l + m +- 1) is still
+    p alpha + q beta with p = 1 +- 1/(l - m) and q = 2 - p both positive."""
+    groups = verify.in_range_affine_roots(model, COMBINATORICS)
+    return sum(
+        alpha.root != beta.root or abs(alpha.level - beta.level) < 2
+        for i, alpha in enumerate(groups)
+        for beta in groups[i + 1 :]
+        if is_prenilpotent(alpha, beta) and open_interval(model.system, alpha, beta)
+    )
+
+
 @pytest.mark.parametrize(
     "name, mutant, expected, failed",
     [
-        (
-            "affine_reflect",
-            reflect_with_flipped_level,
-            "membership equivariance",
-            {"SL3": 584, "SU(3,1)": 304, "SU(5,2)": 1756, "SL4": 1884},
-        ),
+        ("affine_reflect", reflect_with_flipped_level, "membership equivariance", level_term_pairs),
         (
             "is_prenilpotent",
             lambda alpha, beta: True,
@@ -366,17 +397,80 @@ def positive_from_level_one(system, alpha):
             # the positive roots at level 0
             {"SL3": 3, "SU(3,1)": 2, "SU(5,2)": 6, "SL4": 6},
         ),
+        (
+            "open_interval",
+            shifted_interval(1),
+            "interval members contain the intersection",
+            shifted_member_cases,
+        ),
+        (
+            "open_interval",
+            shifted_interval(-1),
+            "interval members contain the intersection",
+            shifted_member_cases,
+        ),
     ],
-    ids=["reflect-level-sign", "prenilpotent-always", "oracle-always", "positive-from-1"],
+    ids=[
+        "reflect-level-sign",
+        "prenilpotent-always",
+        "oracle-always",
+        "positive-from-1",
+        "interval-level-up",
+        "interval-level-down",
+    ],
 )
 def test_combinatorics_mutants_fail_exact_case_counts(
     monkeypatch, name, mutant, expected, failed
 ):
+    """Counts are pinned per model, or derived from the window by `failed`."""
     monkeypatch.setattr(verify, name, mutant)
-    for label, count in failed.items():
-        r = run_combinatorics(label)
-        assert len(r.failures) == count, label
+    for label, (build, _) in COMBINATORICS_MODELS.items():
+        model = build()
+        r = run_combinatorics(label, model)
+        assert len(r.failures) == (failed(model) if callable(failed) else failed[label]), label
         assert {f["expected"] for f in r.failures} == {expected}
+
+
+def test_derived_mutant_counts():
+    """What the derived counts read on the four models of the window."""
+    counts = {
+        label: (level_term_pairs(build()), shifted_member_cases(build()))
+        for label, (build, _) in COMBINATORICS_MODELS.items()
+    }
+    assert counts == {
+        "SL3": (720, 150),
+        "SU(3,1)": (320, 8),
+        "SU(5,2)": (2080, 616),
+        "SL4": (2400, 600),
+    }
+
+
+@pytest.mark.parametrize("label", list(COMBINATORICS_MODELS))
+def test_a_fundamental_point_outside_the_alcove_fails_positivity(monkeypatch, label):
+    model = COMBINATORICS_MODELS[label][0]()
+    # twice the fundamental point: (theta, 2 v0) > 1, outside the alcove
+    point = tuple(2 * x for x in model.system.fundamental_point)
+    monkeypatch.setattr(model.system, "fundamental_point", point)
+    r = run_combinatorics(label, model)
+    # the affine roots whose sign differs from containing the point strictly
+    moved = sum(
+        is_positive(model.system, g) != (dot(g.root, point) + g.level > 0)
+        for g in verify.in_range_affine_roots(model, COMBINATORICS)
+    )
+    assert moved > 0 and len(r.failures) == moved
+    assert {f["expected"] for f in r.failures} == {"sign matches chamber oracle"}
+
+
+def test_combinatorics_draws_nothing(monkeypatch):
+    """The seed and the sample count reach no case: under a mutant, the
+    failure records are the same at any of them."""
+    monkeypatch.setattr(verify, "affine_reflect", reflect_with_flipped_level)
+    model = split_sl(2)
+    runs = [
+        run_one("combinatorics", model, SuiteConfig(-2, 2, samples, seed)).failures
+        for seed, samples in ((0, 8), (3, 1))
+    ]
+    assert runs[0] and runs[0] == runs[1]
 
 
 def test_report_dict_shape():
