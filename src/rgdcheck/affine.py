@@ -10,10 +10,11 @@ v -> s_a(v) - l * a^vee and on affine roots by
 alpha_(b, m) -> alpha_(s_a(b), m - l * <b, a^vee>).
 
 What depends on the gradients alone is computed once and kept, each table
-filling on first use: per pair of roots, (s_a(b), <b, a^vee>) and the
-interval shape on the `RootSystem`, prenilpotency and the oracles' pair
-geometry in `functools.cache` tables, as are the interval oracle's
-combinations per triple; per root, `roots.neg` and `coroot`.
+filling on first use.  Per pair of roots, (s_a(b), <b, a^vee>) and the
+interval shape are the `RootSystem`'s own tables, which `affine_reflect` and
+`open_interval` only read.  Prenilpotency and the oracles' pair geometry sit
+in `functools.cache` tables here, as do the interval oracle's combinations
+per triple; per root, `roots.neg` and `coroot` keep theirs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .roots import (
     coroot,
     dot,
     neg,
-    pairing,
     proportionality,
     scale,
     vec,
@@ -85,14 +85,7 @@ def reflect_point(alpha: AffineRoot, v: Vector) -> Vector:
 def affine_reflect(system: RootSystem, alpha: AffineRoot, beta: AffineRoot) -> AffineRoot:
     """Image of beta under the reflection in the wall of alpha; the level is
     the only arithmetic once the pair's (s_a(b), <b, a^vee>) is kept."""
-    key = (alpha.root, beta.root)
-    hit = system.reflections.get(key)
-    if hit is None:
-        hit = system.reflections[key] = (
-            system.reflect_root(*key),
-            pairing(beta.root, alpha.root),
-        )
-    c, k = hit
+    c, k = system.reflections[alpha.root, beta.root]
     level = beta.level - alpha.level * k
     return AffineRoot(c, level if type(level) is int else _level(level))
 
@@ -145,26 +138,8 @@ def open_interval(
     l, m = alpha.level, beta.level
     return [
         AffineRoot(c, p * l + q * m)
-        for p, q, c in _interval_shape(system, alpha.root, beta.root)
+        for p, q, c in system.interval_shapes[alpha.root, beta.root]
     ]
-
-
-def _interval_shape(system: RootSystem, a: Vector, b: Vector) -> tuple:
-    """The (p, q, p*a + q*b) that are roots, for (p, q) = (1, 1), (1, 2),
-    (2, 1); computed once per pair of relative roots, kept on the system.
-
-    Larger p or q give no root in A_n or BC_n (Bourbaki, Lie VI, on root
-    strings).  2a + 2b is a root only when a + b is one, and then
-    (2a + 2b, 2L) doubles the (1, 1) member (a + b, L), so (2, 2) is left out.
-    """
-    shape = system.interval_shapes.get((a, b))
-    if shape is None:
-        shape = system.interval_shapes[(a, b)] = tuple(
-            (p, q, c)
-            for p, q in ((1, 1), (1, 2), (2, 1))
-            if system.contains(c := tuple(p * x + q * y for x, y in zip(a, b)))
-        )
-    return shape
 
 
 def simple_affine_roots(system: RootSystem) -> list[AffineRoot]:
@@ -193,9 +168,10 @@ def chamber_oracle(system: RootSystem, alpha: AffineRoot) -> bool:
 
 @functools.cache
 def _pair_geometry(a: Vector, b: Vector) -> tuple:
-    """proportionality(a, b) and the Gram dots (a,a), (a,b), (b,b), kept per
-    pair of gradients."""
-    return proportionality(a, b), dot(a, a), dot(a, b), dot(b, b)
+    """proportionality(a, b), the Gram dots (a,a), (a,b), (b,b) and the Gram
+    determinant (a,a)(b,b) - (a,b)^2, kept per pair of gradients."""
+    aa, ab, bb = dot(a, a), dot(a, b), dot(b, b)
+    return proportionality(a, b), aa, ab, bb, aa * bb - ab * ab
 
 
 def _interior_point(g: tuple, h: tuple) -> tuple[Vector, int] | None:
@@ -205,11 +181,10 @@ def _interior_point(g: tuple, h: tuple) -> tuple[Vector, int] | None:
     g and h are (gradient, 2 * level) pairs, integers even on doubled roots.
     """
     (a, l2), (b, m2) = g, h
-    r, aa, ab, bb = _pair_geometry(a, b)
+    r, aa, ab, bb, det = _pair_geometry(a, b)
     if r is None:
         # independent gradients: solve (a,v) = 1 - l, (b,v) = 1 - m exactly
-        # on the 2-plane spanned by a and b, v = (x a + y b) / (2 det)
-        det = aa * bb - ab * ab
+        # on the 2-plane spanned by a and b, v = (x a + y b) / (2 det);
         # det > 0 by Cauchy-Schwarz for independent vectors
         ta, tb = 2 - l2, 2 - m2
         x = ta * bb - tb * ab
@@ -256,11 +231,10 @@ def _combination(a: Vector, b: Vector, c: Vector) -> tuple | None:
     """(p, q, 0) with c = p a + q b, from the Gram dots of independent a and
     b; (s, 0, r) for b = r a and c = s a, whose solutions are the line
     (s - r t, t); None off the span.  Kept per triple of gradients."""
-    r, aa, ab, bb = _pair_geometry(a, b)
+    r, aa, ab, bb, det = _pair_geometry(a, b)
     if r is not None:
         s = proportionality(a, c)
         return None if s is None else (s, 0, r)
-    det = aa * bb - ab * ab
     ac, bc = dot(a, c), dot(b, c)
     p, q = _quotient(ac * bb - bc * ab, det), _quotient(bc * aa - ac * ab, det)
     if any(p * x + q * y != z for x, y, z in zip(a, b, c)):

@@ -22,6 +22,13 @@ _SCALAR_ZERO = FieldScalar(0)
 _SCALAR_ONE = FieldScalar(1)
 
 
+def exp4(q) -> int:
+    """EXP_SCALE * q, the stored key of an int or Fraction exponent q on (1/4)Z."""
+    if EXP_SCALE % q.denominator:
+        raise ValueError(f"exponent {q} off the quarter lattice")
+    return EXP_SCALE // q.denominator * q.numerator
+
+
 class LaurentPoly:
     """Finite sum of c * t^(e/4) terms, keyed by the scaled exponent e."""
 
@@ -53,10 +60,7 @@ class LaurentPoly:
     @staticmethod
     def term(c, exponent) -> "LaurentPoly":
         """c * t^exponent for a Fraction or int exponent on the (1/4)Z lattice."""
-        e4 = Q(exponent) * EXP_SCALE
-        if e4.denominator != 1:
-            raise ValueError(f"exponent {exponent} off the quarter lattice")
-        return LaurentPoly({int(e4): FieldScalar.coerce(c)})
+        return LaurentPoly({exp4(exponent): FieldScalar.coerce(c)})
 
     @staticmethod
     def t_power(exponent) -> "LaurentPoly":

@@ -37,7 +37,7 @@ from .errors import (
     ReflectionLeftSystem,
     UnsupportedType,
 )
-from .laurent import EXP_SCALE, ONE, ZERO, LaurentMatrix, LaurentPoly, _nonzero_poly, _unit_plus, form_check
+from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _nonzero_poly, _unit_plus, exp4, form_check
 from .roots import (
     RootSystem,
     Vector,
@@ -98,13 +98,6 @@ class RootLayout(NamedTuple):
 def _slot_counts(lay: RootLayout) -> tuple[int, int]:
     """Rational slots: 1 per link (2 in k') and 1 at a corner, if any."""
     return len(lay.links) * (1 + lay.field), (0 if lay.corner is None else 1)
-
-
-def _exp4_of_level(level) -> int:
-    """Scaled exponent -EXP_SCALE * level of an int or Fraction level."""
-    if EXP_SCALE % level.denominator:
-        raise ValueError(f"level {level} off the exponent lattice 1/{EXP_SCALE}")
-    return -(EXP_SCALE // level.denominator) * level.numerator
 
 
 def _one_read(order: list[AffineRoot]) -> bool:
@@ -219,7 +212,7 @@ class GroupModel:
         """The canonical element of U_alpha with the given coordinates; it only
         builds, as RGD0 and RGD1 check membership on the inputs they draw."""
         lay, zs, corner = self._pin_scalars(coords)
-        return self._pin(lay, zs, corner, _exp4_of_level(coords.alpha.level))
+        return self._pin(lay, zs, corner, exp4(-coords.alpha.level))
 
     def _pin_scalars(
         self, coords: RootGroupCoords
@@ -315,7 +308,7 @@ class GroupModel:
         for alpha in order:
             lay = self.layout(alpha.root)
             if width is None:
-                e4 = _exp4_of_level(alpha.level)
+                e4 = exp4(-alpha.level)
                 zs = [g.entry(p, q).coeff(e4) for (p, q), _, _ in lay.links]
                 corner = None if lay.corner is None else g.entry(*lay.corner).coeff(2 * e4)
             else:

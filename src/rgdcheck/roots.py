@@ -4,7 +4,8 @@ Type A_n lives in the sum-zero hyperplane of Z^(n+1) as the vectors e_i - e_j.
 Type BC_n lives in Z^n and contains +-e_i, +-2e_i and +-e_i +- e_j, so some
 roots have proportional doubles; pairings and reflections use the standard
 dot product and 2(a,b)/(a,a).  Roots are int tuples; the helpers stay exact
-on a rational point (the fundamental point) as well.
+on a rational point (the fundamental point) as well.  A `RootSystem` owns and
+fills its per-pair tables of reflections and interval shapes.
 """
 
 from __future__ import annotations
@@ -92,6 +93,20 @@ def proportionality(a: Vector, b: Vector) -> int | Q | None:
     return _quotient(y0, x0)
 
 
+class _PairTable(dict):
+    """A table per pair of roots (a, b) that keeps fill(a, b) from its first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(*key)
+        return value
+
+
 class RootSystem:
     """A finite root system with a chosen simple system.
 
@@ -102,12 +117,11 @@ class RootSystem:
       simple: the simple roots
       highest: the highest root
       fundamental_point: rational point v with 0 < (a, v) < 1 for all positive a
-      interval_shapes: per pair of roots, the shape of their open interval;
-        filled on first use by `affine.open_interval`
-      reflections: per pair of roots (a, b), the pair (s_a(b), <b, a^vee>);
-        filled on first use by `affine.affine_reflect`
-      Helpers that take no system keep `functools.cache` tables, also filled
-        on first use: `neg` and `coroot` per root, and `affine`'s
+      reflections: per pair of roots (a, b), (s_a(b), <b, a^vee>)
+      interval_shapes: per pair of roots (a, b), the (p, q, p*a + q*b) that
+        are roots, for (p, q) = (1, 1), (1, 2), (2, 1) (see `_shape`)
+      Both fill a pair on its first lookup.  Helpers that take no system keep
+        `functools.cache` tables: `neg` and `coroot` per root, and `affine`'s
         prenilpotency and pair geometry per pair of gradients.
     """
 
@@ -184,8 +198,8 @@ class RootSystem:
         self.simple = tuple(simple)
         self.highest = highest
         self.fundamental_point = fundamental
-        self.interval_shapes = {}
-        self.reflections = {}
+        self.reflections = _PairTable(lambda a, b: (self.reflect_root(a, b), pairing(b, a)))
+        self.interval_shapes = _PairTable(self._shape)
         self._root_set = frozenset(self.roots)
         self._positive = frozenset(
             a for a in self.roots if dot(a, fundamental) > 0
@@ -207,6 +221,17 @@ class RootSystem:
         if not self.contains(c):
             raise ReflectionLeftSystem(f"s_{a}({b}) = {c} left the system")
         return c
+
+    def _shape(self, a: Vector, b: Vector) -> tuple:
+        """The interval shape of (a, b).  Larger p or q give no root in A_n or
+        BC_n (Bourbaki, Lie VI, on root strings); 2a + 2b is a root only when
+        a + b is one, and (2a + 2b, 2L) then doubles the interval member
+        (a + b, L), so (2, 2) is left out."""
+        return tuple(
+            (p, q, c)
+            for p, q in ((1, 1), (1, 2), (2, 1))
+            if self.contains(c := tuple(p * x + q * y for x, y in zip(a, b)))
+        )
 
     def is_multipliable(self, a: Vector) -> bool:
         return self.contains(scale(2, a))

@@ -39,8 +39,8 @@ from .errors import (
     RankOneSolveFailed,
     ResidueNotIdentity,
 )
-from .laurent import EXP_SCALE, LaurentMatrix, LaurentPoly, _minus_identity, conjugator
-from .models import GroupModel, RootGroupCoords, _exp4_of_level, basis_generators, coords_neg
+from .laurent import EXP_SCALE, LaurentMatrix, LaurentPoly, _minus_identity, conjugator, exp4
+from .models import GroupModel, RootGroupCoords, basis_generators, coords_neg
 from .roots import dot, pairing
 
 Q = Fraction
@@ -286,11 +286,12 @@ def _rgd2(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
 
 
 def rgd3_case(model: GroupModel, alpha: AffineRoot) -> str:
-    """Triangular profile class of U_alpha: which corner of the group it fills."""
-    pos = model.system.is_positive_root(alpha.root)
-    if pos:
-        return "upper-nonneg" if alpha.level >= 0 else "upper-strict-t"
-    return "lower-strict-tinv" if alpha.level >= 1 else "lower-nonneg"
+    """Triangular profile class of U_alpha: upper or lower by the sign of its
+    gradient, on which side of t^0 by `is_positive`."""
+    upper = model.system.is_positive_root(alpha.root)
+    if is_positive(model.system, alpha):
+        return "upper-nonneg" if upper else "lower-strict-tinv"
+    return "upper-strict-t" if upper else "lower-nonneg"
 
 
 def _triangular_profile(g: LaurentMatrix, upper: bool, exp_ok) -> bool:
@@ -306,13 +307,13 @@ def _triangular_profile(g: LaurentMatrix, upper: bool, exp_ok) -> bool:
 
 
 _PROFILE_TESTS = {
-    # positive gradient, level >= 0: upper triangular over k[t^-1]
+    # positive gradient, alpha positive: upper triangular over k[t^-1]
     "upper-nonneg": lambda g: _triangular_profile(g, True, lambda e: e <= 0),
-    # positive gradient, level <= -1: upper triangular over t k[t]
+    # positive gradient, alpha negative: upper triangular over t k[t]
     "upper-strict-t": lambda g: _triangular_profile(g, True, lambda e: e >= EXP_SCALE),
-    # negative gradient, level >= 1: lower triangular over t^-1 k[t^-1]
+    # negative gradient, alpha positive: lower triangular over t^-1 k[t^-1]
     "lower-strict-tinv": lambda g: _triangular_profile(g, False, lambda e: e <= -EXP_SCALE),
-    # negative gradient, level <= 0: lower triangular over k[t]
+    # negative gradient, alpha negative: lower triangular over k[t]
     "lower-nonneg": lambda g: _triangular_profile(g, False, lambda e: e >= 0),
 }
 
@@ -400,7 +401,7 @@ def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> N
             shift = {b: Q(l) * pairing(b, a_rel) / 2 for b in model.system.roots}
             for beta, gens in shifted:
                 image = affine_root(beta.root, beta.level + shift[beta.root])
-                e4 = _exp4_of_level(image.level)
+                e4 = exp4(-image.level)
                 for coords, (e, (lay, zs, corner)) in gens:
                     with report.case(
                         lambda: f"a={a_rel} l={l} beta={beta} gen={_text(coords)}",

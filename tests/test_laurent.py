@@ -24,7 +24,7 @@ from rgdcheck import (
     sqrt_of,
 )
 from rgdcheck import laurent
-from rgdcheck.laurent import EXP_SCALE, conjugator, form_check
+from rgdcheck.laurent import EXP_SCALE, conjugator, exp4, form_check
 
 
 def rand_poly(rng, disc=None, span=2):
@@ -66,6 +66,16 @@ def test_term_rejects_exponents_off_the_quarter_lattice():
     # quarter exponents are the finest stored resolution
     q = LaurentPoly.term(1, Q(1, 4))
     assert q.coeff(1) == FieldScalar(1)
+
+
+def test_exp4_takes_int_and_fraction_exponents():
+    assert exp4(0) == 0
+    assert exp4(-1) == -4 and exp4(2) == 8
+    assert exp4(Q(-3)) == -12
+    assert exp4(Q(-1, 2)) == -2 and exp4(Q(3, 4)) == 3
+    for off in (Q(-1, 3), Q(-1, 8), Q(5, 6)):
+        with pytest.raises(ValueError):
+            exp4(off)
 
 
 def test_ring_axioms_hold_on_random_samples():

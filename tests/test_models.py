@@ -29,8 +29,8 @@ from rgdcheck import (
 )
 from rgdcheck import slots
 from rgdcheck.affine import is_prenilpotent, open_interval
-from rgdcheck.laurent import EXP_SCALE
-from rgdcheck.models import _exp4_of_level, _one_read
+from rgdcheck.laurent import EXP_SCALE, exp4
+from rgdcheck.models import _one_read
 from rgdcheck.roots import build_root_system, vec
 from rgdcheck.verify import sample_coords
 
@@ -163,7 +163,7 @@ def test_peel_product_reads_its_first_pass_off_g(monkeypatch):
 def _k_entries(model, alpha):
     """(entry, exponent key) of every slot of U_alpha whose coordinate lies in k."""
     lay = model.layout(alpha.root)
-    e4 = _exp4_of_level(alpha.level)
+    e4 = exp4(-alpha.level)
     links = [] if lay.field else [(pos, e4) for pos, _, _ in lay.links]
     return links + ([] if lay.corner is None else [(lay.corner, 2 * e4)])
 
@@ -881,13 +881,3 @@ def test_pinning_builder_round_trips_through_peel(make):
             draws.append(RootGroupCoords(alpha, one_slot, (Q(0),) * nd))
             for coords in draws:
                 assert model.peel_product(model.relative_pinning(coords), [alpha]) == [coords]
-
-
-def test_exp4_of_level_takes_int_and_fraction_levels():
-    assert _exp4_of_level(0) == 0
-    assert _exp4_of_level(1) == -4 and _exp4_of_level(-2) == 8
-    assert _exp4_of_level(Q(3)) == -12
-    assert _exp4_of_level(Q(1, 2)) == -2 and _exp4_of_level(Q(-3, 4)) == 3
-    for off in (Q(1, 3), Q(1, 8), Q(-5, 6)):
-        with pytest.raises(ValueError):
-            _exp4_of_level(off)

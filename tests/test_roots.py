@@ -24,6 +24,27 @@ def test_root_counts():
     assert len(build_root_system("BC", 3).roots) == 24
 
 
+@pytest.mark.parametrize("kind,rank", [(k, r) for k in ("A", "BC") for r in (1, 2, 3, 4)])
+def test_pair_tables_fill_on_lookup(kind, rank):
+    """reflections[a, b] is (s_a(b), <b, a^vee>) and interval_shapes[a, b]
+    the (p, q, p*a + q*b) that are roots for (p, q) = (1, 1), (1, 2), (2, 1),
+    on every pair; each table keeps one entry per pair looked up."""
+    system = build_root_system(kind, rank)
+    assert system.reflections == {} and system.interval_shapes == {}
+    roots = set(system.roots)
+    for a in system.roots:
+        for b in system.roots:
+            assert system.reflections[a, b] == (system.reflect_root(a, b), pairing(b, a))
+            want = []
+            for p, q in ((1, 1), (1, 2), (2, 1)):
+                c = add(tuple(p * x for x in a), tuple(q * y for y in b))
+                if c in roots:
+                    want.append((p, q, c))
+            assert system.interval_shapes[a, b] == tuple(want), (a, b)
+    pairs = len(system.roots) ** 2
+    assert len(system.reflections) == len(system.interval_shapes) == pairs
+
+
 def test_simple_and_highest_roots():
     a2 = build_root_system("A", 2)
     assert a2.simple == (vec(1, -1, 0), vec(0, 1, -1))

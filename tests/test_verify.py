@@ -461,6 +461,37 @@ def test_a_fundamental_point_outside_the_alcove_fails_positivity(monkeypatch, la
     assert {f["expected"] for f in r.failures} == {"sign matches chamber oracle"}
 
 
+def positive_from_level_zero(system, alpha):
+    """is_positive asking level >= 0 of negative gradients as well."""
+    system.is_positive_root(alpha.root)
+    return alpha.level >= 0
+
+
+@pytest.mark.parametrize(
+    "label, rgd3, positivity",
+    [("SL3", (3, 21), 3), ("SU(3,1)", (4, 28), 2), ("SU(5,2)", (12, 78), 6)],
+)
+def test_a_sign_mutant_fails_rgd3_and_positivity(monkeypatch, label, rgd3, positivity):
+    """RGD3 classifies by `is_positive`: calling the negative gradients
+    positive from level 0 fails exactly the generators of the negative root
+    groups at level 0 (failed, cases), and the positivity cases of
+    Combinatorics as many as there are such groups."""
+    monkeypatch.setattr(verify, "is_positive", positive_from_level_zero)
+    model = COMBINATORICS_MODELS[label][0]()
+    r = run_one("rgd3", model, replace(SMALL, samples=2))
+    assert (len(r.failures), r.cases) == rgd3
+    assert {f["inputs"] for f in r.failures} == {
+        f"alpha={alpha} gen={verify._text(coords)}"
+        for alpha in verify.in_range_affine_roots(model, SMALL)
+        if alpha.level == 0 and not model.system.is_positive_root(alpha.root)
+        for coords in basis_generators(model, alpha)
+    }
+    assert {f["expected"] for f in r.failures} == {"profile lower-strict-tinv"}
+    r = run_combinatorics(label, model)
+    assert len(r.failures) == positivity
+    assert {f["expected"] for f in r.failures} == {"sign matches chamber oracle"}
+
+
 def test_combinatorics_draws_nothing(monkeypatch):
     """The seed and the sample count reach no case: under a mutant, the
     failure records are the same at any of them."""
