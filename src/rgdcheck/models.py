@@ -197,13 +197,10 @@ class GroupModel:
             raise NotMonomial(f"coroot argument {lam} is not a unit monomial")
         if not lam.is_rational:
             raise NotMonomial("coroot argument must have a rational coefficient")
-        diag = []
-        for p in range(self.n):
-            e = pairing(self.slot_weight(p), a_rel)
-            if e.denominator != 1:
-                raise NotMonomial(f"non-integral coroot exponent {e}")
-            diag.append(lam.monomial_pow(e))
-        g = LaurentMatrix.diagonal(diag)
+        # a slot weight is 0 or +-e_i, so each exponent is an int
+        g = LaurentMatrix.diagonal(
+            [lam.monomial_pow(pairing(self.slot_weight(p), a_rel)) for p in range(self.n)]
+        )
         if not self.contains(g):
             raise MembershipViolation("coroot value left the group")
         return g

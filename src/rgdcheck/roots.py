@@ -1,10 +1,12 @@
 """Finite root systems of types A_n and BC_n with integer coordinates.
 
-Type A_n lives in the sum-zero hyperplane of Z^(n+1) as the vectors e_i - e_j.
-Type BC_n lives in Z^n and contains +-e_i, +-2e_i and +-e_i +- e_j, so some
-roots have proportional doubles; pairings and reflections use the standard
-dot product and 2(a,b)/(a,a).  Roots are int tuples; the helpers stay exact
-on a rational point (the fundamental point) as well.  A `RootSystem` owns and
+A system is given by its simple roots: e_i - e_(i+1) in Z^(n+1) for A_n, and
+those in Z^n with e_n for BC_n.  Its roots are the orbit of the simple roots
+under the reflections they define, and BC_n adds 2a for every short root a,
+so it is non-reduced (Bourbaki, Lie VI 1).  Heights, the highest root and the
+fundamental point follow.  Pairings and reflections use the standard dot
+product and 2(a,b)/(a,a).  Roots are int tuples; the helpers stay exact on a
+rational point (the fundamental point) as well.  A `RootSystem` owns and
 fills its per-pair tables of reflections and interval shapes.
 """
 
@@ -108,15 +110,22 @@ class _PairTable(dict):
 
 
 class RootSystem:
-    """A finite root system with a chosen simple system.
+    """A finite root system, derived from its simple roots.
+
+    A kind chooses only its ambient dimension (rank + 1 for A, rank for BC)
+    and its simple roots a_i.  Out come the orbit of the a_i under their
+    reflections, for BC the doubles 2a of the roots with (a, a) = 1, and the
+    heights: the height of a root a is (a, h) with h = (rank - i)_i, as
+    (a_i, h) = 1 on every simple root.
 
     Attributes:
       kind: "A" or "BC"
       rank: number of simple roots
       roots: all roots, sorted for deterministic iteration
       simple: the simple roots
-      highest: the highest root
-      fundamental_point: rational point v with 0 < (a, v) < 1 for all positive a
+      highest: the root of largest height
+      fundamental_point: h / (height of the highest root + 1), so that
+        0 < (a, v) < 1 for all positive a
       reflections: per pair of roots (a, b), (s_a(b), <b, a^vee>)
       interval_shapes: per pair of roots (a, b), the (p, q, p*a + q*b) that
         are roots, for (p, q) = (1, 1), (1, 2), (2, 1) (see `_shape`)
@@ -141,69 +150,34 @@ class RootSystem:
     def __init__(self, kind: str, rank: int):
         if rank < 1:
             raise UnsupportedType(f"rank {rank} < 1")
-        if kind == "A":
-            dim = rank + 1
-            roots = []
-            for i in range(dim):
-                for j in range(dim):
-                    if i != j:
-                        r = [0] * dim
-                        r[i] = 1
-                        r[j] = -1
-                        roots.append(tuple(r))
-            simple = []
-            for i in range(rank):
-                r = [0] * dim
-                r[i] = 1
-                r[i + 1] = -1
-                simple.append(tuple(r))
-            highest = tuple([1] + [0] * (rank - 1) + [-1])
-            # (a_i, v) = 1/N for every simple root, N = max height + 1
-            n_height = rank + 1
-            fundamental = tuple(Q(rank - i, n_height) for i in range(dim))
-        elif kind == "BC":
-            dim = rank
-            roots = []
-            for i in range(dim):
-                for c in (1, -1, 2, -2):
-                    r = [0] * dim
-                    r[i] = c
-                    roots.append(tuple(r))
-            for i in range(dim):
-                for j in range(i + 1, dim):
-                    for ci in (1, -1):
-                        for cj in (1, -1):
-                            r = [0] * dim
-                            r[i] = ci
-                            r[j] = cj
-                            roots.append(tuple(r))
-            simple = []
-            for i in range(rank - 1):
-                r = [0] * dim
-                r[i] = 1
-                r[i + 1] = -1
-                simple.append(tuple(r))
-            last = [0] * dim
-            last[rank - 1] = 1
-            simple.append(tuple(last))
-            highest = tuple([2] + [0] * (rank - 1))
-            # heights reach 2*rank for the doubled first coordinate
-            n_height = 2 * rank + 1
-            fundamental = tuple(Q(rank - i, n_height) for i in range(dim))
-        else:
+        if kind not in ("A", "BC"):
             raise UnsupportedType(f"root system kind {kind!r}")
+        # a kind chooses its ambient dimension and its simple roots only
+        dim = rank + 1 if kind == "A" else rank
+        e = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        simple = tuple(sub(e[i], e[i + 1]) for i in range(dim - 1))
+        if kind == "BC":
+            simple += (e[-1],)
+        roots, new = set(), set(simple)
+        while new:  # the orbit of the simple roots under their reflections
+            roots |= new
+            new = {reflect_vector(a, b) for a in simple for b in new} - roots
+        if kind == "BC":
+            roots |= {scale(2, a) for a in roots if dot(a, a) == 1}
+        # (a_i, h) = 1 on every simple root, so (a, h) is the height of a
+        h = tuple(range(rank, rank - dim, -1))
+        highest = max(roots, key=lambda a: dot(a, h))
+        fundamental = tuple(Q(x, dot(highest, h) + 1) for x in h)
         self.kind = kind
         self.rank = rank
         self.roots = tuple(sorted(roots))
-        self.simple = tuple(simple)
+        self.simple = simple
         self.highest = highest
         self.fundamental_point = fundamental
         self.reflections = _PairTable(lambda a, b: (self.reflect_root(a, b), pairing(b, a)))
         self.interval_shapes = _PairTable(self._shape)
         self._root_set = frozenset(self.roots)
-        self._positive = frozenset(
-            a for a in self.roots if dot(a, fundamental) > 0
-        )
+        self._positive = frozenset(a for a in self.roots if dot(a, h) > 0)
 
     def contains(self, v: Vector) -> bool:
         return tuple(v) in self._root_set

@@ -39,7 +39,7 @@ from .errors import (
     RankOneSolveFailed,
     ResidueNotIdentity,
 )
-from .laurent import EXP_SCALE, LaurentMatrix, LaurentPoly, _minus_identity, conjugator, exp4
+from .laurent import LaurentMatrix, LaurentPoly, _minus_identity, conjugator, exp4
 from .models import GroupModel, RootGroupCoords, basis_generators, coords_neg
 from .roots import dot, pairing
 
@@ -306,13 +306,14 @@ def _triangular_profile(g: LaurentMatrix, upper: bool, exp_ok) -> bool:
     return ones == g.n
 
 
+_KEY_T, _KEY_TINV = exp4(1), exp4(-1)  # the stored keys of t and t^-1
 _PROFILE_TESTS = {
     # positive gradient, alpha positive: upper triangular over k[t^-1]
     "upper-nonneg": lambda g: _triangular_profile(g, True, lambda e: e <= 0),
     # positive gradient, alpha negative: upper triangular over t k[t]
-    "upper-strict-t": lambda g: _triangular_profile(g, True, lambda e: e >= EXP_SCALE),
+    "upper-strict-t": lambda g: _triangular_profile(g, True, lambda e: e >= _KEY_T),
     # negative gradient, alpha positive: lower triangular over t^-1 k[t^-1]
-    "lower-strict-tinv": lambda g: _triangular_profile(g, False, lambda e: e <= -EXP_SCALE),
+    "lower-strict-tinv": lambda g: _triangular_profile(g, False, lambda e: e <= _KEY_TINV),
     # negative gradient, alpha negative: lower triangular over k[t]
     "lower-nonneg": lambda g: _triangular_profile(g, False, lambda e: e >= 0),
 }

@@ -31,7 +31,7 @@ from rgdcheck import slots
 from rgdcheck.affine import is_prenilpotent, open_interval
 from rgdcheck.laurent import EXP_SCALE, exp4
 from rgdcheck.models import _one_read
-from rgdcheck.roots import build_root_system, vec
+from rgdcheck.roots import build_root_system, pairing, vec
 from rgdcheck.verify import sample_coords
 
 I = FieldScalar(0, 1, -1)
@@ -109,6 +109,17 @@ def test_coroot_rejects_bad_arguments():
         sl2.coroot(a, LaurentPoly.one() + LaurentPoly.t_power(1))
     with pytest.raises(NotMonomial):
         sl2.coroot(a, LaurentPoly.const(FieldScalar(0, 1, -1)))
+
+
+def test_coroot_exponents_are_ints_on_every_slot():
+    """A slot weight is 0 or +-e_i, so <weight, a^vee> is an int on every slot
+    and relative root, and coroot has no non-integral exponent to refuse."""
+    models = [split_sl(rank) for rank in range(1, 8)]
+    models += [special_unitary(d, w) for d, w in ((3, 1), (4, 1), (5, 2), (6, 2), (7, 3), (11, 5))]
+    for model in models:
+        for a in model.system.roots:
+            for p in range(model.n):
+                assert type(pairing(model.slot_weight(p), a)) is int, (model, a, p)
 
 
 def test_su_coroot_normalization():

@@ -11,7 +11,7 @@ from rgdcheck import (
     build_root_system,
     pairing,
 )
-from rgdcheck.roots import add, coroot, dot, proportionality, reflect_vector, vec
+from rgdcheck.roots import add, coroot, dot, proportionality, reflect_vector, scale, sub, vec
 
 
 def test_root_counts():
@@ -22,6 +22,41 @@ def test_root_counts():
     assert len(build_root_system("BC", 1).roots) == 4
     assert len(build_root_system("BC", 2).roots) == 12
     assert len(build_root_system("BC", 3).roots) == 24
+
+
+@pytest.mark.parametrize("kind,rank", [(k, r) for k in ("A", "BC") for r in range(1, 9)])
+def test_derived_systems_match_their_closed_forms(kind, rank):
+    """The system derived from the simple roots is the classical one: the
+    roots {e_i - e_j : i != j} of A and {+-e_i, +-2e_i, +-e_i +- e_j : i < j}
+    of BC, the highest root e_1 - e_(rank+1) or 2e_1, the height vector
+    h = (rank - i)_i with (a_i, h) = 1 on every simple root, and the
+    fundamental point h / N with N = rank + 1 for A and 2 rank + 1 for BC."""
+    system = build_root_system(kind, rank)
+    dim = rank + 1 if kind == "A" else rank
+    e = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    simple = [sub(e[i], e[i + 1]) for i in range(dim - 1)]
+    if kind == "A":
+        roots = {sub(e[i], e[j]) for i in range(dim) for j in range(dim) if i != j}
+        highest, n = sub(e[0], e[-1]), rank + 1
+    else:
+        simple.append(e[-1])
+        roots = {scale(c, e[i]) for i in range(dim) for c in (1, -1, 2, -2)}
+        roots |= {
+            add(scale(c, e[i]), scale(d, e[j]))
+            for i in range(dim)
+            for j in range(i + 1, dim)
+            for c in (1, -1)
+            for d in (1, -1)
+        }
+        highest, n = scale(2, e[0]), 2 * rank + 1
+    assert system.roots == tuple(sorted(roots))
+    assert system.simple == tuple(simple)
+    assert system.highest == highest
+    h = tuple(rank - i for i in range(dim))
+    assert system.fundamental_point == tuple(Q(x, n) for x in h)
+    for a in system.simple:
+        assert dot(a, h) == 1
+        assert dot(a, system.fundamental_point) == Q(1, n)
 
 
 @pytest.mark.parametrize("kind,rank", [(k, r) for k in ("A", "BC") for r in (1, 2, 3, 4)])
