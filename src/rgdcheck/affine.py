@@ -14,7 +14,10 @@ filling on first use.  Per pair of roots, (s_a(b), <b, a^vee>) and the
 interval shape are the `RootSystem`'s own tables, which `affine_reflect` and
 `open_interval` only read.  Prenilpotency and the oracles' pair geometry sit
 in `functools.cache` tables here, as do the interval oracle's combinations
-per triple; per root, `roots.neg` and `coroot` keep theirs.
+per triple; per root, `roots.neg` and `coroot` keep theirs.  The oracles
+work in the Gram coordinates of a gradient pair: the prenilpotency oracle's
+interior point is (x, y, D), the point (x a + y b) / D, checked through the
+pair's Gram dots, and an interval member's gradient is solved as p a + q b.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .roots import (
     dot,
     neg,
     proportionality,
-    scale,
     vec,
 )
 
@@ -174,22 +176,22 @@ def _pair_geometry(a: Vector, b: Vector) -> tuple:
     return proportionality(a, b), aa, ab, bb, aa * bb - ab * ab
 
 
-def _interior_point(g: tuple, h: tuple) -> tuple[Vector, int] | None:
-    """(V, D) with V an integer vector and D > 0 such that V / D is interior to
-    both half-spaces, or None if no point is.
+def _interior_point(geometry: tuple, l2: int, m2: int) -> tuple[int, int, int] | None:
+    """(x, y, D) with D > 0 such that V / D, V = x a + y b, is interior to
+    both half-spaces of the gradients a, b at the doubled levels l2, m2, or
+    None if no point is.  y = 0 on parallel walls.
 
-    g and h are (gradient, 2 * level) pairs, integers even on doubled roots.
+    geometry is `_pair_geometry(a, b)`; l2 and m2 are 2 * level, integers even
+    on doubled roots.  The pair (-a, -b) has the same geometry, and its point
+    is (x, y, D) in the basis (-a, -b) at the levels -l2, -m2.
     """
-    (a, l2), (b, m2) = g, h
-    r, aa, ab, bb, det = _pair_geometry(a, b)
+    r, aa, ab, bb, det = geometry
     if r is None:
         # independent gradients: solve (a,v) = 1 - l, (b,v) = 1 - m exactly
         # on the 2-plane spanned by a and b, v = (x a + y b) / (2 det);
         # det > 0 by Cauchy-Schwarz for independent vectors
         ta, tb = 2 - l2, 2 - m2
-        x = ta * bb - tb * ab
-        y = tb * aa - ta * ab
-        return tuple(x * p + y * q for p, q in zip(a, b)), 2 * det
+        return ta * bb - tb * ab, tb * aa - ta * ab, 2 * det
     # parallel walls, b = r a with r = n/d: (a,v) must exceed -l and
     # r*(a,v) must exceed -m; both bounds below are on 2|n| (a,v)
     n, d = r.numerator, r.denominator
@@ -203,26 +205,32 @@ def _interior_point(g: tuple, h: tuple) -> tuple[Vector, int] | None:
             return None
         s, e = lo + hi, -4 * n
     # (a,v) = s / e, with v = s a / (e (a,a))
-    return scale(s, a), e * aa
+    return s, 0, e * aa
 
 
 def prenilpotent_oracle(alpha: AffineRoot, beta: AffineRoot) -> bool:
     """Geometric prenilpotency: both intersections of interiors are nonempty.
 
     The pair is prenilpotent exactly when alpha and beta share an interior
-    point and so do their negatives.  The point V / D is checked in
-    integers: it is interior to alpha_(a, l) iff 2 (a, V) + D 2l > 0.
+    point and so do their negatives.  Both points come from the one pair
+    geometry of (a, b), as (x, y, D) in the basis (a, b), respectively
+    (-a, -b), and are checked in integers through its Gram dots: V / D is
+    interior to alpha_(a, l) iff 2 (x (a,a) + y (a,b)) + D 2l > 0, and to
+    alpha_(b, m) iff 2 (x (a,b) + y (b,b)) + D 2m > 0.
     """
-    a, b = alpha.root, beta.root
+    geometry = _pair_geometry(alpha.root, beta.root)
+    _, aa, ab, bb, _ = geometry
     # 2 * a half-integer level is an integral int or Fraction; int() is exact
     l2, m2 = int(2 * alpha.level), int(2 * beta.level)
-    for g, h in (((a, l2), (b, m2)), ((neg(a), -l2), (neg(b), -m2))):
-        point = _interior_point(g, h)
+    for sign, k2, n2 in (("", l2, m2), ("-", -l2, -m2)):
+        point = _interior_point(geometry, k2, n2)
         if point is None:
             return False
-        v, d = point
-        if not all(2 * dot(c, v) + d * k2 > 0 for c, k2 in (g, h)):
-            raise RgdcheckError(f"computed point is not interior to both {g} and {h}")
+        x, y, d = point
+        if 2 * (x * aa + y * ab) + d * k2 <= 0 or 2 * (x * ab + y * bb) + d * n2 <= 0:
+            raise RgdcheckError(
+                f"point (x, y, D) = {point} is not interior to both {sign}{alpha} and {sign}{beta}"
+            )
     return True
 
 

@@ -443,6 +443,8 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
 
     # integer points: the levels and the coroots are integral
     basis = [(0,) * dim] + [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    # f_beta on the basis: m at 0 and b_i + m at e_i
+    values = [[x + beta.level for x in (0, *beta.root)] for beta in groups]
     for alpha in groups:
         refl = [reflect_point(alpha, v) for v in basis]
         # reflection is an involution on points
@@ -450,7 +452,7 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
             if any(reflect_point(alpha, rv) != v for v, rv in zip(basis, refl)):
                 case.fail("mismatch")
         reflected = {a: [dot(a, v) for v in refl] for a in system.roots}
-        for beta in groups:
+        for beta, before in zip(groups, values):
             rbeta = affine_reflect(system, alpha, beta)
             with report.case(
                 lambda: f"alpha={alpha} beta={beta}", "root involution"
@@ -458,9 +460,7 @@ def _combinatorics(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> 
                 if affine_reflect(system, alpha, rbeta) != beta:
                     case.fail(f"{rbeta}")
                     continue
-                # equivariance: f_beta(v) = f_s(beta)(s(v)) on the basis, where
-                # f_beta is m at 0 and b_i + m at e_i
-                before = [x + beta.level for x in (0, *beta.root)]
+                # equivariance: f_beta(v) = f_s(beta)(s(v)) on the basis
                 after = [x + rbeta.level for x in reflected[rbeta.root]]
                 if before != after:
                     v, x, y = next(t for t in zip(basis, before, after) if t[1] != t[2])

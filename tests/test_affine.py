@@ -180,11 +180,13 @@ def test_prenilpotency_signs():
 
 
 def _strictly_inside(pair, point):
-    """V / D is interior to both half-spaces, checked in Fractions."""
-    v, d = point
-    assert type(d) is int and d > 0 and all(type(x) is int for x in v)
-    x = tuple(Q(c, d) for c in v)
-    return all(sum(Q(a) * b for a, b in zip(g.root, x)) + g.level > 0 for g in pair)
+    """V / D, V = x a + y b on the pair's gradients a, b, is interior to both
+    half-spaces, checked in Fractions."""
+    x, y, d = point
+    assert all(type(c) is int for c in point) and d > 0
+    a, b = (g.root for g in pair)
+    v = tuple(Q(x * p + y * q, d) for p, q in zip(a, b))
+    return all(sum(Q(c) * t for c, t in zip(g.root, v)) + g.level > 0 for g in pair)
 
 
 def test_prenilpotency_matches_geometric_oracle():
@@ -206,14 +208,19 @@ def test_prenilpotency_matches_geometric_oracle():
                 assert is_prenilpotent(alpha, beta) == prenilpotent_oracle(
                     alpha, beta
                 ), (alpha, beta)
+                geometry = affine._pair_geometry(alpha.root, beta.root)
+                # the negatives share the pair's geometry, which the oracle reuses
+                assert affine._pair_geometry((-alpha).root, (-beta).root) == geometry
                 for pair in ((alpha, beta), (-alpha, -beta)):
-                    # (gradient, doubled level) pairs, as the oracle passes them
+                    # doubled levels, as the oracle passes them
                     point = affine._interior_point(
-                        *((g.root, int(2 * g.level)) for g in pair)
+                        geometry, *(int(2 * g.level) for g in pair)
                     )
                     if point is not None:
                         points += 1
                         assert _strictly_inside(pair, point), (pair, point)
+                        if geometry[0] is not None:
+                            assert point[1] == 0  # parallel walls: V = x a
         assert points > len(affs) ** 2
 
 
@@ -222,9 +229,65 @@ def test_prenilpotent_oracle_raises_when_its_point_is_not_interior(monkeypatch):
     a2 = build_root_system("A", 2)
     a, b = a2.simple
     # the origin lies on both walls at level 0, interior to neither
-    monkeypatch.setattr(affine, "_interior_point", lambda g, h: ((0, 0, 0), 1))
+    monkeypatch.setattr(affine, "_interior_point", lambda geometry, l2, m2: (0, 0, 1))
     with pytest.raises(RgdcheckError, match="not interior to both"):
         prenilpotent_oracle(affine_root(a, 0), affine_root(b, 0))
+
+
+@pytest.mark.parametrize("kind,rank,raised", [("A", 2, 480), ("BC", 2, 2080)])
+def test_swapped_solve_fails_the_gram_self_check(monkeypatch, kind, rank, raised):
+    # the mutant solves (a,v) = 1 - m, (b,v) = 1 - l on independent
+    # gradients (ta <-> tb); the Gram check must catch its stray points
+    solve = affine._interior_point
+
+    def swapped(geometry, l2, m2):
+        return solve(geometry, m2, l2) if geometry[0] is None else solve(geometry, l2, m2)
+
+    monkeypatch.setattr(affine, "_interior_point", swapped)
+    system = build_root_system(kind, rank)
+    affs = [affine_root(a, l) for a in system.roots for l in range(-2, 3)]
+    caught = 0
+    for alpha in affs:
+        for beta in affs:
+            try:
+                prenilpotent_oracle(alpha, beta)
+            except RgdcheckError:
+                caught += 1
+    assert (len(affs) ** 2, caught) == ({"A": 900, "BC": 3600}[kind], raised)
+
+
+def test_prenilpotent_oracle_reads_only_the_pair_geometry(monkeypatch):
+    # once the pair's geometry is kept, the oracle does no vector arithmetic
+    a2 = build_root_system("A", 2)
+    affs = [affine_root(a, l) for a in a2.roots for l in (-1, 0, 1)]
+    want = {(x, y): prenilpotent_oracle(x, y) for x in affs for y in affs}
+
+    def banned(*args):
+        raise AssertionError(f"vector arithmetic on {args}")
+
+    monkeypatch.setattr(affine, "dot", banned)
+    monkeypatch.setattr(affine, "neg", banned)
+    assert all(prenilpotent_oracle(x, y) == v for (x, y), v in want.items())
+
+
+def test_prenilpotent_oracle_agrees_on_rank_four():
+    # every ordered pair of A4 and BC4 at levels -4..4, and the doubled BC
+    # roots at +-1/2 and +-3/2
+    for kind in ("A", "BC"):
+        system = build_root_system(kind, 4)
+        affs = [affine_root(a, l) for a in system.roots for l in range(-4, 5)]
+        affs += [
+            affine_root(a, Q(l, 2))
+            for a in system.roots
+            if all(x % 2 == 0 for x in a)
+            for l in (-3, -1, 1, 3)
+        ]
+        assert len(affs) == {"A": 20 * 9, "BC": 40 * 9 + 8 * 4}[kind]
+        for alpha in affs:
+            for beta in affs:
+                assert prenilpotent_oracle(alpha, beta) == is_prenilpotent(
+                    alpha, beta
+                ), (alpha, beta)
 
 
 def test_open_interval_same_gradient():
