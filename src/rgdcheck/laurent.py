@@ -208,8 +208,8 @@ class LaurentMatrix:
     (`_UNIT_ROWS`): `identity`, `from_entries` and the pinnings build through
     `_unit_plus`, which copies only the rows it writes.  The kernels skip a
     unit row: in `@` a left row that is the shared ONE alone, at column k,
-    becomes the right operand's row k itself, `det` leaves it out of its
-    triangularity test, and `_minus_identity` gives it an empty row of E.
+    becomes the right operand's row k itself, `det` neither tests nor
+    multiplies it, and `_minus_identity` gives it an empty row of E.
     """
 
     __slots__ = ("n", "sparse")
@@ -252,35 +252,52 @@ class LaurentMatrix:
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Product over stored entries.  A left row that is the shared ONE
-        alone, at column k, gives right row k itself; a cell reached only by
-        a term with the shared ONE as a factor reuses the other factor's
-        polynomial object."""
+        alone, at column k, gives right row k itself.  Any other row i starts
+        from a copy of right row i when it holds the shared ONE on its
+        diagonal, else from nothing, and adds its other terms in: a cell one
+        term reaches is that term's polynomial when the other factor is the
+        shared ONE, else a fresh product; a cell two terms reach is summed in
+        a copy and dropped if it cancels.  ONE is multiplied by nothing."""
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n}x{self.n} @ {other.n}x{other.n}")
         right = other.sparse
         out = []
-        for row in self.sparse:
+        for i, row in enumerate(self.sparse):
             if len(row) == 1:
                 ((k, a),) = row.items()
                 if a is ONE:
                     out.append(right[k])
                     continue
-            cells: dict[int, LaurentPoly | dict[int, FieldScalar]] = {}
+            unit = row.get(i) is ONE
+            cells = dict(right[i]) if unit else {}
+            summed: dict[int, dict[int, FieldScalar]] = {}
             for k, a in row.items():
+                if unit and k == i:
+                    continue
                 for j, b in right[k].items():
-                    acc = cells.get(j)
+                    # the factor that is not the shared ONE, if either is
+                    p = b if a is ONE else a if b is ONE else None
+                    acc = summed.get(j)
                     if acc is None:
-                        if a is ONE or b is ONE:
-                            cells[j] = b if a is ONE else a
+                        cur = cells.get(j)
+                        if cur is None:
+                            if p is None:
+                                p = {}
+                                _add_product(p, a.coeffs, b.coeffs)
+                                p = _nonzero_poly(p)
+                            cells[j] = p
                             continue
-                        acc = cells[j] = {}
-                    elif acc.__class__ is LaurentPoly:
-                        acc = cells[j] = dict(acc.coeffs)
-                    _add_product(acc, a.coeffs, b.coeffs)
-            for j, acc in cells.items():
-                if acc.__class__ is dict:
+                        acc = summed[j] = dict(cur.coeffs)
+                    if p is None:
+                        _add_product(acc, a.coeffs, b.coeffs)
+                    else:
+                        _add_into(acc, p.coeffs)
+            for j, acc in summed.items():
+                if acc:
                     cells[j] = _nonzero_poly(acc)
-            out.append({j: p for j, p in cells.items() if p.coeffs})
+                else:
+                    del cells[j]
+            out.append(cells)
         return _matrix(out)
 
     def __eq__(self, other):
@@ -301,24 +318,27 @@ class LaurentMatrix:
     def det(self) -> LaurentPoly:
         """Division-free determinant: the diagonal's product for a triangular
         matrix, else dynamic programming over column subsets.  One pass over
-        the rows tests triangularity; a row that is the shared ONE alone on
-        the diagonal fits either side and adds nothing to the product."""
+        the rows tests triangularity, each side only while it still holds; a
+        row that is its diagonal entry alone fits either side, and a diagonal
+        entry that is the shared ONE adds nothing to the product."""
         rows = self.sparse
         upper = lower = True
         diag = []
         for i, r in enumerate(rows):
             p = r.get(i, ZERO)
-            if p is ONE and len(r) == 1:
-                continue
-            upper = upper and min(r, default=i) >= i
-            lower = lower and max(r, default=i) <= i
-            if not (upper or lower):
-                break
-            diag.append(p)
+            if len(r) > 1 or p is ZERO:
+                if upper:
+                    upper = min(r, default=i) >= i
+                if lower:
+                    lower = max(r, default=i) <= i
+                if not (upper or lower):
+                    break
+            if p is not ONE:
+                diag.append(p)
         else:
             out = ONE
             for p in diag:
-                out = p if out is ONE else out if p is ONE else out * p
+                out = p if out is ONE else out * p
             return out
         # best[mask] = coefficients of the signed sum over ways to fill the
         # first popcount(mask) rows using exactly the columns in mask

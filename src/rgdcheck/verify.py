@@ -221,6 +221,7 @@ def _rgd1(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
     """Commutators of prenilpotent pairs peel over the open interval."""
     rng = random.Random(cfg.seed + 1)
     groups = in_range_affine_roots(model, cfg)
+    pin = model.relative_pinning
 
     def draw(alpha: AffineRoot, s: int) -> tuple[RootGroupCoords, RootGroupCoords]:
         u = sample_coords(model, alpha, rng, s)
@@ -241,10 +242,13 @@ def _rgd1(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> None:
                     lambda: f"alpha={alpha} beta={beta} u={_text(u)} v={_text(v)}",
                     lambda: f"commutator in product over {[str(g) for g in interval]}",
                 ) as case:
-                    draws = [u, v, u_inv, v_inv]
-                    pins = [model.relative_pinning(coords) for coords in draws]
-                    if all(_in_group(model, case, *p) for p in zip(draws, pins)):
-                        gu, gv, gu_inv, gv_inv = pins
+                    gu, gv, gu_inv, gv_inv = pin(u), pin(v), pin(u_inv), pin(v_inv)
+                    if (
+                        _in_group(model, case, u, gu)
+                        and _in_group(model, case, v, gv)
+                        and _in_group(model, case, u_inv, gu_inv)
+                        and _in_group(model, case, v_inv, gv_inv)
+                    ):
                         model.peel_product(gu @ gv @ gu_inv @ gv_inv, interval)
 
 

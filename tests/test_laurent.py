@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as Q
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,9 @@ from rgdcheck import (
     RootGroupCoords,
     affine_root,
     basis_generators,
+    coords_neg,
+    is_prenilpotent,
+    open_interval,
     simple_affine_roots,
     special_unitary,
     split_sl,
@@ -25,6 +28,7 @@ from rgdcheck import (
 )
 from rgdcheck import laurent
 from rgdcheck.laurent import EXP_SCALE, conjugator, exp4, form_check
+from rgdcheck.verify import sample_coords
 
 
 def rand_poly(rng, disc=None, span=2):
@@ -464,6 +468,7 @@ def test_sparse_product_and_det_match_dense_references(pair):
     assert _stores_no_zeros(prod)
     assert prod == LaurentMatrix(_dense_product(a, b))
     assert prod.rows == tuple(map(tuple, _dense_product(a, b)))
+    assert _passes_factors_through(a, b, prod)
     for m in (a, b, prod):
         det = m.det()
         assert all(not c.is_zero() for c in det.coeffs.values())
@@ -538,17 +543,22 @@ PIN_MODELS += [special_unitary(dim, witt) for dim, witt in ((3, 1), (4, 1), (5, 
 @st.composite
 def unit_matrices(draw, n, disc):
     """A matrix holding the shared ONE on its diagonal with entries on both
-    sides of it, or an upper or lower triangular one whose diagonal mixes the
-    shared ONE, other units, non-units and zeros."""
-    kind = draw(st.sampled_from(["shared-unit", "upper", "lower"]))
+    sides of it; an upper or lower triangular one whose diagonal mixes the
+    shared ONE, other units, non-units and zeros; or one whose rows hold the
+    shared ONE off the diagonal next to other entries, as the rows of a Weyl
+    representative do."""
+    kind = draw(st.sampled_from(["shared-unit", "upper", "lower", "weyl"]))
     diagonal = st.one_of(st.just(SHARED_ONE), polys(disc, zero_share=0.2))
     rows = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i == j:
                 rows[i][j] = SHARED_ONE if kind == "shared-unit" else draw(diagonal)
-            elif kind == "shared-unit" or (kind == "upper") == (j > i):
+            elif kind in ("shared-unit", "weyl") or (kind == "upper") == (j > i):
                 rows[i][j] = draw(polys(disc, zero_share=0.6))
+        if kind == "weyl" and n > 1:
+            k = draw(st.integers(0, n - 2))
+            rows[i][k + (k >= i)] = SHARED_ONE
     return LaurentMatrix(rows)
 
 
@@ -593,6 +603,26 @@ def _unchanged(m, snap):
     )
 
 
+def _once_through_one(a, b):
+    """(i, j, p) for each cell of a @ b that exactly one term a[i][k] b[k][j]
+    reaches, when one factor of that term is the shared ONE and p is the
+    other factor: the product must store p itself there."""
+    reach: dict[tuple[int, int], list] = {}
+    for i, row in enumerate(a.sparse):
+        for k, x in row.items():
+            for j, y in b.sparse[k].items():
+                reach.setdefault((i, j), []).append((x, y))
+    for (i, j), terms in reach.items():
+        if len(terms) == 1:
+            ((x, y),) = terms
+            if x is SHARED_ONE or y is SHARED_ONE:
+                yield i, j, y if x is SHARED_ONE else x
+
+
+def _passes_factors_through(a, b, prod):
+    return all(prod.sparse[i].get(j) is p for i, j, p in _once_through_one(a, b))
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(unit_pairs())
 def test_unit_pass_through_matches_dense_references(pair):
@@ -601,6 +631,7 @@ def test_unit_pass_through_matches_dense_references(pair):
         prod = x @ y
         assert _stores_no_zeros(prod)
         assert prod.rows == tuple(map(tuple, _dense_product(x, y)))
+        assert _passes_factors_through(x, y, prod)
     for m in (a, b, a @ b):
         det = m.det()
         assert all(not c.is_zero() for c in det.coeffs.values())
@@ -709,6 +740,171 @@ def test_triangular_det_is_the_diagonal_product():
     # a missing diagonal entry makes a triangular determinant zero
     singular = LaurentMatrix([[t, ONE], [ZERO, ZERO]])
     assert singular.det().is_zero() and singular.transpose().det().is_zero()
+
+
+# -- the row rule of `@` and the unit-diagonal determinant -----------------------
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(a, b, i, j): a product whose cell (i, j) two or more terms reach and
+    cancel.  Either row i of a holds the shared ONE on its diagonal, so that
+    the row starts from b's row i, and b[i][j] is set to cancel the row's
+    other terms; or row i holds the shared ONE off its diagonal, at column k,
+    next to other entries, as a Weyl representative's rows do, and b[k][j]
+    is set to cancel the rest.  A term that meets the cell is forced."""
+    disc = draw(st.sampled_from(DISCS))
+    n = draw(st.integers(2, 4))
+    nonzero = polys(disc, zero_share=0)
+    diagonal = st.one_of(st.just(SHARED_ONE), nonzero)
+    a = [[draw(polys(disc, zero_share=0.6)) for _ in range(n)] for _ in range(n)]
+    b = [[draw(polys(disc, zero_share=0.6)) for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        a[r][r], b[r][r] = SHARED_ONE, draw(diagonal)
+    i = draw(st.integers(0, n - 1))
+    k = i  # the column of row i's shared ONE
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([c for c in range(n) if c != i]))
+        a[i][i], a[i][k] = draw(st.one_of(st.just(ZERO), nonzero)), SHARED_ONE
+    j = draw(st.sampled_from([c for c in range(n) if c != k]))
+    m = draw(st.sampled_from([c for c in range(n) if c != k]))
+    a[i][m] = draw(nonzero)
+    if b[m][j] is ZERO:
+        b[m][j] = draw(nonzero)
+    rest = ZERO
+    for c in range(n):
+        if c != k:
+            rest = rest + _poly_mul(a[i][c], b[c][j])
+    b[k][j] = -rest
+    return LaurentMatrix(a), LaurentMatrix(b), i, j
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(cancelling_pairs())
+def test_a_cell_that_cancels_is_dropped(drawn):
+    a, b, i, j = drawn
+    snaps = [_snapshot(a), _snapshot(b)]
+    prod = a @ b
+    assert prod.rows == tuple(map(tuple, _dense_product(a, b)))
+    assert j not in prod.sparse[i] and _stores_no_zeros(prod)
+    assert _passes_factors_through(a, b, prod)
+    assert _unchanged(a, snaps[0]) and _unchanged(b, snaps[1]) and _unit_rows_intact()
+
+
+def test_a_cell_reached_once_through_one_is_the_entry_itself():
+    t = LaurentPoly.t_power(1)
+    x, y = LaurentPoly.term(2, 1), LaurentPoly.term(-3, -1)
+    # row 0 starts from b's row 0 and adds x b[1]; row 2 holds the shared ONE
+    # off its diagonal next to y, so it starts from nothing
+    a = LaurentMatrix([[SHARED_ONE, x, ZERO], [ZERO, SHARED_ONE, ZERO], [SHARED_ONE, ZERO, y]])
+    b = LaurentMatrix([[SHARED_ONE, ZERO, t], [ZERO, SHARED_ONE, ZERO], [ZERO, x, SHARED_ONE]])
+    snaps = [_snapshot(a), _snapshot(b)]
+    prod = a @ b
+    assert prod.rows == tuple(map(tuple, _dense_product(a, b)))
+    # x ONE, ONE ONE and ONE t are reached once: the entries themselves
+    assert prod.sparse[0][1] is x and prod.sparse[0][0] is SHARED_ONE
+    assert prod.sparse[0][2] is b.sparse[0][2] and prod.sparse[2][0] is SHARED_ONE
+    # y x is a fresh product, and t + y ONE a fresh sum
+    assert prod.sparse[2][1] == x * y and prod.sparse[2][1] is not x
+    assert prod.sparse[2][2] == t + y and prod.sparse[2][2] is not b.sparse[0][2]
+    assert prod.sparse[1] is b.sparse[1]
+    assert _unchanged(a, snaps[0]) and _unchanged(b, snaps[1])
+
+
+def _needed_scalar_products(a, b):
+    """Coefficient products that a @ b cannot avoid: one per pair of
+    coefficients of two entries that meet, when neither is the shared ONE."""
+    return sum(
+        len(x.coeffs) * len(y.coeffs)
+        for row in a.sparse
+        for k, x in row.items()
+        if x is not SHARED_ONE
+        for y in b.sparse[k].values()
+        if y is not SHARED_ONE
+    )
+
+
+@pytest.mark.parametrize("model", [split_sl(2), special_unitary(3, 1)], ids=["SL3", "SU(3,1)"])
+def test_commutators_multiply_only_entries_off_one(model, monkeypatch):
+    """gu @ gv @ gu_inv @ gv_inv, as RGD1 forms it, makes exactly the scalar
+    products of entries that are not the shared ONE, also in the cells it
+    sums, at every prenilpotent pair with a nonempty interval."""
+    calls = 0
+    real_mul = FieldScalar.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return real_mul(self, other)
+
+    rng = random.Random(28)
+    roots = [affine_root(a, level) for a in model.system.roots for level in (-1, 0, 1)]
+    checked = 0
+    for alpha, beta in combinations(roots, 2):
+        if not is_prenilpotent(alpha, beta) or not open_interval(model.system, alpha, beta):
+            continue
+        u, v = sample_coords(model, alpha, rng, 3), sample_coords(model, beta, rng, 3)
+        pins = [model.relative_pinning(c) for c in (u, v, coords_neg(u), coords_neg(v))]
+        needed, left = 0, pins[0]
+        calls = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(FieldScalar, "__mul__", counted)
+            for right in pins[1:]:
+                needed += _needed_scalar_products(left, right)
+                left = left @ right
+        assert calls == needed, (alpha, beta)
+        checked += 1
+    assert checked >= 6
+
+
+def _runs_the_dp(monkeypatch, m):
+    """m.det(), and whether it ran the subset DP, the one part of det that
+    accumulates through `_add_product`."""
+    calls = 0
+    real = laurent._add_product
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "_add_product", counted)
+        det = m.det()
+    return det, calls > 0
+
+
+@pytest.mark.parametrize(
+    "model", [split_sl(2), special_unitary(3, 1), special_unitary(5, 2)], ids=["SL3", "SU(3,1)", "SU(5,2)"]
+)
+def test_near_identity_matrices_with_both_sides_run_the_dp(model, monkeypatch):
+    """x_a(u) x_(-a)(v) and w = v1 x v2 hold entries on both sides of the
+    diagonal: they are not triangular, so det runs the DP, and it matches
+    Leibniz's sum."""
+    rng = random.Random(29)
+    for a in model.system.roots:
+        alpha = affine_root(a, 1)
+        u, v = sample_coords(model, alpha, rng, 3), sample_coords(model, -alpha, rng, 3)
+        w = model.w_element_parts(u)[0]
+        for m in (model.relative_pinning(u) @ model.relative_pinning(v), w):
+            assert any(j > i for (i, j), _ in m.items()) and any(j < i for (i, j), _ in m.items())
+            det, dp = _runs_the_dp(monkeypatch, m)
+            assert dp and det == _leibniz_det(m) and det.is_one()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [split_sl(1), split_sl(2), split_sl(3), special_unitary(3, 1)],
+    ids=["SL2", "SL3", "SL4", "SU(3,1)"],
+)
+def test_every_pinning_has_the_shared_one_as_its_det(model, monkeypatch):
+    rng = random.Random(30)
+    for a in model.system.roots:
+        for level in (-1, 0, 1):
+            alpha = affine_root(a, level)
+            for coords in [*basis_generators(model, alpha), sample_coords(model, alpha, rng, 4)]:
+                det, dp = _runs_the_dp(monkeypatch, model.relative_pinning(coords))
+                assert det is SHARED_ONE and not dp
 
 
 # -- the conjugation kernel: g -> h @ g @ hinv ----------------------------------

@@ -1,5 +1,6 @@
 """The tools under tools/: the line counter adds up, and the benchmark pair
-runner alternates sides and reproduces a committed summary."""
+runner alternates sides, reproduces a committed summary and keeps its
+finished runs when a later run fails."""
 
 import importlib.util
 import json
@@ -94,3 +95,30 @@ def test_bench_pairs_alternates_sides_and_writes_only_its_record(tmp_path):
     assert summary["verdict_s"]["change_wins"] == 3
     assert summary["cases_per_s"]["change_wins"] == 0
     assert summary["verdict_s"]["parent"] == {"median": 2.11, "q1": 2.105, "q3": 2.115, "iqr": 0.01}
+
+
+def test_bench_pairs_keeps_finished_runs_when_a_later_run_fails(tmp_path):
+    tool = _bench_pairs()
+    failing = FAKE_RUN.replace(
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))",
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "if args['--seed'] == '11':\n    sys.exit('no result on the second seed')",
+    )
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(failing)
+    out = tmp_path / "BENCH_fake.json"
+    assert tool.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--pairs", "3", "--seed0", "10", "--workload", "split-a2", "--out", str(out),
+    ]) == 1
+    record = json.loads(out.read_text())
+    # the finished pair is kept whole; the change runs first on seed 11 and fails
+    assert list(record["raw"]) == ["split-a2/10", "split-a2/11"]
+    assert set(record["raw"]["split-a2/10"]) == {"first", "parent", "change"}
+    assert record["raw"]["split-a2/10"]["change"]["metrics"]["verdict_s"]["value"] == 1.1
+    assert record["raw"]["split-a2/11"] == {"first": "change"}
+    assert record["error"]["run"] == "split-a2/11" and record["error"]["side"] == "change"
+    assert "exited 1" in record["error"]["message"]
+    assert "no result on the second seed" in record["error"]["message"]
+    assert "summary" not in record

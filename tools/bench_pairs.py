@@ -10,7 +10,10 @@ For every workload (all of BENCHMARK.json's by default) and every pair i,
 seed S + i, the benchmark command of BENCHMARK.json runs once in each
 checkout for its run_seconds, one run at a time, with
 PYTHONDONTWRITEBYTECODE=1; the parent runs first on even i and the change on
-odd i.  The tool writes only --out:
+odd i.  The tool writes only --out.  If a run fails, --out holds raw as it
+stands (the failing pair with the side that ran before it, if any) and an
+error naming the failing "workload/seed", side and message, and the tool
+exits 1; otherwise it holds:
 
   raw      "workload/seed" -> {"first": side, "parent": run, "change": run},
            a run being the benchmark's last output line with the end-to-end
@@ -124,24 +127,31 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("quartiles need --pairs 2 or more")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    record = {
+        "command": " ".join([*benchmark["command"], "--workload W --seed S",
+                             f"--seconds {benchmark['run_seconds']} --trace 0"]),
+        "context": {"python": platform.python_version(), "nproc": os.cpu_count()},
+    }
     raw = {}
     for workload in workloads:
         for i in range(args.pairs):
             seed = args.seed0 + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"first": order[0]}
+            pair = raw[f"{workload}/{seed}"] = {"first": order[0]}
             for side in order:
-                pair[side] = run_once(benchmark, checkouts[side], workload, seed)
+                try:
+                    pair[side] = run_once(benchmark, checkouts[side], workload, seed)
+                except (RuntimeError, ValueError, LookupError) as exc:
+                    # a run that exits nonzero or prints no result line: keep
+                    # every finished run, this pair with the side run before it
+                    record.update(raw=raw, error={
+                        "run": f"{workload}/{seed}", "side": side, "message": str(exc)})
+                    args.out.write_text(json.dumps(record, indent=1) + "\n")
+                    print(exc, file=sys.stderr)
+                    return 1
                 verdict = pair[side]["metrics"]["verdict_s"]["value"]
                 print(f"{workload}/{seed} {side}: verdict_s {verdict:.4f}", file=sys.stderr)
-            raw[f"{workload}/{seed}"] = pair
-    record = {
-        "command": " ".join([*benchmark["command"], "--workload W --seed S",
-                             f"--seconds {benchmark['run_seconds']} --trace 0"]),
-        "context": {"python": platform.python_version(), "nproc": os.cpu_count()},
-        "summary": summarize(raw, benchmark["end_to_end"]),
-        "raw": raw,
-    }
+    record.update(summary=summarize(raw, benchmark["end_to_end"]), raw=raw)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
