@@ -196,6 +196,44 @@ ONE = LaurentPoly.one()
 _MINUS_ONE = LaurentPoly.const(-1)
 
 
+def _row_sum(base: dict, coefs: dict, rows, skip=-1) -> dict:
+    """The sparse row base + sum of c * rows[k] over the entries (k, c) of
+    coefs but column skip, as a new dict.  A cell that one term reaches is
+    the other factor itself when either factor is the shared ONE, else a
+    fresh product; a cell that two or more terms reach (base's counts as one)
+    is summed in a copy and dropped if it cancels.  ONE is multiplied by
+    nothing, and no input row or polynomial is written."""
+    cells = dict(base)
+    summed: dict = {}
+    for k, a in coefs.items():
+        if k == skip:
+            continue
+        for j, b in rows[k].items():
+            # the factor that is not the shared ONE, if either is
+            p = b if a is ONE else a if b is ONE else None
+            acc = summed.get(j)
+            if acc is None:
+                cur = cells.get(j)
+                if cur is None:
+                    if p is None:
+                        p = {}
+                        _add_product(p, a.coeffs, b.coeffs)
+                        p = _nonzero_poly(p)
+                    cells[j] = p
+                    continue
+                acc = summed[j] = dict(cur.coeffs)
+            if p is None:
+                _add_product(acc, a.coeffs, b.coeffs)
+            else:
+                _add_into(acc, p.coeffs)
+    for j, acc in summed.items():
+        if acc:
+            cells[j] = _nonzero_poly(acc)
+        else:
+            del cells[j]
+    return cells
+
+
 class LaurentMatrix:
     """Square matrix over LaurentPoly, used for group elements (det a unit).
 
@@ -210,6 +248,9 @@ class LaurentMatrix:
     unit row: in `@` a left row that is the shared ONE alone, at column k,
     becomes the right operand's row k itself, `det` neither tests nor
     multiplies it, and `_minus_identity` gives it an empty row of E.
+
+    Every other row that `@` or `conjugator` builds comes from one row rule,
+    `_row_sum`, and E = g - I is a list of rows in this same format.
     """
 
     __slots__ = ("n", "sparse")
@@ -252,12 +293,10 @@ class LaurentMatrix:
 
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         """Product over stored entries.  A left row that is the shared ONE
-        alone, at column k, gives right row k itself.  Any other row i starts
-        from a copy of right row i when it holds the shared ONE on its
-        diagonal, else from nothing, and adds its other terms in: a cell one
-        term reaches is that term's polynomial when the other factor is the
-        shared ONE, else a fresh product; a cell two terms reach is summed in
-        a copy and dropped if it cancels.  ONE is multiplied by nothing."""
+        alone, at column k, gives right row k itself.  Any other row i is
+        `_row_sum` of its entries times the right rows: starting from right
+        row i, and leaving out column i, when the row holds the shared ONE on
+        its diagonal, else from nothing."""
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n}x{self.n} @ {other.n}x{other.n}")
         right = other.sparse
@@ -269,35 +308,7 @@ class LaurentMatrix:
                     out.append(right[k])
                     continue
             unit = row.get(i) is ONE
-            cells = dict(right[i]) if unit else {}
-            summed: dict[int, dict[int, FieldScalar]] = {}
-            for k, a in row.items():
-                if unit and k == i:
-                    continue
-                for j, b in right[k].items():
-                    # the factor that is not the shared ONE, if either is
-                    p = b if a is ONE else a if b is ONE else None
-                    acc = summed.get(j)
-                    if acc is None:
-                        cur = cells.get(j)
-                        if cur is None:
-                            if p is None:
-                                p = {}
-                                _add_product(p, a.coeffs, b.coeffs)
-                                p = _nonzero_poly(p)
-                            cells[j] = p
-                            continue
-                        acc = summed[j] = dict(cur.coeffs)
-                    if p is None:
-                        _add_product(acc, a.coeffs, b.coeffs)
-                    else:
-                        _add_into(acc, p.coeffs)
-            for j, acc in summed.items():
-                if acc:
-                    cells[j] = _nonzero_poly(acc)
-                else:
-                    del cells[j]
-            out.append(cells)
+            out.append(_row_sum(right[i] if unit else {}, row, right, i if unit else -1))
         return _matrix(out)
 
     def __eq__(self, other):
@@ -394,25 +405,23 @@ class LaurentMatrix:
         return f"LaurentMatrix of size {self.n}:\n{self}"
 
 
-def _minus_identity(g: LaurentMatrix) -> list[list[tuple[int, LaurentPoly]]]:
-    """Rows of E = g - I as (column, entry) lists of nonzero entries: a unit
-    row of g gives an empty row, a diagonal entry that is the shared ONE adds
-    nothing, and a missing one adds -1.  g is not written to."""
+def _minus_identity(g: LaurentMatrix) -> list[dict[int, LaurentPoly]]:
+    """Rows of E = g - I in the `LaurentMatrix.sparse` format, {column:
+    entry} over the nonzero entries: a unit row of g gives {}, a diagonal
+    entry that is the shared ONE adds nothing, and a missing one adds -1.
+    g is not written to."""
     rows = []
     for p, row in enumerate(g.sparse):
         if len(row) == 1 and row.get(p) is ONE:
-            rows.append(())
+            rows.append({})
             continue
-        out = []
-        for q, e in row.items():
-            if q != p:
-                out.append((q, e))
-            elif e is not ONE:
-                e = e - ONE
-                if e.coeffs:
-                    out.append((q, e))
-        if p not in row:
-            out.append((p, _MINUS_ONE))
+        out = dict(row)
+        e = row.get(p)
+        e = _MINUS_ONE if e is None else ZERO if e is ONE else e - ONE
+        if e.coeffs:
+            out[p] = e
+        else:
+            del out[p]
         rows.append(out)
     return rows
 
@@ -422,76 +431,36 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
     given as the rows of E = g - I that `_minus_identity(g)` returns.
 
     By distributivity h (I + E) hinv = h hinv + h E hinv, so h hinv is formed
-    once and each stored entry e = E[p][q] adds e h[i][p] hinv[q][j] to every
-    cell (i, j).  The outer product h[:, p] hinv[q, :] is a table built the
-    first time an E reaches (p, q) and kept for the conjugator's life, so a
-    cell costs one product, and none when its table entry is the shared ONE.
-    A row of the result that no entry of E reaches is the row of h hinv itself
-    (the shared unit row when h hinv is the identity); only the rows E reaches
-    are copied and finalised.  Exact for any hinv, an inverse of h or not.
-    The operands, E and h hinv are never written to.
+    once and each stored entry e = E[p][q] adds e times the outer row
+    h[i][p] hinv[q] to every row i of column p of h, through `_row_sum`.  The
+    outer row is row q of hinv itself when h[i][p] is the shared ONE, else a
+    product row built the first time an E reaches (p, q) and kept in row i's
+    table for the conjugator's life.  A row of the result that no entry of E
+    reaches is the row of h hinv itself (the shared unit row when h hinv is
+    the identity).  Exact for any hinv, an inverse of h or not.  The
+    operands, E and h hinv are never written to.
     """
     n = h.n
     base = h @ hinv
     base = (_unit_plus(n, ()) if base.is_identity() else base).sparse
     cols = h.transpose().sparse
     right = hinv.sparse
-    # (p, q) -> [(i, [(j, h[i][p] hinv[q][j])])] over the stored entries
-    table: dict[tuple[int, int], list] = {}
-
-    def outer(p: int, q: int) -> list:
-        terms = []
-        for i, a in cols[p].items():
-            cells = []
-            for j, b in right[q].items():
-                if a is ONE or b is ONE:
-                    cells.append((j, b if a is ONE else a))
-                    continue
-                prod: dict[int, FieldScalar] = {}
-                _add_product(prod, a.coeffs, b.coeffs)
-                cells.append((j, _nonzero_poly(prod)))
-            if cells:
-                terms.append((i, cells))
-        table[p, q] = terms
-        return terms
+    # table[i][(p, q)] is the outer row h[i][p] hinv[q]
+    table: list[dict[tuple[int, int], dict]] = [{} for _ in range(n)]
 
     def conj(e_rows: list) -> LaurentMatrix:
         if len(e_rows) != n:
             raise DimensionMismatch(f"{n}x{n} conjugating {len(e_rows)}x{len(e_rows)}")
         rows = list(base)
-        reached = []
         for p, row in enumerate(e_rows):
-            for q, e in row:
-                terms = table.get((p, q))
-                if terms is None:
-                    terms = outer(p, q)
-                diff = e.coeffs
-                for i, cells in terms:
-                    out = rows[i]
-                    if out is base[i]:
-                        out = rows[i] = dict(out)
-                        reached.append(i)
-                    for j, t in cells:
-                        acc = out.get(j)
-                        if acc is None:
-                            if t is ONE:
-                                out[j] = e
-                                continue
-                            acc = out[j] = {}
-                        elif acc.__class__ is LaurentPoly:
-                            acc = out[j] = dict(acc.coeffs)
-                        if t is ONE:
-                            _add_into(acc, diff)
-                        else:
-                            _add_product(acc, t.coeffs, diff)
-        for i in reached:
-            # a cell is a stored polynomial or an accumulated map, which is
-            # falsy when it cancelled to zero
-            rows[i] = {
-                j: _nonzero_poly(acc) if acc.__class__ is dict else acc
-                for j, acc in rows[i].items()
-                if acc
-            }
+            for q, e in row.items():
+                for i, a in cols[p].items():
+                    outer = table[i].get((p, q))
+                    if outer is None:
+                        outer = right[q] if a is ONE else _row_sum({}, {q: a}, right)
+                        table[i][p, q] = outer
+                    if outer:
+                        rows[i] = _row_sum(rows[i], {(p, q): e}, table[i])
         return _matrix(rows)
 
     return conj
@@ -508,8 +477,10 @@ def form_check(form: LaurentMatrix):
     g[s(k)] to row i, each row k adds f_k E[s(k)], and g is in the group of
     F when everything cancels.  Exact for any g; for a root group element,
     a few entries off the identity, it is a few scalar products, and the
-    shared ONE, in F or on g's diagonal, is multiplied by nothing.  Neither g
-    nor F is written to.
+    shared ONE, in F or on g's diagonal, is multiplied by nothing.  Every
+    term is summed into one coefficient map per cell, not through
+    `_row_sum`: only whether all cells cancel is asked, so no row is built.
+    Neither g nor F is written to.
     """
     n = form.n
     entries = []
@@ -526,9 +497,9 @@ def form_check(form: LaurentMatrix):
         rows = g.sparse
         acc: dict[tuple[int, int], dict[int, FieldScalar]] = {}
         for k, (s, f) in enumerate(entries):
-            for j, x in diff[s]:
+            for j, x in diff[s].items():
                 _add_product(acc.setdefault((k, j), {}), f.coeffs, x.coeffs)
-            for i, e in diff[k]:
+            for i, e in diff[k].items():
                 left = {x: c.conj() for x, c in e.coeffs.items()}
                 if f is not ONE:
                     scaled: dict[int, FieldScalar] = {}

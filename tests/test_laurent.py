@@ -1023,7 +1023,7 @@ def _reached_rows(h, hinv, g):
     return {
         i
         for p, row in enumerate(e_rows)
-        for q, _ in row
+        for q in row
         if hinv.sparse[q]
         for i, hrow in enumerate(h.sparse)
         if p in hrow
@@ -1089,6 +1089,99 @@ def test_conjugator_copies_each_reached_row_of_a_repeated_row():
         got = conj(laurent._minus_identity(g))
         assert got.rows == tuple(map(tuple, _dense_product(LaurentMatrix(_dense_product(h, g)), k)))
     assert _unchanged(k, snap) and hk == h @ k and _unit_rows_intact()
+
+
+def test_conjugator_drops_a_cell_that_two_entries_of_e_cancel():
+    """E[0][2] = x and E[1][2] = y both reach row 0 of h E hinv, through
+    h[0][0] = ONE and h[0][1] = t, as (x + t y) hinv[2].  With x = -t y every
+    cell of that sum cancels, one term after the other: row 0 is h hinv's row
+    again, in a new object, and a cell outside h hinv is not stored.  Row 2
+    of h is a unit row and E reaches none of it."""
+    t = LaurentPoly.t_power(1)
+    y = LaurentPoly.term(Q(3, 2), 1) + LaurentPoly.const(2)
+    x = -(t * y)
+    h = LaurentMatrix.from_entries(3, {(0, 1): t})
+    g = LaurentMatrix.from_entries(3, {(0, 2): x, (1, 2): y})
+    e_rows = laurent._minus_identity(g)
+    assert e_rows == [{2: x}, {2: y}, {}]
+    e = laurent._matrix(e_rows)  # E's rows are in the matrix's own format
+    inverse = LaurentMatrix.from_entries(3, {(0, 1): -t})
+    other = LaurentMatrix([[SHARED_ONE, ZERO, t], [ZERO, ONE, ZERO], [t, ZERO, LaurentPoly.const(2)]])
+    for hinv in (inverse, other):
+        operands = [h, hinv, g, e]
+        snaps = [_snapshot(m) for m in operands]
+        conj = conjugator(h, hinv)
+        base = conj(laurent._minus_identity(LaurentMatrix.identity(3)))
+        base_snap = _snapshot(base)
+        for _ in range(2):  # the second call reads the filled outer rows
+            got = conj(e_rows)
+            assert got.rows == tuple(map(tuple, _dense_product(LaurentMatrix(_dense_product(h, g)), hinv)))
+            assert _stores_no_zeros(got) and got == h @ g @ hinv
+            assert got.sparse[0] == base.sparse[0] and got.sparse[0] is not base.sparse[0]
+            assert got.sparse[1] != base.sparse[1] and got.sparse[2] is base.sparse[2]
+            assert all(_unchanged(m, s) for m, s in zip(operands, snaps))
+            assert _unchanged(base, base_snap)
+    assert _unit_rows_intact()
+
+
+def _outer_row(a, row):
+    """The row a * row of the dense reference: an entry times ONE is the
+    entry, any other cell a schoolbook product."""
+    return {
+        j: b if a is SHARED_ONE else a if b is SHARED_ONE else _poly_mul(a, b)
+        for j, b in row.items()
+    }
+
+
+def _needed_conj_products(h, hinv, e_rows):
+    """Coefficient products that conjugating E must make once its outer rows
+    are built: one per pair of coefficients of an entry e = E[p][q] and a cell
+    of an outer row h[i][p] hinv[q], when neither is the shared ONE."""
+    return sum(
+        len(e.coeffs) * len(c.coeffs)
+        for p, row in enumerate(e_rows)
+        for q, e in row.items()
+        if e is not SHARED_ONE
+        for i, hrow in enumerate(h.sparse)
+        if p in hrow
+        for c in _outer_row(hrow[p], hinv.sparse[q]).values()
+        if c is not SHARED_ONE
+    )
+
+
+def test_conjugation_multiplies_only_entries_off_one(monkeypatch):
+    """On SU(5,2), by a torus element and by a Weyl representative, each
+    conjugation of an E after a warm-up call makes exactly the scalar
+    products of E's entries with the outer rows they reach, also in the
+    cells it sums (an E with a diagonal entry reaches a diagonal ONE of
+    h hinv): none with the shared ONE and none to build a table."""
+    su = special_unitary(5, 2)
+    calls = 0
+    real_mul = FieldScalar.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return real_mul(self, other)
+
+    (torus, torus_inv), *_ = su.sample_centralizer_elements(random.Random(7), 1)
+    (w, w_inv), *_ = _conjugating_pairs(su)[-5:]
+    assert (w @ w_inv).is_identity() and (torus @ torus_inv).is_identity()
+    gs = _conjugated_matrices(su)
+    checked = 0
+    for h, hinv in ((torus, torus_inv), (w, w_inv)):
+        conj = conjugator(h, hinv)
+        for g in gs:
+            e_rows = laurent._minus_identity(g)
+            conj(e_rows)
+            calls = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(FieldScalar, "__mul__", counted)
+                got = conj(e_rows)
+            assert calls == _needed_conj_products(h, hinv, e_rows) > 0
+            assert got == h @ g @ hinv
+            checked += 1
+    assert checked == 2 * len(gs) >= 40
 
 
 # -- the form kernel: g -> (g* F g == F) on E = g - I ----------------------------
