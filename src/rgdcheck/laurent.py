@@ -468,19 +468,21 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
 
 def form_check(form: LaurentMatrix):
     """The test g -> (g* @ form @ g == form) for a monomial form F, one
-    stored entry f_k in each row k, at column s(k); any other form raises
+    stored entry f_k in each row k, at column s(k), that is hermitian or
+    skew-hermitian, F* = eps F with eps = +-1; any other form raises
     NotMonomial.
 
-    With E = g - I (see `_minus_identity`), g* F g - F = E* F + F E + E* F E
-    = E* (F g) + F E, where row k of F g is f_k g[s(k)] and row k of F E is
-    f_k E[s(k)].  So each stored entry (k, i) of E adds conj(E[k][i]) f_k
-    g[s(k)] to row i, each row k adds f_k E[s(k)], and g is in the group of
-    F when everything cancels.  Exact for any g; for a root group element,
-    a few entries off the identity, it is a few scalar products, and the
-    shared ONE, in F or on g's diagonal, is multiplied by nothing.  Every
-    term is summed into one coefficient map per cell, not through
-    `_row_sum`: only whether all cells cancel is asked, so no row is built.
-    Neither g nor F is written to.
+    With E = g - I (see `_minus_identity`), D = g* F g - F = E* F + F E +
+    E* F E = E* (F g) + F E, where row k of F g is f_k g[s(k)] and row k of
+    F E is f_k E[s(k)].  So each stored entry (k, i) of E adds conj(E[k][i])
+    f_k g[s(k)] to row i, each row k adds f_k E[s(k)], and g is in the group
+    of F when everything cancels.  D* = eps D for every g, so D[j][i] is
+    eps conj(D[i][j]) and only the cells (i, j) with i <= j are summed.
+    Exact for any g; for a root group element, a few entries off the
+    identity, it is a few scalar products, and the shared ONE, in F or on
+    g's diagonal, is multiplied by nothing.  Every term is summed into one
+    coefficient map per cell, not through `_row_sum`: only whether all cells
+    cancel is asked, so no row is built.  Neither g nor F is written to.
     """
     n = form.n
     entries = []
@@ -489,6 +491,10 @@ def form_check(form: LaurentMatrix):
             raise NotMonomial(f"row {k} of the form holds {len(row)} entries")
         ((s, f),) = row.items()
         entries.append((s, f))
+    # F* = eps F: row s(k) holds eps conj(f_k), at column k
+    mirrors = [(entries[s], k, f.conj()) for k, (s, f) in enumerate(entries)]
+    if not any(all(e == (k, eps * c) for e, k, c in mirrors) for eps in (ONE, _MINUS_ONE)):
+        raise NotMonomial("the form is neither hermitian nor skew-hermitian")
 
     def check(g: LaurentMatrix) -> bool:
         if g.n != n:
@@ -498,7 +504,8 @@ def form_check(form: LaurentMatrix):
         acc: dict[tuple[int, int], dict[int, FieldScalar]] = {}
         for k, (s, f) in enumerate(entries):
             for j, x in diff[s].items():
-                _add_product(acc.setdefault((k, j), {}), f.coeffs, x.coeffs)
+                if j >= k:
+                    _add_product(acc.setdefault((k, j), {}), f.coeffs, x.coeffs)
             for i, e in diff[k].items():
                 left = {x: c.conj() for x, c in e.coeffs.items()}
                 if f is not ONE:
@@ -506,6 +513,8 @@ def form_check(form: LaurentMatrix):
                     _add_product(scaled, left, f.coeffs)
                     left = scaled
                 for j, x in rows[s].items():
+                    if j < i:
+                        continue
                     cell = acc.setdefault((i, j), {})
                     if x is ONE:
                         _add_into(cell, left)

@@ -245,6 +245,30 @@ class GroupModel:
             entries.append((lay.corner, entry))
         return _unit_plus(self.n, entries)
 
+    def _is_pin(self, g: LaurentMatrix, lay: RootLayout, zs: list, corner, e4=None) -> bool:
+        """Whether g == `_pin(lay, zs, corner, e4)`, decided on g's stored
+        entries with nothing built: every diagonal entry is 1, each cell the
+        pinning sets holds its entry (the one term at e4, 2 * e4 at the corner,
+        or the whole entry for e4 None), and g stores n entries more than the
+        cells matched.  A layout's cells are distinct and off the diagonal, so
+        that count leaves no other entry."""
+        rows, n = g.sparse, self.n
+        if g.n != n or [*map(dict.get, rows, range(n))].count(ONE) != n:
+            return False
+        cells = []
+        for (pos, partner, factor), z in zip(lay.links, zs):
+            if not z.is_zero():
+                cells.append((pos, z, e4))
+                if partner is not None:
+                    cells.append((partner, z.conj() * factor, e4))
+        if corner is not None and not corner.is_zero():
+            cells.append((lay.corner, corner, None if e4 is None else 2 * e4))
+        for (i, j), x, e in cells:
+            p = rows[i].get(j)
+            if p is None or p.coeffs != (x.coeffs if e is None else {e: x}):
+                return False
+        return sum(map(len, rows)) == n + len(cells)
+
     def _link_scalars(self, lay: RootLayout, c: tuple) -> list:
         """The link scalars z named by rational or slot variable coordinates c."""
         if c[0].__class__ is LaurentPoly:
@@ -295,12 +319,15 @@ class GroupModel:
         """(alpha, link scalars, d0) for each member of order, read off g once
         as the ordered product over order: each member's link scalars and corner
         come off g at its own entries, at its exponent, or whole for width set
-        (level-zero members on slot variables, as `_pin` puts them with no e4);
-        the product of their pinnings is rebuilt by `_pin` and compared with g,
-        and only then does `_check_scalars` check the scalars and give d0.  A
-        mismatch, or a coordinate in k that is not rational, raises error.  A
-        member read as zero pins the identity and is not built."""
+        (level-zero members on slot variables, as `_pin` puts them with no e4).
+        One member is compared with g where g stores it (`_is_pin`), and nothing
+        is built; for two or more, whose product has cross terms, the product of
+        their pinnings is rebuilt by `_pin` and compared with g (a member read
+        as zero pins the identity and is not built).  Only then does
+        `_check_scalars` check the scalars and give d0.  A mismatch, or a
+        coordinate in k that is not rational, raises error."""
         reads, built = [], None
+        one = len(order) == 1
         zero = FieldScalar.is_zero if width is None else LaurentPoly.is_zero
         for alpha in order:
             lay = self.layout(alpha.root)
@@ -312,17 +339,22 @@ class GroupModel:
                 e4, zs = None, [g.entry(p, q) for (p, q), _, _ in lay.links]
                 corner = None if lay.corner is None else g.entry(*lay.corner)
             reads.append((alpha, lay, zs, corner))
-            if not (all(map(zero, zs)) and (corner is None or zero(corner))):
+            if not one and not (all(map(zero, zs)) and (corner is None or zero(corner))):
                 x = self._pin(lay, zs, corner, e4)
                 built = x if built is None else built @ x
-        if not (g.is_identity() if built is None else built == g):
+        if one:
+            same = self._is_pin(g, lay, zs, corner, e4)
+        else:
+            same = g.is_identity() if built is None else built == g
+        if not same:
             raise error("mismatch")
         return [(a, zs, self._check_scalars(lay, zs, c, error, width)) for a, lay, zs, c in reads]
 
     def peel(self, g: LaurentMatrix, alpha: AffineRoot) -> None:
-        """Check that g lies in U_alpha, read once (see `_read`), or raise
-        NotInRootGroup; no coordinates are built, and membership in G is not
-        checked.  `peel_product(g, [alpha])` reads the coordinates."""
+        """Check that g lies in U_alpha, read once and compared where g stores
+        it (see `_read`), or raise NotInRootGroup; no matrix and no coordinates
+        are built, and membership in G is not checked.
+        `peel_product(g, [alpha])` reads the coordinates."""
 
         def miss(_: str) -> NotInRootGroup:
             return NotInRootGroup(f"{alpha}: matrix is not in this root group")
@@ -333,9 +365,11 @@ class GroupModel:
         self, g: LaurentMatrix, order: list[AffineRoot]
     ) -> list[RootGroupCoords]:
         """Coordinates of g as an ordered product over the given affine roots,
-        read once (see `_read`).  A mismatch raises ResidueNotIdentity on an
-        order that meets the rule of `_one_read`, as every open interval does,
-        and ValueError, an internal error, on any other."""
+        read once (see `_read`): one member is compared where g stores it, two
+        or more are rebuilt and multiplied.  A mismatch raises
+        ResidueNotIdentity on an order that meets the rule of `_one_read`, as
+        every open interval does, and ValueError, an internal error, on any
+        other."""
 
         def residue(_: str) -> Exception:
             where = [str(a) for a in order]

@@ -1284,6 +1284,15 @@ def test_form_check_takes_only_monomial_forms():
         form_check(LaurentMatrix([[ONE, t], [ZERO, ONE]]))
     with pytest.raises(NotMonomial):
         form_check(LaurentMatrix.diagonal([ONE, ZERO]))
+    # monomial, but F* is neither F nor -F
+    s = LaurentPoly.const(sqrt_of(-1))
+    two = LaurentPoly.const(2)
+    for form in ([[ZERO, t], [ONE, ZERO]], [[ONE, ZERO], [ZERO, s]], [[ZERO, ONE], [two, ZERO]]):
+        with pytest.raises(NotMonomial):
+            form_check(LaurentMatrix(form))
+    # t is fixed by the involution: [[0, t], [t, 0]] is hermitian, [[0, t], [-t, 0]] skew
+    assert form_check(LaurentMatrix([[ZERO, t], [t, ZERO]]))(LaurentMatrix.identity(2))
+    assert form_check(LaurentMatrix([[ZERO, t], [-t, ZERO]]))(LaurentMatrix.identity(2))
     check = form_check(LaurentMatrix.diagonal([ONE, -ONE]))
     with pytest.raises(DimensionMismatch):
         check(LaurentMatrix.identity(3))

@@ -24,12 +24,13 @@ from rgdcheck import (
     basis_generators,
     build_model,
     coords_neg,
+    simple_affine_roots,
     special_unitary,
     split_sl,
 )
 from rgdcheck import slots
 from rgdcheck.affine import is_prenilpotent, open_interval
-from rgdcheck.laurent import EXP_SCALE, exp4
+from rgdcheck.laurent import EXP_SCALE, ONE, ZERO, exp4
 from rgdcheck.models import _one_read
 from rgdcheck.roots import build_root_system, pairing, vec
 from rgdcheck.verify import sample_coords
@@ -135,40 +136,198 @@ def test_su_coroot_normalization():
 
 
 def test_peel_product_reads_its_first_pass_off_g(monkeypatch):
-    """One read: each member's scalars come off g once and are rebuilt by
-    `_pin`, never by `relative_pinning`, and the identity builds nothing."""
+    """One read: a one-member order is compared where g stores it, by
+    `_is_pin` on the scalars read off g at the member's entries, and builds
+    nothing (neither `relative_pinning` nor `_pin` runs); an order of two or
+    more members is rebuilt by `_pin` from the scalars read once, and the
+    identity builds nothing."""
     su = special_unitary(3, 1)
     alpha = affine_root(vec(1), 1)
     u = RootGroupCoords(alpha, (Q(1), Q(2)), (Q(3),))
     g = su.relative_pinning(u)
-    pinned, pins = [], []
-    inner_pin = su._pin
+    pinned, pins, compared = [], [], []
+    inner_pin, inner_is_pin = su._pin, su._is_pin
 
     def counted_pin(lay, zs, corner, e4=None):
         pins.append((lay, e4, zs, corner))
         return inner_pin(lay, zs, corner, e4)
 
+    def counted_is_pin(h, lay, zs, corner, e4=None):
+        compared.append((lay, e4, zs, corner))
+        return inner_is_pin(h, lay, zs, corner, e4)
+
     monkeypatch.setattr(su, "relative_pinning", lambda coords: pinned.append(coords))
     monkeypatch.setattr(su, "_pin", counted_pin)
+    monkeypatch.setattr(su, "_is_pin", counted_is_pin)
     assert su.peel_product(g, [alpha]) == [u]
-    assert pinned == [] and len(pins) == 1
-    # the rebuild is made of the scalars read off g at alpha's entries
+    su.peel(g, alpha)
+    assert pinned == [] and pins == [] and len(compared) == 2
+    # the comparison takes the scalars read off g at alpha's entries
+    for lay, e4, zs, corner in compared:
+        assert lay == su.layout(vec(1)) and e4 == -EXP_SCALE
+        assert zs == [g.entry(*pos).coeff(e4) for pos, _, _ in lay.links]
+        assert corner == g.entry(*lay.corner).coeff(2 * e4)
+    # two members are rebuilt from the same reads, and one read as zero pins
+    # the identity and is not built
+    compared.clear()
+    order = [alpha, affine_root(vec(-2), 0)]
+    assert su.peel_product(g, order) == [u, RootGroupCoords(order[1], (Q(0),))]
+    assert compared == [] and len(pins) == 1
     lay, e4, zs, corner = pins[0]
     assert lay == su.layout(vec(1)) and e4 == -EXP_SCALE
     assert zs == [g.entry(*pos).coeff(e4) for pos, _, _ in lay.links]
     assert corner == g.entry(*lay.corner).coeff(2 * e4)
-    # a member read as zero pins the identity and is not built
-    pins.clear()
-    order = [alpha, affine_root(vec(-2), 0)]
-    assert su.peel_product(g, order) == [u, RootGroupCoords(order[1], (Q(0),))]
-    assert len(pins) == 1
     # the identity peels to zero coordinates without building anything
     pins.clear()
     got = su.peel_product(LaurentMatrix.identity(3), order)
     assert [cs.alpha for cs in got] == order
     assert all(cs.is_zero() for cs in got)
     assert [(len(cs.c), len(cs.d)) for cs in got] == [(2, 1), (1, 0)]
-    assert pinned == [] and pins == []
+    assert pinned == [] and pins == [] and compared == []
+
+
+ORACLE_MODELS = {
+    "SL3": lambda: split_sl(2),
+    "SU(3,1)": lambda: special_unitary(3, 1),
+    "SU(4,1)": lambda: special_unitary(4, 1),
+    "SU(5,2)": lambda: special_unitary(5, 2),
+}
+
+
+def _layout_cells(lay):
+    """The link, partner and corner positions of a layout."""
+    cells = [c for pos, partner, _ in lay.links for c in (pos, partner) if c is not None]
+    return cells + ([] if lay.corner is None else [lay.corner])
+
+
+def _edited(g, changes):
+    """g with the given entries set, ZERO clearing one."""
+    cells = dict(g.items())
+    cells.update(changes)
+    return LaurentMatrix([[cells.get((i, j), ZERO) for j in range(g.n)] for i in range(g.n)])
+
+
+def _pin_mutants(g, lay, t):
+    """g, a pinning on layout lay, with one fault each: an entry off the
+    layout, a second term in its first nonzero cell, that cell moved by t, a
+    non-unit diagonal, and a wrong and a missing partner of its first nonzero
+    link with one."""
+    n = g.n
+    cells = _layout_cells(lay)
+    off = next((i, j) for i in range(n) for j in range(n) if i != j and (i, j) not in cells)
+    pos = next(c for c in cells if not g.entry(*c).is_zero())
+    out = [
+        _edited(g, {off: g.entry(*off) + t}),
+        _edited(g, {pos: g.entry(*pos) + t}),
+        _edited(g, {pos: g.entry(*pos) * t}),
+        _edited(g, {(0, 0): LaurentPoly.const(2)}),
+        _edited(g, {(n - 1, n - 1): ONE + t}),
+    ]
+    for link, partner, _ in lay.links:
+        if partner is not None and not g.entry(*link).is_zero():
+            out.append(_edited(g, {partner: g.entry(*partner) + g.entry(*partner)}))
+            out.append(_edited(g, {partner: ZERO}))
+            break
+    return out
+
+
+def _agrees(model, g, lay, zs, corner, e4):
+    """`_is_pin` against its oracle, `_pin(...) == g`; the common answer."""
+    same = model._pin(lay, zs, corner, e4) == g
+    assert model._is_pin(g, lay, zs, corner, e4) == same
+    return same
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_is_pin_is_the_rebuilt_comparison_on_numeric_entries(name):
+    """_is_pin(g, ...) == (_pin(...) == g) on every generator pinning at
+    levels -1..1, its conjugates by torus elements and Weyl representatives,
+    its mutants and the identity, against the scalars read off g at every
+    in-range root group's entries (as `_read` reads them) and against the
+    generator's own."""
+    model = ORACLE_MODELS[name]()
+    rng = random.Random(11)
+    alphas = [affine_root(a, l) for a in model.system.roots for l in (-1, 0, 1)]
+    conjugators = model.sample_centralizer_elements(rng, 3)
+    for alpha in simple_affine_roots(model.system):
+        w, w_inv, *_ = model.w_element_parts(sample_coords(model, alpha, rng, 0))
+        conjugators.append((w, w_inv))
+    t = LaurentPoly.t_power(1)
+    held = 0
+    for alpha in alphas:
+        e4 = exp4(-alpha.level)
+        for coords in basis_generators(model, alpha):
+            lay, zs, corner = model._pin_scalars(coords)
+            g = model._pin(lay, zs, corner, e4)
+            assert _agrees(model, g, lay, zs, corner, e4)
+            mutants = _pin_mutants(g, lay, t)
+            pool = [g, LaurentMatrix.identity(model.n)] + mutants
+            pool += [h @ g @ h_inv for h, h_inv in conjugators]
+            for m in mutants:
+                assert not _agrees(model, m, lay, zs, corner, e4)
+            for x in pool:
+                for beta in alphas:
+                    b_lay = model.layout(beta.root)
+                    b_e4 = exp4(-beta.level)
+                    b_zs = [x.entry(*pos).coeff(b_e4) for pos, _, _ in b_lay.links]
+                    b_corner = None
+                    if b_lay.corner is not None:
+                        b_corner = x.entry(*b_lay.corner).coeff(2 * b_e4)
+                    held += _agrees(model, x, b_lay, b_zs, b_corner, b_e4)
+    assert held
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+def test_is_pin_is_the_rebuilt_comparison_on_whole_entries(name):
+    """The same oracle on level-zero elements on slot variables, as
+    `q2_additive` builds them, read whole (e4 None) at every root's entries:
+    X(u), X(u) X(v), X(-(u + v)) X(u) X(v), the identity and the mutants of
+    X(u)."""
+    model = ORACLE_MODELS[name]()
+    t = LaurentPoly.t_power(1)
+    held = 0
+    for a in model.system.roots:
+        nc, nd = model.coord_lengths(a)
+        level0 = affine_root(a, 0)
+
+        def pin(c):
+            return model._pin(*model._pin_scalars(RootGroupCoords(level0, tuple(c), (ZERO,) * nd)))
+
+        u, v = [slots.var(k) for k in range(nc)], [slots.var(nc + k) for k in range(nc)]
+        lay, zs, corner = model._pin_scalars(RootGroupCoords(level0, tuple(u), (ZERO,) * nd))
+        x = model._pin(lay, zs, corner)
+        assert _agrees(model, x, lay, zs, corner, None)
+        mutants = _pin_mutants(x, lay, t)
+        for m in mutants:
+            assert not _agrees(model, m, lay, zs, corner, None)
+        pool = [x, x @ pin(v), pin([-(p + q) for p, q in zip(u, v)]) @ x @ pin(v)]
+        for g in pool + [LaurentMatrix.identity(model.n)] + mutants:
+            for b in model.system.roots:
+                b_lay = model.layout(b)
+                b_zs = [g.entry(*pos) for pos, _, _ in b_lay.links]
+                b_corner = None if b_lay.corner is None else g.entry(*b_lay.corner)
+                held += _agrees(model, g, b_lay, b_zs, b_corner, None)
+    assert held
+
+
+LAYOUT_MODELS = {f"SL{rank + 1}": (split_sl, rank) for rank in range(1, 8)}
+LAYOUT_MODELS.update(
+    {f"SU({dim},{witt})": (special_unitary, dim, witt)
+     for witt in range(1, 6) for dim in range(2 * witt + 1, 13)}
+)
+
+
+@pytest.mark.parametrize("name", LAYOUT_MODELS)
+def test_layout_cells_are_distinct_and_off_the_diagonal(name):
+    """`_is_pin` counts g's stored entries against the cells it matched, which
+    is exact only when every layout's link, partner and corner positions are
+    pairwise distinct and off the diagonal: SL2-SL8 and SU(3,1)-SU(12,5)."""
+    make, *args = LAYOUT_MODELS[name]
+    model = make(*args)
+    for a in model.system.roots:
+        cells = _layout_cells(model.layout(a))
+        assert len(set(cells)) == len(cells)
+        assert all(i != j for i, j in cells)
 
 
 def _k_entries(model, alpha):

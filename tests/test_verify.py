@@ -819,9 +819,9 @@ def test_rgd2_centralizer_cases_name_the_samples_they_compare(monkeypatch):
 def test_conjugations_build_each_generator_pinning_once(monkeypatch, tag):
     """One pinning per basis generator in the window, built once for the
     suite call, and none per case.  RGD5 peels each conjugate, and the peel
-    rebuilds without `relative_pinning`; CorootShift never peels and builds
-    the expected side of each case with `_pin`, from the generator's
-    scalars at the shifted level."""
+    compares it in place without `relative_pinning`; CorootShift never peels
+    and compares each conjugate in place with `_is_pin`, from the
+    generator's scalars at the shifted level."""
     model = split_sl(2)
     calls = count_calls(monkeypatch, model, "relative_pinning")
     peeled = count_calls(monkeypatch, model, "peel")
