@@ -14,10 +14,14 @@ Coordinates on a root group are rational tuples: for each relative root a
 the group U_(a, level) is parametrized by RootGroupCoords(alpha, c, d) where
 c has one rational slot per k-basis vector of the root module of a, and d
 (possibly empty) covers the module of the doubled root 2a.  Every root group
-has one RootLayout shape: each linear coordinate z, in k or k', is linked to
-the entry holding z and, in SU, to a partner entry holding factor * tau(z);
-a multipliable root adds the corner entry of 2a, which carries d shifted by
-the quadratic correction of the linear part.
+has one RootLayout shape, read off the slot weights and the form F by one
+rule, as U_a = exp(g_a + g_2a): each matrix position of weight a is a link
+holding a linear coordinate z, unless it is the partner of an earlier one.
+The partner of (p, q) is its image under X -> -F^-1 X* F and holds
+factor * tau(z); a position that is its own partner, or any position of a
+model with no form (SL), holds z in k, and the others z in k'.  The position
+of weight 2a, if any, is the corner: it carries d shifted by the corner
+entry of N^2 / 2, N the linear part.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .scalars import FieldScalar, from_parts, is_squarefree, sqrt_of
 
 Q = Fraction
 
-_MINUS_HALF = FieldScalar(Q(-1, 2))
+_HALF = FieldScalar(Q(1, 2))
 
 
 class RootGroupCoords(NamedTuple):
@@ -83,16 +87,18 @@ class RootLayout(NamedTuple):
     """Matrix entry positions and module data of one relative root group.
 
     Each linear coordinate z has one link (position, partner, factor): z sits
-    at position, and factor * tau(z) at partner when there is one.  z lies in
-    k' (two rational slots) when field is set, else in k (one slot).  On a
-    multipliable root the doubled-root coordinate sits at corner, at twice the
-    exponent, shifted by -sfac/2 * sum z tau(z); corner is None otherwise.
+    at position, a matrix entry of weight a, and factor * tau(z) at partner,
+    the image of position under X -> -F^-1 X* F, when that is another entry.
+    z lies in k' (two rational slots) when the links have partners (field),
+    else in k (one slot).  On a multipliable root the doubled-root coordinate
+    sits at corner, the entry of weight 2a, at twice the exponent, shifted by
+    half the sum of factor * z * tau(z) over the links; corner is None
+    otherwise.  `GroupModel._build_layout` gives every layout.
     """
 
     links: tuple[tuple, ...]  # (position, partner, factor) for each z
     field: bool = False
     corner: tuple[int, int] | None = None
-    sfac: FieldScalar | None = None
 
 
 def _slot_counts(lay: RootLayout) -> tuple[int, int]:
@@ -125,12 +131,10 @@ class GroupModel:
     n: int
     disc: int | None
     system: RootSystem
+    gram: LaurentMatrix | None  # the form F, None for SL
     _layouts: dict[Vector, RootLayout]
 
     # -- per-model hooks -------------------------------------------------------
-
-    def _build_layout(self, a_rel: Vector) -> RootLayout:
-        raise NotImplementedError
 
     def slot_weight(self, slot: int) -> Vector:
         """Weight of a basis vector under the maximal split torus."""
@@ -153,6 +157,35 @@ class GroupModel:
     def _build_layouts(self) -> None:
         """Lay out every relative root group once, when the model is built."""
         self._layouts = {a: self._build_layout(a) for a in self.system.roots}
+
+    def _build_layout(self, a_rel: Vector) -> RootLayout:
+        """The layout of U_a read off the slot weights and the form F, as U_a
+        = exp(g_a + g_2a) in characteristic 0: one link at each position
+        (p, q) of weight a, in lexicographic order.  Row p of F holds one
+        entry, at column s(p), and X -> -F^-1 X* F sends (p, q) to its
+        partner (s(q), s(p)) with factor -F[p][s(p)] / F[q][s(q)].  Of two
+        partners the first carries z; a position that is its own partner, or
+        any position with no form, is a link in k.  The corner is the
+        position of weight 2a, if there is one."""
+        w = [self.slot_weight(p) for p in range(self.n)]
+
+        def at(b: Vector) -> list[tuple[int, int]]:
+            return [(p, q) for p, wp in enumerate(w) for q, wq in enumerate(w) if sub(wp, wq) == b]
+
+        form = None if self.gram is None else [next(iter(r.items())) for r in self.gram.sparse]
+        links, partners = [], set()
+        for p, q in at(a_rel):
+            if (p, q) in partners:
+                continue
+            link = ((p, q), None, None)
+            if form is not None:
+                (sp, fp), (sq, fq) = form[p], form[q]
+                if (sq, sp) != (p, q):
+                    partners.add((sq, sp))
+                    link = ((p, q), (sq, sp), -fp.coeff(0) / fq.coeff(0))
+            links.append(link)
+        corner = at(scale(2, a_rel))
+        return RootLayout(tuple(links), links[0][1] is not None, corner[0] if corner else None)
 
     def layout(self, a_rel: Vector) -> RootLayout:
         lay = self._layouts.get(tuple(a_rel))
@@ -281,11 +314,10 @@ class GroupModel:
 
     @staticmethod
     def _correction(lay: RootLayout, zs: list):
-        """The corner shift -sfac/2 * sum z tau(z) fixed by the linear part."""
-        p2 = zs[0] * zs[0].conj()
-        for z in zs[1:]:
-            p2 = p2 + z * z.conj()
-        return p2 * lay.sfac * _MINUS_HALF
+        """The corner shift fixed by the linear part N: the corner entry of
+        N^2 / 2, half the sum of factor * z * tau(z) over the links."""
+        terms = [z * z.conj() * factor for (_, _, factor), z in zip(lay.links, zs)]
+        return sum(terms[1:], terms[0]) * _HALF
 
     def _check_scalars(
         self, lay: RootLayout, zs: list, corner, error: Callable[[str], Exception], width=None
@@ -505,9 +537,6 @@ class SplitSLModel(GroupModel):
         w[slot] = 1
         return tuple(w)
 
-    def _build_layout(self, a_rel: Vector) -> RootLayout:
-        return RootLayout((((a_rel.index(1), a_rel.index(-1)), None, None),))
-
     def contains(self, g: LaurentMatrix) -> bool:
         return g.n == self.n and g.det().is_one()
 
@@ -585,30 +614,6 @@ class SUModel(GroupModel):
         elif slot >= self.n - self.witt:
             w[self._mirror(slot)] = -1
         return tuple(w)
-
-    def _build_layout(self, a_rel: Vector) -> RootLayout:
-        def slot(i: int, x: int) -> int:
-            """The basis slot of weight sign(x) e_i."""
-            return i if x > 0 else self._mirror(i)
-
-        nz = [(idx, x) for idx, x in enumerate(a_rel) if x != 0]
-        if len(nz) == 2:
-            # pair root: z at one entry, +-tau(z) at its mirror image
-            (i, xi), (j, xj) = nz
-            ij, ji = (slot(i, xi), slot(j, -xj)), (slot(j, xj), slot(i, -xi))
-            pos, partner = (ij, ji) if xi > 0 else (ji, ij)
-            return RootLayout(((pos, partner, FieldScalar(xi * xj)),), True)
-        ((i, x),) = nz
-        p, q = slot(i, x), slot(i, -x)
-        if abs(x) == 2:
-            return RootLayout((((p, q), None, None),))
-        # single root: one link through each middle slot h, and the corner
-        sfac = self.s.inverse() if x > 0 else self.s
-        links = tuple(
-            ((p, h), (h, q), -sfac) if x > 0 else ((h, q), (p, h), -sfac)
-            for h in self.middles
-        )
-        return RootLayout(links, True, (p, q), sfac)
 
     def contains(self, g: LaurentMatrix) -> bool:
         return g.n == self.n and g.det().is_one() and self._preserves_form(g)

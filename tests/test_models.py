@@ -19,6 +19,7 @@ from rgdcheck import (
     ReflectionLeftSystem,
     ResidueNotIdentity,
     RootGroupCoords,
+    SUModel,
     UnsupportedType,
     affine_root,
     basis_generators,
@@ -32,7 +33,7 @@ from rgdcheck import slots
 from rgdcheck.affine import is_prenilpotent, open_interval
 from rgdcheck.laurent import EXP_SCALE, ONE, ZERO, exp4
 from rgdcheck.models import _one_read
-from rgdcheck.roots import build_root_system, pairing, vec
+from rgdcheck.roots import build_root_system, pairing, scale, sub, vec
 from rgdcheck.verify import sample_coords
 
 I = FieldScalar(0, 1, -1)
@@ -330,6 +331,154 @@ def test_layout_cells_are_distinct_and_off_the_diagonal(name):
         assert all(i != j for i, j in cells)
 
 
+# -- the pinnings onto their root groups, against sympy ----------------------------
+
+
+def _sympy_scalar(sympy, x, r):
+    """The FieldScalar x as base + ext * r, r standing for sqrt(d)."""
+    return sympy.Rational(x.base.numerator, x.base.denominator) + sympy.Rational(
+        x.ext.numerator, x.ext.denominator
+    ) * r
+
+
+def _weight_block(sympy, model, b, r):
+    """(positions, A) for the weight-b block of the Lie algebra of the model,
+    solved from the slot weights and the form F alone: the positions (p, q)
+    with weight(p) - weight(q) = b, and the rational matrix A whose nullspace
+    is the block, on coordinates (u, v) per position for an entry u + v r
+    (r = sqrt(d)) with X* F + F X = 0 and trace 0, or u alone in sl_n."""
+    n = model.n
+    w = [model.slot_weight(p) for p in range(n)]
+    positions = [(p, q) for p in range(n) for q in range(n) if sub(w[p], w[q]) == b]
+    unknowns, x = [], sympy.zeros(n, n)
+    for p, q in positions:
+        u, v = sympy.symbols(f"u{p}_{q} v{p}_{q}")
+        unknowns += [u] if model.gram is None else [u, v]
+        x[p, q] = u if model.gram is None else u + v * r
+    eqs = [x.trace()]
+    if model.gram is not None:
+        f = sympy.Matrix(n, n, lambda i, j: _sympy_scalar(sympy, model.gram.entry(i, j).coeff(0), r))
+        e = x.T.subs(r, -r) * f + f * x
+        for entry in e:
+            entry = sympy.expand(entry).subs(r**2, model.disc)
+            eqs += [entry.coeff(r, 0), entry.coeff(r, 1)]
+    a, _ = sympy.linear_eq_to_matrix(eqs, unknowns)
+    return positions, a
+
+
+def _pinning_violations(model):
+    """How the level-zero generators of each U_a fail to pin the root group
+    exp(g_a + g_2a): the linear parts N of the c-slot generators must lie in
+    sympy's weight-a block, be k-linearly independent and as many as its
+    dimension, and each generator must be exp(N) = I + N + N^2 / 2; the d-slot
+    generators must do the same on the weight-2a block, each as I + M."""
+    sympy = pytest.importorskip("sympy")
+    r = sympy.Symbol("r")
+    n, out = model.n, []
+
+    def coords(g, positions):
+        """g - I as a sympy matrix, g having constant entries, and its
+        realified entries at positions."""
+        m = sympy.Matrix(n, n, lambda i, j: _sympy_scalar(sympy, g.entry(i, j).coeff(0), r) - int(i == j))
+        vec = []
+        for p, q in positions:
+            x = g.entry(p, q).coeff(0)
+            vec += [x.base] if model.gram is None else [x.base, x.ext]
+        return m, sympy.Matrix(vec)
+
+    for a in model.system.roots:
+        gens = basis_generators(model, affine_root(a, 0))
+        nc, _ = model.coord_lengths(a)
+        for what, b, part in (("c", a, gens[:nc]), ("d", scale(2, a), gens[nc:])):
+            positions, eqs = _weight_block(sympy, model, b, r)
+            dim = len(positions) * (1 if model.gram is None else 2) - eqs.rank()
+            vecs = []
+            for coord in part:
+                g = model.relative_pinning(coord)
+                m, vec = coords(g, positions)
+                lin = sympy.Matrix(n, n, lambda i, j: m[i, j] if (i, j) in positions else 0)
+                want = lin + lin * lin / 2 if what == "c" else lin
+                if not all(e.is_constant() for _, e in g.items()) or m != want:
+                    out.append(f"{a}: a {what}-slot generator is not exp of its block part")
+                if any(eqs * vec):
+                    out.append(f"{a}: a {what}-slot generator leaves the weight block")
+                vecs.append(vec)
+            if len(part) != dim:
+                out.append(f"{a}: {len(part)} {what}-slots on a block of dimension {dim}")
+            elif vecs and sympy.Matrix.hstack(*vecs).rank() < len(vecs):
+                out.append(f"{a}: the {what}-slot generators are dependent")
+    return out
+
+
+class DroppedLinkSU(SUModel):
+    """SU whose multipliable root groups lose their last middle link, so each
+    pins a proper subgroup of U_a."""
+
+    def _build_layout(self, a_rel):
+        lay = super()._build_layout(a_rel)
+        if lay.corner is not None:
+            lay = lay._replace(links=lay.links[:-1])
+        return lay
+
+
+class DuplicatedLinkSU(SUModel):
+    """SU whose multipliable root groups repeat their first link in place of
+    their last: the slot count holds, but two slots pin the same entries."""
+
+    def _build_layout(self, a_rel):
+        lay = super()._build_layout(a_rel)
+        if lay.corner is not None:
+            lay = lay._replace(links=lay.links[:-1] + lay.links[:1])
+        return lay
+
+
+class FlippedFactorSU(SUModel):
+    """SU whose partner entries all carry the wrong sign, off su(F)."""
+
+    def _build_layout(self, a_rel):
+        lay = super()._build_layout(a_rel)
+        return lay._replace(links=tuple((p, q, None if f is None else -f) for p, q, f in lay.links))
+
+
+class UncorrectedSU(SUModel):
+    """SU whose corners leave out the correction N^2 / 2 of the linear part."""
+
+    @staticmethod
+    def _correction(lay, zs):
+        return zs[0] * 0
+
+
+ALGEBRA_MODELS = {
+    "SL3": lambda: split_sl(2),
+    "SL4": lambda: split_sl(3),
+    "SU(3,1)": lambda: special_unitary(3, 1),
+    "SU(4,1)": lambda: special_unitary(4, 1),
+    "SU(5,1)": lambda: special_unitary(5, 1),
+    "SU(5,2)": lambda: special_unitary(5, 2),
+    "SU(6,2)": lambda: special_unitary(6, 2),
+    "SU(7,3) d=-5": lambda: special_unitary(7, 3, -5),
+}
+
+
+@pytest.mark.parametrize("name", ALGEBRA_MODELS)
+def test_pinnings_map_onto_the_root_groups_sympy_solves(name):
+    """Each layout read off the form pins all of U_a = exp(g_a + g_2a): sympy
+    solves each weight block from F and the slot weights alone."""
+    assert _pinning_violations(ALGEBRA_MODELS[name]()) == []
+
+
+@pytest.mark.parametrize("mutant, why", [
+    (DroppedLinkSU, "-slots on a block of dimension"),
+    (DuplicatedLinkSU, "generators are dependent"),
+    (FlippedFactorSU, "generator leaves the weight block"),
+    (UncorrectedSU, "generator is not exp of its block part"),
+])
+@pytest.mark.parametrize("dim, witt", [(5, 1), (6, 2)])
+def test_layout_mutants_fail_the_root_group_check(mutant, why, dim, witt):
+    found = _pinning_violations(mutant(dim, witt))
+    assert found and all(why in f for f in found)
+
+
 def _k_entries(model, alpha):
     """(entry, exponent key) of every slot of U_alpha whose coordinate lies in k."""
     lay = model.layout(alpha.root)
@@ -566,10 +715,17 @@ def test_su_single_pinning_frozen_matrix():
 
 
 def test_su_pinning_membership_all_types():
-    su31 = special_unitary(3, 1)
-    su52 = special_unitary(5, 2)
+    """Pinnings of every root type land in the group and read back, also with
+    factors -1/sqrt(d), d != -1, and corners summed over two or more links."""
+    models = [
+        special_unitary(3, 1),
+        special_unitary(5, 2),
+        special_unitary(4, 1, -15),
+        special_unitary(6, 2, -7),
+        special_unitary(7, 3, -5),
+    ]
     rng = random.Random(43)
-    for model in (su31, su52):
+    for model in models:
         for a in model.system.roots:
             nc, nd = model.coord_lengths(a)
             for level in (-1, 0, 1, 2):
