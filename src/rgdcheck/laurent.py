@@ -24,6 +24,8 @@ _SCALAR_ONE = FieldScalar(1)
 
 def exp4(q) -> int:
     """EXP_SCALE * q, the stored key of an int or Fraction exponent q on (1/4)Z."""
+    if q.__class__ is int:
+        return EXP_SCALE * q
     if EXP_SCALE % q.denominator:
         raise ValueError(f"exponent {q} off the quarter lattice")
     return EXP_SCALE // q.denominator * q.numerator
@@ -243,11 +245,13 @@ class LaurentMatrix:
 
     Rows are never written once `_matrix` has stored them, so matrices share
     rows freely.  The identity's rows `{i: ONE}` are one table per size
-    (`_UNIT_ROWS`): `identity`, `from_entries` and the pinnings build through
-    `_unit_plus`, which copies only the rows it writes.  The kernels skip a
-    unit row: in `@` a left row that is the shared ONE alone, at column k,
-    becomes the right operand's row k itself, `det` neither tests nor
-    multiplies it, and `_minus_identity` gives it an empty row of E.
+    (`_UNIT_ROWS`), made by `_unit_plus`: `identity` and `from_entries` build
+    through it, and it and the pinnings (`GroupModel._pin`) copy only the
+    rows they write.  The kernels skip a unit row: `@` and `det` first test
+    a row against the shared unit row by identity, `@` passing the right
+    operand's row through for it and `det` skipping it; in `@` a left row
+    that is the shared ONE alone, at column k, becomes the right operand's
+    row k itself, and `_minus_identity` gives a unit row an empty row of E.
 
     Every other row that `@` or `conjugator` builds comes from one row rule,
     `_row_sum`, and E = g - I is a list of rows in this same format.
@@ -300,8 +304,12 @@ class LaurentMatrix:
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n}x{self.n} @ {other.n}x{other.n}")
         right = other.sparse
+        units = _UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse
         out = []
         for i, row in enumerate(self.sparse):
+            if row is units[i]:
+                out.append(right[i])
+                continue
             if len(row) == 1:
                 ((k, a),) = row.items()
                 if a is ONE:
@@ -333,9 +341,12 @@ class LaurentMatrix:
         row that is its diagonal entry alone fits either side, and a diagonal
         entry that is the shared ONE adds nothing to the product."""
         rows = self.sparse
+        units = _UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse
         upper = lower = True
         diag = []
         for i, r in enumerate(rows):
+            if r is units[i]:
+                continue
             p = r.get(i, ZERO)
             if len(r) > 1 or p is ZERO:
                 if upper:
@@ -505,16 +516,22 @@ def form_check(form: LaurentMatrix):
         for k, (s, f) in enumerate(entries):
             for j, x in diff[s].items():
                 if j >= k:
-                    _add_product(acc.setdefault((k, j), {}), f.coeffs, x.coeffs)
+                    cell = acc.setdefault((k, j), {})
+                    if f is ONE:
+                        _add_into(cell, x.coeffs)
+                    else:
+                        _add_product(cell, f.coeffs, x.coeffs)
             for i, e in diff[k].items():
-                left = {x: c.conj() for x, c in e.coeffs.items()}
-                if f is not ONE:
-                    scaled: dict[int, FieldScalar] = {}
-                    _add_product(scaled, left, f.coeffs)
-                    left = scaled
+                left = None  # conj(e) f_k, built when row s(k) first reaches j >= i
                 for j, x in rows[s].items():
                     if j < i:
                         continue
+                    if left is None:
+                        left = {d: c.conj() for d, c in e.coeffs.items()}
+                        if f is not ONE:
+                            scaled: dict[int, FieldScalar] = {}
+                            _add_product(scaled, left, f.coeffs)
+                            left = scaled
                     cell = acc.setdefault((i, j), {})
                     if x is ONE:
                         _add_into(cell, left)

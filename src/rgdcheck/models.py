@@ -41,7 +41,8 @@ from .errors import (
     ReflectionLeftSystem,
     UnsupportedType,
 )
-from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, _nonzero_poly, _unit_plus, exp4, form_check
+from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, exp4, form_check
+from .laurent import _UNIT_ROWS, _matrix, _nonzero_poly, _unit_plus
 from .roots import (
     RootSystem,
     Vector,
@@ -78,9 +79,7 @@ class RootGroupCoords(NamedTuple):
 def coords_neg(x: RootGroupCoords) -> RootGroupCoords:
     """Coordinates of the inverse element: the quadratic correction is skew,
     so negating every coordinate inverts the pinning exactly."""
-    return RootGroupCoords(
-        x.alpha, tuple(-a for a in x.c), tuple(-a for a in x.d)
-    )
+    return RootGroupCoords(x.alpha, tuple([-a for a in x.c]), tuple([-a for a in x.d]))
 
 
 class RootLayout(NamedTuple):
@@ -155,7 +154,14 @@ class GroupModel:
     # -- shared operations -------------------------------------------------------
 
     def _build_layouts(self) -> None:
-        """Lay out every relative root group once, when the model is built."""
+        """Lay out every relative root group once, when the model is built,
+        from the positions (p, q) indexed once by their weight, in
+        lexicographic order."""
+        w = [self.slot_weight(p) for p in range(self.n)]
+        self._positions: dict[Vector, list[tuple[int, int]]] = {}
+        for p, wp in enumerate(w):
+            for q, wq in enumerate(w):
+                self._positions.setdefault(sub(wp, wq), []).append((p, q))
         self._layouts = {a: self._build_layout(a) for a in self.system.roots}
 
     def _build_layout(self, a_rel: Vector) -> RootLayout:
@@ -167,14 +173,9 @@ class GroupModel:
         partners the first carries z; a position that is its own partner, or
         any position with no form, is a link in k.  The corner is the
         position of weight 2a, if there is one."""
-        w = [self.slot_weight(p) for p in range(self.n)]
-
-        def at(b: Vector) -> list[tuple[int, int]]:
-            return [(p, q) for p, wp in enumerate(w) for q, wq in enumerate(w) if sub(wp, wq) == b]
-
         form = None if self.gram is None else [next(iter(r.items())) for r in self.gram.sparse]
         links, partners = [], set()
-        for p, q in at(a_rel):
+        for p, q in self._positions.get(a_rel, ()):
             if (p, q) in partners:
                 continue
             link = ((p, q), None, None)
@@ -184,7 +185,7 @@ class GroupModel:
                     partners.add((sq, sp))
                     link = ((p, q), (sq, sp), -fp.coeff(0) / fq.coeff(0))
             links.append(link)
-        corner = at(scale(2, a_rel))
+        corner = self._positions.get(scale(2, a_rel))
         return RootLayout(tuple(links), links[0][1] is not None, corner[0] if corner else None)
 
     def layout(self, a_rel: Vector) -> RootLayout:
@@ -265,18 +266,26 @@ class GroupModel:
         """The identity with each link scalar z at its position, factor * tau(z)
         at its partner and the corner: field scalars at exponents e4 and 2 * e4,
         or, for e4 None, polynomials in slot variables (see `slots`) as they
-        are.  Entries lie off the diagonal; unset rows are shared unit rows."""
-        entries = []
+        are.  Entries lie off the diagonal and are written as they are made,
+        each into a copy of its row of `_unit_plus`'s shared unit rows; the
+        rows that no entry reaches are those shared rows."""
+        units = _UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse
+        rows = list(units)
         for (pos, partner, factor), z in zip(lay.links, zs):
-            if not z.is_zero():
-                entries.append((pos, z if e4 is None else _nonzero_poly({e4: z})))
-                if partner is not None:
-                    w = z.conj() * factor
-                    entries.append((partner, w if e4 is None else _nonzero_poly({e4: w})))
+            if z.is_zero():
+                continue
+            i, j = pos
+            row = rows[i] = rows[i] if rows[i] is not units[i] else {i: ONE}
+            row[j] = z if e4 is None else _nonzero_poly({e4: z})
+            if partner is not None:
+                w, (i, j) = z.conj() * factor, partner
+                row = rows[i] = rows[i] if rows[i] is not units[i] else {i: ONE}
+                row[j] = w if e4 is None else _nonzero_poly({e4: w})
         if corner is not None and not corner.is_zero():
-            entry = corner if e4 is None else _nonzero_poly({2 * e4: corner})
-            entries.append((lay.corner, entry))
-        return _unit_plus(self.n, entries)
+            i, j = lay.corner
+            row = rows[i] = rows[i] if rows[i] is not units[i] else {i: ONE}
+            row[j] = corner if e4 is None else _nonzero_poly({2 * e4: corner})
+        return _matrix(rows)
 
     def _is_pin(self, g: LaurentMatrix, lay: RootLayout, zs: list, corner, e4=None) -> bool:
         """Whether g == `_pin(lay, zs, corner, e4)`, decided on g's stored
@@ -338,7 +347,7 @@ class GroupModel:
         multipliable root, doubled-root scalar d0, as `_check_scalars` passes
         them."""
         field = self.layout(alpha.root).field
-        c = tuple(x for z in zs for x in ((z.base, z.ext) if field else (z.base,)))
+        c = tuple([x for z in zs for x in (z.base, z.ext)] if field else [z.base for z in zs])
         return RootGroupCoords(alpha, c, () if d0 is None else (d0.base,))
 
     def _read(

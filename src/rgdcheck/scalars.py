@@ -54,11 +54,12 @@ class FieldScalar:
 
     @staticmethod
     def coerce(value) -> "FieldScalar":
+        # a Fraction, as coordinates come, in one test; then by class
+        if value.__class__ is Fraction:
+            return _make(value.numerator, 0, value.denominator, None)
         if isinstance(value, FieldScalar):
             return value
-        if isinstance(value, int):
-            return _make(value, 0, 1, None)
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             return _make(value.numerator, 0, value.denominator, None)
         raise TypeError(f"cannot make a scalar from {value!r}")
 

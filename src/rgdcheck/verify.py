@@ -148,13 +148,12 @@ def sample_coords(
     """Deterministic nonzero coordinate sample; the first draws are the
     mandatory values of FIXED_DRAWS, which take nothing from rng."""
     nc, nd = model.coord_lengths(alpha.root)
-    total = nc + nd
     if idx < len(FIXED_DRAWS):
-        vals = [FIXED_DRAWS[idx]] * total
-    else:
-        vals = [0] * total
-        while not any(vals):
-            vals = [Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(total)]
+        return RootGroupCoords(alpha, (FIXED_DRAWS[idx],) * nc, (FIXED_DRAWS[idx],) * nd)
+    total = nc + nd
+    vals = [0] * total
+    while not any(vals):
+        vals = [Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(total)]
     return RootGroupCoords(alpha, tuple(vals[:nc]), tuple(vals[nc:]))
 
 
@@ -396,10 +395,18 @@ def _coroot_shift(model: GroupModel, cfg: SuiteConfig, report: AxiomReport) -> N
     it stores its entries (`GroupModel._is_pin`), with the pinning at the
     shifted level of the layout, link scalars and corner of g's coordinates,
     which do not depend on the level.  The shift is an int, or a proper
-    half-integer Fraction when l <b, a^vee> is odd."""
-    shifted = _generator_pinnings(
-        model, cfg, lambda c, g: (_minus_identity(g), model._pin_scalars(c))
-    )
+    half-integer Fraction when l <b, a^vee> is odd.  Each partner value
+    factor * tau(z) is computed once per generator, as a link of its own
+    that holds it and has no partner, not once per (a, l)."""
+
+    def keep(coords: RootGroupCoords, g: LaurentMatrix) -> tuple:
+        lay, zs, corner = model._pin_scalars(coords)
+        cells = [((pos, None, None), z) for (pos, _, _), z in zip(lay.links, zs)]
+        cells += [((pt, None, None), z.conj() * f) for (_, pt, f), z in zip(lay.links, zs) if pt]
+        links, xs = zip(*cells)
+        return _minus_identity(g), (lay._replace(links=links), list(xs), corner)
+
+    shifted = _generator_pinnings(model, cfg, keep)
     for a_rel in model.system.roots:
         for l in range(cfg.level_min, cfg.level_max + 1):
             if l == 0:

@@ -77,6 +77,9 @@ def test_exp4_takes_int_and_fraction_exponents():
     assert exp4(-1) == -4 and exp4(2) == 8
     assert exp4(Q(-3)) == -12
     assert exp4(Q(-1, 2)) == -2 and exp4(Q(3, 4)) == 3
+    # an int takes the short path, and gives the key of its Fraction
+    for q in (-7, -2, -1, 0, 1, 3, 10):
+        assert type(exp4(q)) is int and exp4(q) == exp4(Q(q)) == EXP_SCALE * q
     for off in (Q(-1, 3), Q(-1, 8), Q(5, 6)):
         with pytest.raises(ValueError):
             exp4(off)
@@ -636,6 +639,23 @@ def test_unit_pass_through_matches_dense_references(pair):
         det = m.det()
         assert all(not c.is_zero() for c in det.coeffs.values())
         assert det == _leibniz_det(m)
+    # the same products and determinants when no row is a shared unit row:
+    # unshared copies of every row, then also of every ONE in them
+    for copy in (_unshared_rows, _unshared_ones):
+        x, y = copy(a), copy(b)
+        assert not any(r is u for m in (x, y) for r, u in zip(m.sparse, laurent._UNIT_ROWS[m.n]))
+        assert x @ y == a @ b and y @ x == b @ a
+        assert x.det() == a.det() and y.det() == b.det() and (x @ y).det() == (a @ b).det()
+
+
+def _unshared_rows(m):
+    """m with every row a fresh dict holding the same entries."""
+    return LaurentMatrix(m.rows)
+
+
+def _unshared_ones(m):
+    """m with fresh rows and a fresh polynomial in place of every shared ONE."""
+    return LaurentMatrix([[LaurentPoly.one() if p is SHARED_ONE else p for p in r] for r in m.rows])
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

@@ -29,7 +29,7 @@ from rgdcheck import (
     special_unitary,
     split_sl,
 )
-from rgdcheck import slots
+from rgdcheck import laurent, slots
 from rgdcheck.affine import is_prenilpotent, open_interval
 from rgdcheck.laurent import EXP_SCALE, ONE, ZERO, exp4
 from rgdcheck.models import _one_read
@@ -309,6 +309,69 @@ def test_is_pin_is_the_rebuilt_comparison_on_whole_entries(name):
                 b_corner = None if b_lay.corner is None else g.entry(*b_lay.corner)
                 held += _agrees(model, g, b_lay, b_zs, b_corner, None)
     assert held
+
+
+WRITER_MODELS = {f"SL{rank + 1}": (split_sl, rank) for rank in (1, 2, 3)}
+WRITER_MODELS.update(
+    {f"SU({dim},{witt})": (special_unitary, dim, witt)
+     for dim, witt in ((3, 1), (4, 1), (5, 1), (5, 2), (6, 1), (6, 2))}
+)
+
+
+def _unit_plus_of_cells(model, lay, zs, corner, e4):
+    """The pinning as `_unit_plus` builds it from the layout's cells: each
+    nonzero link scalar z at its position and factor * tau(z) at its partner,
+    the corner, at exponents e4 and 2 * e4 (whole for e4 None); and the rows
+    those cells reach."""
+    def at(x, e):
+        return x if e4 is None else LaurentPoly({e: x})
+
+    cells = []
+    for (pos, partner, factor), z in zip(lay.links, zs):
+        if not z.is_zero():
+            cells.append((pos, at(z, e4)))
+            if partner is not None:
+                cells.append((partner, at(z.conj() * factor, e4)))
+    if corner is not None and not corner.is_zero():
+        cells.append((lay.corner, at(corner, None if e4 is None else 2 * e4)))
+    return laurent._unit_plus(model.n, cells), {i for (i, _), _ in cells}
+
+
+@pytest.mark.parametrize("name", WRITER_MODELS)
+def test_pin_writes_what_unit_plus_writes_of_the_layout_cells(name):
+    """`_pin` writes each cell as it makes it, into a copy of its row of the
+    shared unit rows: on every root of SL2-SL4 and SU(3,1)-SU(6,2), at int
+    and half-integer levels, with zero and nonzero link scalars and on slot
+    variables (e4 None), it equals `_unit_plus` of the layout's cells, and
+    every row that no cell reaches is the shared unit row itself."""
+    make, *args = WRITER_MODELS[name]
+    model = make(*args)
+    units = LaurentMatrix.identity(model.n).sparse
+    checked = 0
+    for a in model.system.roots:
+        nc, nd = model.coord_lengths(a)
+        draws = [(Q(1, 2),) * nc, (Q(0),) * nc, (Q(0),) * (nc - 1) + (Q(-3),)]
+        inputs = []
+        for level in (-1, 0, 2, Q(1, 2), Q(-3, 2)):
+            alpha = affine_root(a, level)
+            for c in draws:
+                for d in [()] if not nd else [(Q(0),), (Q(5, 3),)]:
+                    scalars = model._pin_scalars(RootGroupCoords(alpha, c, d))
+                    inputs.append((*scalars, exp4(-alpha.level)))
+        u = [slots.var(k) for k in range(nc)]
+        for c in (u, [ZERO] * nc, [ZERO] + u[1:]):
+            for d in [(ZERO,) * nd, (slots.var(nc),) * nd]:
+                coords = RootGroupCoords(affine_root(a, 0), tuple(c), d)
+                inputs.append((*model._pin_scalars(coords), None))
+        for lay, zs, corner, e4 in inputs:
+            want, written = _unit_plus_of_cells(model, lay, zs, corner, e4)
+            got = model._pin(lay, zs, corner, e4)
+            assert got == want and got.sparse == want.sparse
+            for i, row in enumerate(got.sparse):
+                assert (row is units[i]) == (i not in written), (a, i)
+            checked += 1
+    assert checked and all(r is u for r, u in zip(laurent._UNIT_ROWS[model.n], units))
+    assert all(row == {i: ONE} and row[i] is ONE for i, row in enumerate(units))
 
 
 LAYOUT_MODELS = {f"SL{rank + 1}": (split_sl, rank) for rank in range(1, 8)}

@@ -355,6 +355,11 @@ def test_integer_kernel_mixes_with_int_and_fraction_like_the_reference(xs, r):
         assert outcome(op, x, r) == outcome(op, rx, r), f"x {name} r"
         assert outcome(op, r, x) == outcome(op, r, rx), f"r {name} x"
     assert outcome(FieldScalar.coerce, r) == outcome(RefScalar.coerce, r)
+    # r (an int or a Fraction), its Fraction and its scalar coerce to one
+    # stored scalar; a scalar coerces to itself
+    same = [FieldScalar.coerce(v) for v in (r, Q(r), FieldScalar(r))]
+    assert len({(v._a, v._b, v._den, v.disc) for v in same}) == 1 and same[0] == r
+    assert FieldScalar.coerce(x) is x
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

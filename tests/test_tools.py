@@ -70,7 +70,7 @@ print(json.dumps({"correct": True, "attempted": 7, "failed": 0, "metrics": metri
 """
 
 
-def test_bench_pairs_alternates_sides_and_writes_only_its_record(tmp_path):
+def test_bench_pairs_alternates_sides_and_writes_only_its_record(tmp_path, capsys):
     tool = _bench_pairs()
     for side in ("parent", "change"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
@@ -95,6 +95,36 @@ def test_bench_pairs_alternates_sides_and_writes_only_its_record(tmp_path):
     assert summary["verdict_s"]["change_wins"] == 3
     assert summary["cases_per_s"]["change_wins"] == 0
     assert summary["verdict_s"]["parent"] == {"median": 2.11, "q1": 2.105, "q3": 2.115, "iqr": 0.01}
+    # one line per end-to-end metric: the change wins every pair and by far
+    # more than the parent's IQR where lower is better, and none where higher is
+    assert capsys.readouterr().out.splitlines() == [
+        "split-a2 setup_s: parent 2.11 [2.105, 2.115], change 1.11; "
+        "wins 3/3, ratio 0.5261; claim holds",
+        "split-a2 verdict_s: parent 2.11 [2.105, 2.115], change 1.11; "
+        "wins 3/3, ratio 0.5261; claim holds",
+        "split-a2 cases_per_s: parent 2.11 [2.105, 2.115], change 1.11; "
+        "wins 0/3, ratio 0.5261; claim does not hold",
+        "split-a2 peak_rss_mib: parent 2.11 [2.105, 2.115], change 1.11; "
+        "wins 3/3, ratio 0.5261; claim holds",
+    ]
+
+
+def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
+    tool = _bench_pairs()
+    metrics = [{"name": "verdict_s", "better": "lower"},
+               {"name": "cases_per_s", "better": "higher"}]
+
+    def entry(wins, change_median):
+        parent = {"median": 1.0, "q1": 0.95, "q3": 1.05, "iqr": 0.1}
+        stats = {"parent": parent, "change": {"median": change_median}, "change_wins": wins,
+                 "ratio_median": change_median}
+        return {"pairs": 10, "verdict_s": stats, "cases_per_s": stats}
+
+    summary = {"nine": entry(9, 0.85), "eight": entry(8, 0.85), "near": entry(10, 0.95)}
+    claims = [line.rsplit("; claim ", 1)[1] for line in tool.claim_lines(summary, metrics)]
+    # lower is better for verdict_s, higher for cases_per_s: a gap the wrong
+    # way is no gain, however many pairs were won
+    assert claims == ["holds", "does not hold"] + ["does not hold"] * 4
 
 
 def test_bench_pairs_keeps_finished_runs_when_a_later_run_fails(tmp_path):

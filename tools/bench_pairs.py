@@ -24,6 +24,12 @@ exits 1; otherwise it holds:
            digits) and iqr, change_wins (pairs where the change is strictly
            better), ratio_median (change / parent), worse_by, the bound of
            BENCHMARK.json, within_bound and median_gap_exceeds_parent_iqr
+
+When every run has finished it also prints one line per workload and
+end-to-end metric: the parent's median and quartiles, the change's median,
+the change's wins out of the pairs, the ratio of the medians, and whether
+the claim rule holds: the change won at least 9 in 10 of the pairs, and its
+median is better than the parent's by more than the parent's IQR.
 """
 
 from __future__ import annotations
@@ -112,6 +118,24 @@ def summarize(raw: dict, end_to_end: list[dict]) -> dict:
     return summary
 
 
+def claim_lines(summary: dict, end_to_end: list[dict]) -> list[str]:
+    """One line per workload and end-to-end metric of a summary."""
+    lines = []
+    for workload, entry in summary.items():
+        for metric in end_to_end:
+            name, lower = metric["name"], metric["better"] == "lower"
+            m = entry[name]
+            parent, change = m["parent"], m["change"]
+            gain = (parent["median"] - change["median"]) * (1 if lower else -1)
+            holds = 10 * m["change_wins"] >= 9 * entry["pairs"] and gain > parent["iqr"]
+            lines.append(
+                f"{workload} {name}: parent {parent['median']} [{parent['q1']}, {parent['q3']}], "
+                f"change {change['median']}; wins {m['change_wins']}/{entry['pairs']}, "
+                f"ratio {m['ratio_median']}; claim {'holds' if holds else 'does not hold'}"
+            )
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = load_benchmark()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -153,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{workload}/{seed} {side}: verdict_s {verdict:.4f}", file=sys.stderr)
     record.update(summary=summarize(raw, benchmark["end_to_end"]), raw=raw)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
+    print("\n".join(claim_lines(record["summary"], benchmark["end_to_end"])))
     return 0
 
 
