@@ -186,6 +186,18 @@ def _add_into(acc: dict, a: dict) -> None:
             acc[e] = cur
 
 
+def _product(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """a * b of nonzero polynomials, the other factor itself when either is
+    the shared ONE; LaurentPoly.__mul__ is not called."""
+    if a is ONE:
+        return b
+    if b is ONE:
+        return a
+    out: dict[int, FieldScalar] = {}
+    _add_product(out, a.coeffs, b.coeffs)
+    return _nonzero_poly(out)
+
+
 def _nonzero_poly(coeffs: dict[int, FieldScalar]) -> LaurentPoly:
     """Trusted constructor for coefficients that are already all nonzero."""
     p = object.__new__(LaurentPoly)
@@ -217,11 +229,7 @@ def _row_sum(base: dict, coefs: dict, rows, skip=-1) -> dict:
             if acc is None:
                 cur = cells.get(j)
                 if cur is None:
-                    if p is None:
-                        p = {}
-                        _add_product(p, a.coeffs, b.coeffs)
-                        p = _nonzero_poly(p)
-                    cells[j] = p
+                    cells[j] = _product(a, b) if p is None else p
                     continue
                 acc = summed[j] = dict(cur.coeffs)
             if p is None:
@@ -244,17 +252,18 @@ class LaurentMatrix:
     walk few entries; `rows` builds the dense grid for display.
 
     Rows are never written once `_matrix` has stored them, so matrices share
-    rows freely.  The identity's rows `{i: ONE}` are one table per size
-    (`_UNIT_ROWS`), made by `_unit_plus`: `identity` and `from_entries` build
-    through it, and it and the pinnings (`GroupModel._pin`) copy only the
+    rows freely.  The identity's rows `{i: ONE}` are one table per size,
+    owned by `_unit_rows`: `identity` and `from_entries` build through
+    `_unit_plus`, and it and the pinnings (`GroupModel._pin`) copy only the
     rows they write.  The kernels skip a unit row: `@` and `det` first test
     a row against the shared unit row by identity, `@` passing the right
     operand's row through for it and `det` skipping it; in `@` a left row
     that is the shared ONE alone, at column k, becomes the right operand's
     row k itself, and `_minus_identity` gives a unit row an empty row of E.
 
-    Every other row that `@` or `conjugator` builds comes from one row rule,
-    `_row_sum`, and E = g - I is a list of rows in this same format.
+    Every other row that `@` builds comes from one row rule, `_row_sum`, as
+    does every row of a general `conjugator`; a monomial one relabels E's
+    entries.  E = g - I is a list of rows in this same format.
     """
 
     __slots__ = ("n", "sparse")
@@ -304,7 +313,7 @@ class LaurentMatrix:
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n}x{self.n} @ {other.n}x{other.n}")
         right = other.sparse
-        units = _UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse
+        units = _unit_rows(self.n)
         out = []
         for i, row in enumerate(self.sparse):
             if row is units[i]:
@@ -326,7 +335,7 @@ class LaurentMatrix:
 
     def is_identity(self) -> bool:
         # a shared unit row compares equal to itself by identity
-        return self.sparse == (_UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse)
+        return self.sparse == _unit_rows(self.n)
 
     def transpose(self) -> "LaurentMatrix":
         out: list[dict[int, LaurentPoly]] = [{} for _ in range(self.n)]
@@ -341,7 +350,7 @@ class LaurentMatrix:
         row that is its diagonal entry alone fits either side, and a diagonal
         entry that is the shared ONE adds nothing to the product."""
         rows = self.sparse
-        units = _UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse
+        units = _unit_rows(self.n)
         upper = lower = True
         diag = []
         for i, r in enumerate(rows):
@@ -442,36 +451,68 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
     given as the rows of E = g - I that `_minus_identity(g)` returns.
 
     By distributivity h (I + E) hinv = h hinv + h E hinv, so h hinv is formed
-    once and each stored entry e = E[p][q] adds e times the outer row
-    h[i][p] hinv[q] to every row i of column p of h, through `_row_sum`.  The
-    outer row is row q of hinv itself when h[i][p] is the shared ONE, else a
-    product row built the first time an E reaches (p, q) and kept in row i's
-    table for the conjugator's life.  A row of the result that no entry of E
-    reaches is the row of h hinv itself (the shared unit row when h hinv is
-    the identity).  Exact for any hinv, an inverse of h or not.  The
-    operands, E and h hinv are never written to.
+    once, and a row of the result that no entry of E reaches is the row of
+    h hinv itself (the shared unit row when h hinv is the identity).  Exact
+    for any hinv, an inverse of h or not.  The operands, E and h hinv are
+    never written to.  Two rules add h E hinv, chosen once from h and hinv:
+
+    - Monomial pair: h and hinv each store exactly one entry in every row
+      and in every column.  Column p of h then holds one entry, in row
+      sigma(p), and row q of hinv one, in column tau(q), so each stored entry
+      e = E[p][q] lands alone in cell (sigma(p), tau(q)) as e times
+      f(p, q) = h[sigma(p)][p] hinv[q][tau(q)]: one product, or none when e
+      or f(p, q) is the shared ONE.  Each f(p, q) is formed the first time an
+      E reaches (p, q).  An entry that lands on a stored cell of h hinv (a
+      diagonal entry of E does) is summed into a copy and dropped if it
+      cancels.
+    - Any other pair: each entry e adds e times the outer row h[i][p] hinv[q]
+      to every row i of column p of h, through `_row_sum`.  The outer row is
+      row q of hinv itself when h[i][p] is the shared ONE, else a product row
+      built the first time an E reaches (p, q) and kept in row i's table.
+
+    Tables and factors live as long as the conjugator.
     """
     n = h.n
     base = h @ hinv
-    base = (_unit_plus(n, ()) if base.is_identity() else base).sparse
-    cols = h.transpose().sparse
-    right = hinv.sparse
-    # table[i][(p, q)] is the outer row h[i][p] hinv[q]
-    table: list[dict[tuple[int, int], dict]] = [{} for _ in range(n)]
+    base = _unit_rows(n) if base.is_identity() else base.sparse
+    # sigma[p] = (row, entry) of column p of h; tau[q] = (column, entry) of row q of hinv
+    sigma = {p: (i, a) for i, r in enumerate(h.sparse) if len(r) == 1 for p, a in r.items()}
+    tau = [next(iter(r.items())) for r in hinv.sparse if len(r) == 1]
+    monomial = len(sigma) == len(tau) == len({j for j, _ in tau}) == n
+    factors: dict[tuple[int, int], LaurentPoly] = {}
+    if not monomial:
+        cols, right = h.transpose().sparse, hinv.sparse
+        # table[i][(p, q)] is the outer row h[i][p] hinv[q]
+        table: list[dict[tuple[int, int], dict]] = [{} for _ in range(n)]
 
     def conj(e_rows: list) -> LaurentMatrix:
         if len(e_rows) != n:
             raise DimensionMismatch(f"{n}x{n} conjugating {len(e_rows)}x{len(e_rows)}")
         rows = list(base)
         for p, row in enumerate(e_rows):
-            for q, e in row.items():
-                for i, a in cols[p].items():
-                    outer = table[i].get((p, q))
-                    if outer is None:
-                        outer = right[q] if a is ONE else _row_sum({}, {q: a}, right)
-                        table[i][p, q] = outer
-                    if outer:
-                        rows[i] = _row_sum(rows[i], {(p, q): e}, table[i])
+            if not monomial:
+                for q, e in row.items():
+                    for i, a in cols[p].items():
+                        outer = table[i].get((p, q))
+                        if outer is None:
+                            outer = right[q] if a is ONE else _row_sum({}, {q: a}, right)
+                            table[i][p, q] = outer
+                        if outer:
+                            rows[i] = _row_sum(rows[i], {(p, q): e}, table[i])
+            elif row:
+                i, a = sigma[p]
+                cells = rows[i] = dict(base[i])
+                for q, e in row.items():
+                    j, b = tau[q]
+                    f = factors.get((p, q))
+                    if f is None:
+                        f = factors[p, q] = _product(a, b)
+                    cur = cells.get(j)
+                    x = _product(e, f) if cur is None else cur + _product(e, f)
+                    if x.coeffs:
+                        cells[j] = x
+                    else:
+                        del cells[j]
         return _matrix(rows)
 
     return conj
@@ -556,13 +597,18 @@ def _matrix(rows: list[dict[int, LaurentPoly]]) -> LaurentMatrix:
 _UNIT_ROWS: dict[int, tuple[dict[int, LaurentPoly], ...]] = {}
 
 
+def _unit_rows(n: int) -> tuple[dict[int, LaurentPoly], ...]:
+    """The shared unit rows of size n, made on first use."""
+    if n not in _UNIT_ROWS:
+        _UNIT_ROWS[n] = tuple({i: ONE} for i in range(n))
+    return _UNIT_ROWS[n]
+
+
 def _unit_plus(n: int, entries) -> LaurentMatrix:
     """Trusted builder: the n x n identity with each ((i, j), p) of entries
     written at in-range (i, j), a zero p clearing the cell.  A row that no
     entry writes is the shared unit row; a written row is a copy."""
-    units = _UNIT_ROWS.get(n)
-    if units is None:
-        units = _UNIT_ROWS[n] = tuple({i: ONE} for i in range(n))
+    units = _unit_rows(n)
     rows = list(units)
     for (i, j), p in entries:
         row = rows[i]

@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedType,
 )
 from .laurent import ONE, ZERO, LaurentMatrix, LaurentPoly, exp4, form_check
-from .laurent import _UNIT_ROWS, _matrix, _nonzero_poly, _unit_plus
+from .laurent import _matrix, _nonzero_poly, _unit_rows
 from .roots import (
     RootSystem,
     Vector,
@@ -267,9 +267,9 @@ class GroupModel:
         at its partner and the corner: field scalars at exponents e4 and 2 * e4,
         or, for e4 None, polynomials in slot variables (see `slots`) as they
         are.  Entries lie off the diagonal and are written as they are made,
-        each into a copy of its row of `_unit_plus`'s shared unit rows; the
-        rows that no entry reaches are those shared rows."""
-        units = _UNIT_ROWS.get(self.n) or _unit_plus(self.n, ()).sparse
+        each into a copy of its row of the shared unit rows (`_unit_rows`);
+        the rows that no entry reaches are those shared rows."""
+        units = _unit_rows(self.n)
         rows = list(units)
         for (pos, partner, factor), z in zip(lay.links, zs):
             if z.is_zero():

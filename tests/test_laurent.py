@@ -423,14 +423,28 @@ def polys(draw, disc, zero_share=0.4):
     return LaurentPoly(coeffs)
 
 
+KINDS = ["sparse", "unipotent", "unit-plus", "diagonal", "monomial", "one per row"]
+
+
 @st.composite
-def matrices(draw, n=None, disc=None):
+def matrices(draw, n=None, disc=None, kinds=KINDS):
     """(kind, dense rows, matrix): a sparse random matrix given as dense rows
     with explicit zero entries, a unipotent one from from_entries, one from
     the identity builder `_unit_plus` (cells written in turn, a zero clearing
-    its cell), or a diagonal one."""
+    its cell), a diagonal one, a monomial one (one nonzero polynomial, the
+    shared ONE or any other, in each row and each column), or one with one
+    nonzero polynomial in each row where two rows share a column (n >= 2)."""
     n = n if n is not None else draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["sparse", "unipotent", "unit-plus", "diagonal"]))
+    kind = draw(st.sampled_from([k for k in kinds if n > 1 or k != "one per row"]))
+    if kind in ("monomial", "one per row"):
+        cols = draw(st.permutations(range(n)))
+        if kind == "one per row":
+            i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            cols[i] = cols[k]
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, j in enumerate(cols):
+            rows[i][j] = laurent.ONE if draw(st.booleans()) else draw(polys(disc, zero_share=0))
+        return kind, rows, LaurentMatrix(rows)
     if kind == "diagonal":
         diag = [draw(polys(disc, zero_share=0.15)) for _ in range(n)]
         rows = [[diag[i] if i == j else ZERO for j in range(n)] for i in range(n)]
@@ -992,11 +1006,84 @@ def test_conjugator_matches_the_two_products(model):
             assert got == h @ g @ hinv
 
 
+RELABEL_KINDS = ["monomial", "one per row"]
+GENERAL_KINDS = [k for k in KINDS if k not in RELABEL_KINDS]
+
+
+def _is_monomial(m):
+    """One stored entry in each row and in each column."""
+    cols = [j for row in m.sparse if len(row) == 1 for j in row]
+    return len(cols) == len(set(cols)) == m.n
+
+
+@pytest.mark.parametrize(
+    "model",
+    [split_sl(2)] + [special_unitary(dim, witt) for dim, witt in ((3, 1), (4, 1), (5, 2))],
+    ids=["SL3", "SU(3,1)", "SU(4,1)", "SU(5,2)"],
+)
+def test_conjugator_relabels_by_monomial_pairs_only(model, monkeypatch):
+    """Torus samples, coroot values and Weyl representatives are monomial
+    pairs, and conjugating by them makes no `_row_sum` call; SU(4,1)'s
+    rotated torus sample (the third) and its Weyl representative with a 2x2
+    block on the anisotropic kernel (the first) are not, and take the
+    outer-row rule.  Either way the result is h @ g @ hinv."""
+    torus, coroots, weyl = (_conjugating_pairs(model)[a:b] for a, b in ((0, 3), (3, 7), (7, 9)))
+    general = [torus[2], weyl[0]] if model.n == 4 and model.kind == "su" else []
+    pairs = torus + coroots + weyl
+    assert [pair for pair in pairs if not all(map(_is_monomial, pair))] == general
+    real, calls = laurent._row_sum, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    gs = _conjugated_matrices(model)
+    for h, hinv in pairs:
+        conj = conjugator(h, hinv)
+        calls = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent, "_row_sum", counted)
+            got = [conj(laurent._minus_identity(g)) for g in gs]
+        assert (calls > 0) == any(h is x for x, _ in general)
+        assert got == [h @ g @ hinv for g in gs]
+
+
 @st.composite
 def matrix_triples(draw):
+    """(h, k, g): three matrices of any kinds; or h and k monomial or one
+    per row; or h monomial with unit monomial entries and k its inverse; or
+    one side monomial and the other of a general kind.  Some diagonal cells
+    of g are then rewritten, to zero (E = g - I holds -1 there), the shared
+    ONE or any polynomial, so that a relabelled diagonal entry of E meets a
+    stored cell of h k and sums or cancels."""
     disc = draw(st.sampled_from(DISCS))
     n = draw(st.integers(1, 4))
-    return tuple(draw(matrices(n, disc))[2] for _ in range(3))
+    shape = draw(st.sampled_from(["any", "relabel", "inverse", "mixed"]))
+    if shape == "inverse":
+        cols = draw(st.permutations(range(n)))
+        # unit monomials c t^(e/4): the shared ONE, or c in {-3/2, -1/2, 1}
+        units = [
+            laurent.ONE
+            if draw(st.booleans())
+            else LaurentPoly({draw(st.integers(-6, 6)): Q(draw(st.sampled_from([-3, -1, 2])), 2)})
+            for _ in range(n)
+        ]
+        inverse = [{} for _ in range(n)]
+        for i, (j, u) in enumerate(zip(cols, units)):
+            inverse[j][i] = u if u is laurent.ONE else u.monomial_pow(-1)
+        h, k = laurent._matrix([{j: u} for j, u in zip(cols, units)]), laurent._matrix(inverse)
+        assert (h @ k).is_identity()
+    else:
+        kinds = {"any": (KINDS, KINDS), "relabel": (RELABEL_KINDS, RELABEL_KINDS),
+                 "mixed": (["monomial"], GENERAL_KINDS)}[shape]
+        h, k = (draw(matrices(n, disc, side))[2] for side in kinds)
+        if draw(st.booleans()):
+            h, k = k, h
+    _, rows, _ = draw(matrices(n, disc))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        rows[i][i] = draw(st.one_of(st.sampled_from([ZERO, laurent.ONE]), polys(disc, 0)))
+    return h, k, LaurentMatrix(rows)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
