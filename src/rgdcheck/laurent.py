@@ -210,9 +210,10 @@ ONE = LaurentPoly.one()
 _MINUS_ONE = LaurentPoly.const(-1)
 
 
-def _row_sum(base: dict, coefs: dict, rows, skip=-1) -> dict:
-    """The sparse row base + sum of c * rows[k] over the entries (k, c) of
-    coefs but column skip, as a new dict.  A cell that one term reaches is
+def _row_sum(base: dict, coefs: dict, rows: tuple, skip=-1) -> dict:
+    """The row rule of `@`: the sparse row base + sum of c * rows[k] over the
+    entries (k, c) of a left row coefs but column skip, rows being the right
+    operand's rows, as a new dict.  A cell that one term reaches is
     the other factor itself when either factor is the shared ONE, else a
     fresh product; a cell that two or more terms reach (base's counts as one)
     is summed in a copy and dropped if it cancels.  ONE is multiplied by
@@ -261,9 +262,9 @@ class LaurentMatrix:
     that is the shared ONE alone, at column k, becomes the right operand's
     row k itself, and `_minus_identity` gives a unit row an empty row of E.
 
-    Every other row that `@` builds comes from one row rule, `_row_sum`, as
-    does every row of a general `conjugator`; a monomial one relabels E's
-    entries.  E = g - I is a list of rows in this same format.
+    Every other row that `@` builds comes from one row rule, `_row_sum`;
+    `conjugator` adds each entry of E to its cells by one cell rule.
+    E = g - I is a list of rows in this same format.
     """
 
     __slots__ = ("n", "sparse")
@@ -454,61 +455,50 @@ def conjugator(h: LaurentMatrix, hinv: LaurentMatrix):
     once, and a row of the result that no entry of E reaches is the row of
     h hinv itself (the shared unit row when h hinv is the identity).  Exact
     for any hinv, an inverse of h or not.  The operands, E and h hinv are
-    never written to.  Two rules add h E hinv, chosen once from h and hinv:
+    never written to.
 
-    - Monomial pair: h and hinv each store exactly one entry in every row
-      and in every column.  Column p of h then holds one entry, in row
-      sigma(p), and row q of hinv one, in column tau(q), so each stored entry
-      e = E[p][q] lands alone in cell (sigma(p), tau(q)) as e times
-      f(p, q) = h[sigma(p)][p] hinv[q][tau(q)]: one product, or none when e
-      or f(p, q) is the shared ONE.  Each f(p, q) is formed the first time an
-      E reaches (p, q).  An entry that lands on a stored cell of h hinv (a
-      diagonal entry of E does) is summed into a copy and dropped if it
-      cancels.
-    - Any other pair: each entry e adds e times the outer row h[i][p] hinv[q]
-      to every row i of column p of h, through `_row_sum`.  The outer row is
-      row q of hinv itself when h[i][p] is the shared ONE, else a product row
-      built the first time an E reaches (p, q) and kept in row i's table.
-
-    Tables and factors live as long as the conjugator.
+    One cell rule adds h E hinv: each stored entry e = E[p][q] adds e times
+    f = h[i][p] hinv[q][j] to cell (i, j), for every stored h[i][p] and
+    hinv[q][j], with one product, or none when e or f is the shared ONE.
+    The spots (i, j, f) of (p, q) are formed the first time an E reaches
+    (p, q) and kept as long as the conjugator.  A row that E reaches is
+    copied from h hinv once, and a cell that cancels is dropped.  When h and
+    hinv are monomial (one stored entry in each row and each column), as the
+    torus elements, coroot values and Weyl representatives of one-dimensional
+    weight lines are, every entry of E thus moves to one cell.
     """
     n = h.n
     base = h @ hinv
     base = _unit_rows(n) if base.is_identity() else base.sparse
-    # sigma[p] = (row, entry) of column p of h; tau[q] = (column, entry) of row q of hinv
-    sigma = {p: (i, a) for i, r in enumerate(h.sparse) if len(r) == 1 for p, a in r.items()}
-    tau = [next(iter(r.items())) for r in hinv.sparse if len(r) == 1]
-    monomial = len(sigma) == len(tau) == len({j for j, _ in tau}) == n
-    factors: dict[tuple[int, int], LaurentPoly] = {}
-    if not monomial:
-        cols, right = h.transpose().sparse, hinv.sparse
-        # table[i][(p, q)] is the outer row h[i][p] hinv[q]
-        table: list[dict[tuple[int, int], dict]] = [{} for _ in range(n)]
+    cols, right = h.transpose().sparse, hinv.sparse
+    # spots[p][q] = ((i, j, h[i][p] hinv[q][j]), ...)
+    spots: list[dict[int, tuple]] = [{} for _ in range(n)]
 
     def conj(e_rows: list) -> LaurentMatrix:
         if len(e_rows) != n:
             raise DimensionMismatch(f"{n}x{n} conjugating {len(e_rows)}x{len(e_rows)}")
         rows = list(base)
         for p, row in enumerate(e_rows):
-            if not monomial:
-                for q, e in row.items():
-                    for i, a in cols[p].items():
-                        outer = table[i].get((p, q))
-                        if outer is None:
-                            outer = right[q] if a is ONE else _row_sum({}, {q: a}, right)
-                            table[i][p, q] = outer
-                        if outer:
-                            rows[i] = _row_sum(rows[i], {(p, q): e}, table[i])
-            elif row:
-                i, a = sigma[p]
-                cells = rows[i] = dict(base[i])
-                for q, e in row.items():
-                    j, b = tau[q]
-                    f = factors.get((p, q))
-                    if f is None:
-                        f = factors[p, q] = _product(a, b)
+            if not row:
+                continue
+            known = spots[p]
+            for q, e in row.items():
+                spot = known.get(q)
+                if spot is None:
+                    spot = known[q] = tuple(
+                        (i, j, _product(a, b))
+                        for i, a in cols[p].items()
+                        for j, b in right[q].items()
+                    )
+                for i, j, f in spot:
+                    cells = rows[i]
+                    if cells is base[i]:
+                        cells = rows[i] = dict(cells)
                     cur = cells.get(j)
-                    x = _product(e, f) if cur is None else cur + _product(e, f)
+                    if cur is None:
+                        cells[j] = _product(e, f)
+                        continue
+                    x = cur + _product(e, f)
                     if x.coeffs:
                         cells[j] = x
                     else:

@@ -1023,10 +1023,11 @@ def _is_monomial(m):
 )
 def test_conjugator_relabels_by_monomial_pairs_only(model, monkeypatch):
     """Torus samples, coroot values and Weyl representatives are monomial
-    pairs, and conjugating by them makes no `_row_sum` call; SU(4,1)'s
+    pairs, whose conjugation moves each entry of E to one cell; SU(4,1)'s
     rotated torus sample (the third) and its Weyl representative with a 2x2
-    block on the anisotropic kernel (the first) are not, and take the
-    outer-row rule.  Either way the result is h @ g @ hinv."""
+    block on the anisotropic kernel (the first) are not, and an entry of E
+    reaches two or more cells.  One cell rule serves both: no pair makes a
+    `_row_sum` call, and every result is h @ g @ hinv."""
     torus, coroots, weyl = (_conjugating_pairs(model)[a:b] for a, b in ((0, 3), (3, 7), (7, 9)))
     general = [torus[2], weyl[0]] if model.n == 4 and model.kind == "su" else []
     pairs = torus + coroots + weyl
@@ -1041,12 +1042,11 @@ def test_conjugator_relabels_by_monomial_pairs_only(model, monkeypatch):
     gs = _conjugated_matrices(model)
     for h, hinv in pairs:
         conj = conjugator(h, hinv)
-        calls = 0
         with monkeypatch.context() as patch:
             patch.setattr(laurent, "_row_sum", counted)
             got = [conj(laurent._minus_identity(g)) for g in gs]
-        assert (calls > 0) == any(h is x for x, _ in general)
         assert got == [h @ g @ hinv for g in gs]
+    assert calls == 0
 
 
 @st.composite
@@ -1055,7 +1055,7 @@ def matrix_triples(draw):
     per row; or h monomial with unit monomial entries and k its inverse; or
     one side monomial and the other of a general kind.  Some diagonal cells
     of g are then rewritten, to zero (E = g - I holds -1 there), the shared
-    ONE or any polynomial, so that a relabelled diagonal entry of E meets a
+    ONE or any polynomial, so that a moved diagonal entry of E meets a
     stored cell of h k and sums or cancels."""
     disc = draw(st.sampled_from(DISCS))
     n = draw(st.integers(1, 4))
@@ -1220,7 +1220,7 @@ def test_conjugator_drops_a_cell_that_two_entries_of_e_cancel():
         conj = conjugator(h, hinv)
         base = conj(laurent._minus_identity(LaurentMatrix.identity(3)))
         base_snap = _snapshot(base)
-        for _ in range(2):  # the second call reads the filled outer rows
+        for _ in range(2):  # the second call reads the formed spots
             got = conj(e_rows)
             assert got.rows == tuple(map(tuple, _dense_product(LaurentMatrix(_dense_product(h, g)), hinv)))
             assert _stores_no_zeros(got) and got == h @ g @ hinv
@@ -1231,38 +1231,42 @@ def test_conjugator_drops_a_cell_that_two_entries_of_e_cancel():
     assert _unit_rows_intact()
 
 
-def _outer_row(a, row):
-    """The row a * row of the dense reference: an entry times ONE is the
-    entry, any other cell a schoolbook product."""
+def _cell_factors(h, hinv, p, q):
+    """{(i, j): h[i][p] hinv[q][j]} over the stored h[i][p] and hinv[q][j],
+    the cells an entry E[p][q] reaches, in the dense reference: a factor
+    times ONE is the factor, any other cell a schoolbook product."""
     return {
-        j: b if a is SHARED_ONE else a if b is SHARED_ONE else _poly_mul(a, b)
-        for j, b in row.items()
+        (i, j): b if a is SHARED_ONE else a if b is SHARED_ONE else _poly_mul(a, b)
+        for i, hrow in enumerate(h.sparse)
+        if p in hrow
+        for a in (hrow[p],)
+        for j, b in hinv.sparse[q].items()
     }
 
 
 def _needed_conj_products(h, hinv, e_rows):
-    """Coefficient products that conjugating E must make once its outer rows
-    are built: one per pair of coefficients of an entry e = E[p][q] and a cell
-    of an outer row h[i][p] hinv[q], when neither is the shared ONE."""
+    """Coefficient products that conjugating E must make once the cell
+    factors of its entries are formed: one per pair of coefficients of an
+    entry e = E[p][q] and a factor h[i][p] hinv[q][j] of (p, q), when neither
+    is the shared ONE."""
     return sum(
-        len(e.coeffs) * len(c.coeffs)
+        len(e.coeffs) * len(f.coeffs)
         for p, row in enumerate(e_rows)
         for q, e in row.items()
         if e is not SHARED_ONE
-        for i, hrow in enumerate(h.sparse)
-        if p in hrow
-        for c in _outer_row(hrow[p], hinv.sparse[q]).values()
-        if c is not SHARED_ONE
+        for f in _cell_factors(h, hinv, p, q).values()
+        if f is not SHARED_ONE
     )
 
 
 def test_conjugation_multiplies_only_entries_off_one(monkeypatch):
-    """On SU(5,2), by a torus element and by a Weyl representative, each
-    conjugation of an E after a warm-up call makes exactly the scalar
-    products of E's entries with the outer rows they reach, also in the
-    cells it sums (an E with a diagonal entry reaches a diagonal ONE of
-    h hinv): none with the shared ONE and none to build a table."""
-    su = special_unitary(5, 2)
+    """By an SU(5,2) torus element and Weyl representative (monomial pairs)
+    and by SU(4,1)'s rotated torus sample and 2x2-block Weyl representative
+    (a column of h with two entries), each conjugation of an E after a
+    warm-up call makes exactly the scalar products of E's entries with the
+    cell factors they reach, also in the cells it sums (an E with a diagonal
+    entry reaches a diagonal ONE of h hinv): none with the shared ONE and
+    none to form a factor."""
     calls = 0
     real_mul = FieldScalar.__mul__
 
@@ -1271,24 +1275,30 @@ def test_conjugation_multiplies_only_entries_off_one(monkeypatch):
         calls += 1
         return real_mul(self, other)
 
-    (torus, torus_inv), *_ = su.sample_centralizer_elements(random.Random(7), 1)
-    (w, w_inv), *_ = _conjugating_pairs(su)[-5:]
+    su52, su41 = special_unitary(5, 2), special_unitary(4, 1)
+    (torus, torus_inv), *_ = su52.sample_centralizer_elements(random.Random(7), 1)
+    (w, w_inv), *_ = _conjugating_pairs(su52)[-5:]
     assert (w @ w_inv).is_identity() and (torus @ torus_inv).is_identity()
-    gs = _conjugated_matrices(su)
+    pairs41 = _conjugating_pairs(su41)
+    general = [pairs41[2], pairs41[7]]  # see test_conjugator_relabels_by_monomial_pairs_only
+    assert all(any(len(col) > 1 for col in h.transpose().sparse) for h, _ in general)
+    cases = [(su52, [(torus, torus_inv), (w, w_inv)]), (su41, general)]
     checked = 0
-    for h, hinv in ((torus, torus_inv), (w, w_inv)):
-        conj = conjugator(h, hinv)
-        for g in gs:
-            e_rows = laurent._minus_identity(g)
-            conj(e_rows)
-            calls = 0
-            with monkeypatch.context() as patch:
-                patch.setattr(FieldScalar, "__mul__", counted)
-                got = conj(e_rows)
-            assert calls == _needed_conj_products(h, hinv, e_rows) > 0
-            assert got == h @ g @ hinv
-            checked += 1
-    assert checked == 2 * len(gs) >= 40
+    for model, pairs in cases:
+        gs = _conjugated_matrices(model)
+        for h, hinv in pairs:
+            conj = conjugator(h, hinv)
+            for g in gs:
+                e_rows = laurent._minus_identity(g)
+                conj(e_rows)
+                calls = 0
+                with monkeypatch.context() as patch:
+                    patch.setattr(FieldScalar, "__mul__", counted)
+                    got = conj(e_rows)
+                assert calls == _needed_conj_products(h, hinv, e_rows) > 0
+                assert got == h @ g @ hinv
+                checked += 1
+    assert checked == 2 * (63 + 31)
 
 
 # -- the form kernel: g -> (g* F g == F) on E = g - I ----------------------------
