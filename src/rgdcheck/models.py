@@ -139,7 +139,9 @@ class GroupModel:
         """Weight of a basis vector under the maximal split torus."""
         raise NotImplementedError
 
-    def contains(self, g: LaurentMatrix) -> bool:
+    def contains(self, g: LaurentMatrix, root: Vector | None = None) -> bool:
+        """Whether g lies in G; root names the relative root of a pinning g,
+        which a model may use to skip work its pinning map has certified."""
         raise NotImplementedError
 
     def descriptor(self) -> dict:
@@ -261,6 +263,13 @@ class GroupModel:
         if nd:
             corner = self._correction(lay, zs) + coords.d[0]
         return lay, zs, corner
+
+    def _symbolic_pin(self, a_rel: Vector, c: list, d: list) -> LaurentMatrix:
+        """X_a(c, d), the level-zero map of a_rel at coordinates in slot
+        variables (see `slots`), built by `_pin_scalars` and `_pin` as every
+        pinning is."""
+        coords = RootGroupCoords(affine_root(a_rel, 0), tuple(c), tuple(d))
+        return self._pin(*self._pin_scalars(coords))
 
     def _pin(self, lay: RootLayout, zs: list, corner, e4: int | None = None) -> LaurentMatrix:
         """The identity with each link scalar z at its position, factor * tau(z)
@@ -432,10 +441,9 @@ class GroupModel:
         d t^-2l), u -> u t^-l gives every level."""
         nc, nd = self.coord_lengths(a_rel)
         order = [affine_root(scale(2, a_rel), 0)] if self.system.is_multipliable(a_rel) else []
-        level0 = affine_root(a_rel, 0)
 
         def pin(c: list) -> LaurentMatrix:
-            return self._pin(*self._pin_scalars(RootGroupCoords(level0, tuple(c), (ZERO,) * nd)))
+            return self._symbolic_pin(a_rel, c, [ZERO] * nd)
 
         def fails(why: str) -> PeelFailure:
             return PeelFailure(f"additivity fails on {a_rel} along {list(map(str, order))}: {why}")
@@ -546,7 +554,7 @@ class SplitSLModel(GroupModel):
         w[slot] = 1
         return tuple(w)
 
-    def contains(self, g: LaurentMatrix) -> bool:
+    def contains(self, g: LaurentMatrix, root: Vector | None = None) -> bool:
         return g.n == self.n and g.det().is_one()
 
     def descriptor(self) -> dict:
@@ -611,6 +619,7 @@ class SUModel(GroupModel):
         rows = [[gram.get((p, q), ZERO) for q in range(dim)] for p in range(dim)]
         self.gram = LaurentMatrix(rows)
         self._preserves_form = form_check(self.gram)
+        self._form_certificates: dict[Vector, bool] = {}  # filled by `_form_certified`
         self._build_layouts()
 
     def _mirror(self, x: int) -> int:
@@ -624,8 +633,30 @@ class SUModel(GroupModel):
             w[self._mirror(slot)] = -1
         return tuple(w)
 
-    def contains(self, g: LaurentMatrix) -> bool:
-        return g.n == self.n and g.det().is_one() and self._preserves_form(g)
+    def contains(self, g: LaurentMatrix, root: Vector | None = None) -> bool:
+        """det g = 1 and g* F g = F.  For a pinning g of the relative root
+        `root`, the form identity is that root's certificate (see
+        `_form_certified`); g itself is checked only where the certificate
+        fails, so the verdict is the full check's either way."""
+        if g.n != self.n or not g.det().is_one():
+            return False
+        return (root is not None and self._form_certified(root)) or self._preserves_form(g)
+
+    def _form_certified(self, a_rel: Vector) -> bool:
+        """Whether X* F X = F for X = X_a on free slot variables, d included
+        (`_symbolic_pin`), checked on first use and kept per root.  The
+        pinning at level l with coordinates (c, d) is the image of X under
+        x_k -> c_k t^-l on the link slots and d -> d t^-2l, one code path
+        (`_pin_scalars`, `_pin`) for both; that substitution is a ring map
+        commuting with tau, so the identity holds for every pinning of a_rel
+        when it holds for X."""
+        ok = self._form_certificates.get(a_rel)
+        if ok is None:
+            nc, nd = self.coord_lengths(a_rel)
+            xs = [slots.var(k) for k in range(nc + nd)]
+            ok = self._preserves_form(self._symbolic_pin(a_rel, xs[:nc], xs[nc:]))
+            self._form_certificates[a_rel] = ok
+        return ok
 
     def descriptor(self) -> dict:
         return {

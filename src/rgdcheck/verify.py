@@ -161,8 +161,14 @@ def _in_group(
     model: GroupModel, case: Case, coords: RootGroupCoords, g: LaurentMatrix
 ) -> bool:
     """Whether the pinning g of drawn coordinates lies in G, checked once; what
-    is built from it stays in G unchecked.  A pinning outside G fails the case."""
-    if model.contains(g):
+    is built from it stays in G unchecked.  A pinning outside G fails the case.
+    det g is computed for every pinning; on SU the form identity g* F g = F
+    is its root's certificate (`SUModel._form_certified`), one check of the
+    level-zero map on slot variables, of which g is the image under
+    x_k -> c_k t^-l, d -> d t^-2l.  Where the certificate fails, g is checked
+    itself.  Tori, RGD2 quotients, RGD4 words and coroot values get the full
+    check."""
+    if model.contains(g, coords.alpha.root):
         return True
     case.fail(f"alpha={coords.alpha} {_text(coords)} left the group", "pinning lands in G")
     return False

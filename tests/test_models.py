@@ -542,6 +542,39 @@ def test_layout_mutants_fail_the_root_group_check(mutant, why, dim, witt):
     assert found and all(why in f for f in found)
 
 
+def _substituted(p, values, shifts):
+    """p in slot variables with x_k -> values[k] t^(shifts[k] / 4), read off
+    its keys by `slots.degrees` and `slots.t_exponent`."""
+    out = {}
+    for key, coeff in p.coeffs.items():
+        e = slots.t_exponent(key)
+        for value, shift, degree in zip(values, shifts, slots.degrees(key, len(values))):
+            coeff, e = coeff * value**degree, e + shift * degree
+        out[e] = out.get(e, FieldScalar(0)) + coeff
+    return LaurentPoly(out)
+
+
+@pytest.mark.parametrize("name", ["SL3", "SU(3,1)", "SU(4,1)", "SU(5,2)"])
+def test_a_pinning_is_the_level_zero_map_at_substituted_slot_variables(name):
+    """relative_pinning(c, d) at level l is X_a on free slot variables with
+    x_k -> c_k t^-l on the link slots and d -> d t^-2l: the lemma by which
+    one form check of X_a certifies every pinning of a (see
+    `SUModel._form_certified`), true while numeric and symbolic pinnings
+    share one code path."""
+    model = ALGEBRA_MODELS[name]()
+    rng = random.Random(0)
+    for a in model.system.roots:
+        nc, nd = model.coord_lengths(a)
+        xs = [slots.var(k) for k in range(nc + nd)]
+        x = model._symbolic_pin(a, xs[:nc], xs[nc:])
+        for level in range(-2, 3):
+            shifts = [exp4(-level)] * nc + [exp4(-2 * level)] * nd
+            for idx in range(5):
+                u = sample_coords(model, affine_root(a, level), rng, idx)
+                image = [[_substituted(e, u.c + u.d, shifts) for e in row] for row in x.rows]
+                assert model.relative_pinning(u) == LaurentMatrix(image), (a, level, u)
+
+
 def _k_entries(model, alpha):
     """(entry, exponent key) of every slot of U_alpha whose coordinate lies in k."""
     lay = model.layout(alpha.root)

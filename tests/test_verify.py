@@ -622,6 +622,38 @@ def test_rgd1_checks_the_four_pinnings_of_each_case(monkeypatch):
     assert r.passed and len(calls) == 4 * r.cases
 
 
+@pytest.mark.parametrize("dim, witt", [(3, 1), (5, 2)])
+def test_rgd0_and_rgd1_check_the_form_once_per_root(monkeypatch, dim, witt):
+    """Each drawn pinning still gets one `contains` (its det), but the form
+    identity is checked once per relative root, on the symbolic X_a."""
+    model = special_unitary(dim, witt)
+    forms = count_calls(monkeypatch, model, "_preserves_form")
+    calls = count_calls(monkeypatch, model, "contains")
+    r0, r1 = run_one("rgd0", model, SMALL), run_one("rgd1", model, SMALL)
+    assert r0.passed and r1.passed
+    assert len(calls) == r0.cases + 4 * r1.cases
+    assert len(forms) == len(model.system.roots)
+    assert model._form_certificates == dict.fromkeys(model.system.roots, True)
+
+
+@pytest.mark.parametrize("make", [lambda: FlippedPairSU(5, 2), lambda: FlippedCornerSU(3, 1)],
+                         ids=["FlippedPairSU(5,2)", "FlippedCornerSU(3,1)"])
+@pytest.mark.parametrize("tag", ["rgd0", "rgd1"])
+def test_a_failed_certificate_falls_back_to_each_pinning(monkeypatch, make, tag):
+    """Where a root's map leaves the group its pinnings are checked one by
+    one, so the failure records are those of a run with no certificate at
+    all, the pure-corner pinnings (z = 0) of a flipped corner, which lie in
+    G, included."""
+    model, uncertified = make(), make()
+    r = run_one(tag, model, SMALL)
+    assert not all(model._form_certificates.values())
+    monkeypatch.setattr(
+        uncertified, "_form_certificates", dict.fromkeys(uncertified.system.roots, False)
+    )
+    forced = run_one(tag, uncertified, SMALL)
+    assert r.failures and (r.cases, r.failures) == (forced.cases, forced.failures)
+
+
 # -- the suite skeleton -------------------------------------------------------------
 
 
@@ -907,7 +939,7 @@ def test_failure_records_print_coordinates_as_rationals(monkeypatch, model):
 
 def test_rgd0_failure_prints_alpha_c_and_d(monkeypatch):
     model = special_unitary(3, 1)
-    monkeypatch.setattr(model, "contains", lambda g: False)
+    monkeypatch.setattr(model, "contains", lambda g, root: False)
     r = run_one("rgd0", model, ZERO_WINDOW)
     assert len(r.failures) == r.cases > 0
     first = r.failures[0]
